@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from flowsched import Instance, Job, ScheduleTrace, WorkloadModel, generate, run
+from flowsched import Instance, Job, WorkloadModel, generate
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -53,22 +51,7 @@ def build_suite() -> list[tuple[str, Instance]]:
     return out
 
 
-@dataclass
-class SuiteRuns:
-    instances: dict[str, Instance]
-    traces: dict[str, ScheduleTrace]
-    sim_seconds: float
-    transport_cache: dict
-
-
 @pytest.fixture(scope="session")
 def suite() -> list[tuple[str, Instance]]:
     return build_suite()
 
-
-@pytest.fixture(scope="session")
-def suite_runs(suite) -> SuiteRuns:
-    start = time.perf_counter()
-    traces = {name: run(inst) for name, inst in suite}
-    elapsed = time.perf_counter() - start
-    return SuiteRuns(dict(suite), traces, elapsed, {})
