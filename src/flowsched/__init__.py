@@ -4,10 +4,9 @@ Discrete-slot simulator, exact offline baselines, and a dual-fitting
 verifier, all in exact rational arithmetic.
 """
 
-from .analysis import (DensityProfile, DualCertificate, LowerBoundVerdict, Metrics,
-                       RejectionAudit, audit_rejections, beta_series,
-                       compute_metrics, density_profile, fractional_flow_plan,
-                       lower_bound_check, verify_duals)
+from .analysis import (DualCertificate, LowerBoundVerdict, Metrics, RejectionAudit,
+                       audit_rejections, beta_series, compute_metrics,
+                       fractional_flow_plan, lower_bound_check, verify_duals)
 from .baselines import (FractionalSchedule, HorizonTooShort, TooLarge,
                         brute_force_nonpreemptive, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
@@ -15,26 +14,25 @@ from .core import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
                    Rational, ResidualJob, validate_instance)
 from .dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, dispatch, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
-                      compare_policies, format_trace, generate, greedy_nonpreemptive,
-                      parse_trace, parse_trace_text, serialize_trace)
+                      format_trace, generate, parse_trace, parse_trace_text,
+                      serialize_trace)
 from .impact import ArrivalImpact, arrival_impact, density_class, floor_log
 from .rejection import (BucketReport, ImmediateDecision, MinusKey, PlusKey,
                         RejectionTables, bucket_keys)
 from .scheduler import Event, MachineScheduler, ScheduleTrace, Slot, run
 
 __all__ = [
-    "ArrivalImpact", "BadParameters", "BucketReport", "DensityProfile",
-    "DispatchDecision", "DualCertificate", "Event", "FractionalSchedule",
-    "HorizonTooShort", "ImmediateDecision", "Instance", "InvalidInstance",
-    "Job", "JobNotRunnableOnMachine", "LowerBoundVerdict", "MachineScheduler",
+    "ArrivalImpact", "BadParameters", "BucketReport", "DispatchDecision",
+    "DualCertificate", "Event", "FractionalSchedule", "HorizonTooShort",
+    "ImmediateDecision", "Instance", "InvalidInstance", "Job",
+    "JobNotRunnableOnMachine", "LowerBoundVerdict", "MachineScheduler",
     "MalformedLine", "Metrics", "MinusKey", "MissingHeader", "MultiTrace",
     "NoEligibleMachine", "PlusKey", "Rational", "RejectionAudit",
     "RejectionTables", "ResidualJob", "ScheduleTrace", "Slot", "TooLarge",
     "WorkloadModel", "arrival_impact", "audit_rejections", "beta_series",
-    "brute_force_nonpreemptive", "bucket_keys", "compare_policies",
-    "compute_metrics", "default_horizon", "density_class", "density_profile",
-    "dispatch", "floor_log", "format_trace", "fractional_flow_plan", "generate",
-    "greedy_nonpreemptive", "lower_bound_check", "lp_cost", "parse_trace",
-    "parse_trace_text", "preemptive_hdf", "run", "run_multi", "serialize_trace",
-    "transport_opt", "validate_instance", "verify_duals",
+    "brute_force_nonpreemptive", "bucket_keys", "compute_metrics",
+    "default_horizon", "density_class", "dispatch", "floor_log", "format_trace",
+    "fractional_flow_plan", "generate", "lower_bound_check", "lp_cost",
+    "parse_trace", "parse_trace_text", "preemptive_hdf", "run", "run_multi",
+    "serialize_trace", "transport_opt", "validate_instance", "verify_duals",
 ]

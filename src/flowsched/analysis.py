@@ -17,11 +17,11 @@ grows, so finite sweeps certify all times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .baselines import transport_opt
 from .core import HALF, Instance, Job, ONE, Rational, ZERO
-from .dispatch import MultiTrace
+from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
 
@@ -31,10 +31,6 @@ class IncompleteTrace(ValueError):
 
 class TooLargeForOracle(ValueError):
     pass
-
-
-def _traces(run: ScheduleTrace | MultiTrace) -> list[ScheduleTrace]:
-    return run.traces if isinstance(run, MultiTrace) else [run]
 
 
 def _jobs_by_id(instance: Instance) -> dict[int, Job]:
@@ -78,20 +74,21 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
     departure_objective = ZERO
     rejected_immediate = ZERO
     rejected_delayed = ZERO
-    for trace in _traces(run):
+    for trace in each_trace(run):
         delivered.update(trace.arrivals)
         fractional += fractional_flow_plan(trace, instance)
         for jid, completion in trace.completion_real.items():
             job = by_id[jid]
             weighted_flow += job.weight * (completion - job.release)
-        for jid, departure in trace.departure.items():
+        departures = trace.departure
+        for jid, departure in departures.items():
             job = by_id[jid]
             departure_objective += job.weight * (departure - job.release)
         for jid in trace.immediate_rejected:
             rejected_immediate += by_id[jid].weight
         for jid in trace.promoted_at:
             rejected_delayed += by_id[jid].weight
-        missing = set(trace.arrivals) - set(trace.departure)
+        missing = set(trace.arrivals) - set(departures)
         if missing:
             raise IncompleteTrace(f"no departure recorded for jobs {sorted(missing)}")
     if delivered != set(by_id):
@@ -111,10 +108,11 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     horizon = trace.horizon()
     betas = [ZERO] * (horizon + 1)
     slots = trace.plan_slots()
+    completions = trace.completion_plan
     for jid in trace.kept:
         job = by_id[jid]
         rho = job.density(trace.machine)
-        completion = trace.completion_plan[jid]
+        completion = completions[jid]
         my_slots = slots.get(jid, [])
         index = 0
         residual = Rational(job.size_on(trace.machine))
@@ -124,14 +122,6 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
                 index += 1
             betas[t] += rho * residual
     return betas
-
-
-def residual_size_at(trace: ScheduleTrace, instance: Instance, jid: int,
-                     t: int) -> Rational:
-    """Remaining size of a kept job at integer time t (post arrival)."""
-    job = _jobs_by_id(instance)[jid]
-    done = sum(1 for s in trace.plan_slots().get(jid, []) if s < t)
-    return Rational(job.size_on(trace.machine) - done)
 
 
 # -- rejection budgets ---------------------------------------------------------
@@ -176,7 +166,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     plus_assigned = minus_assigned = ZERO
     plus_rejected_first = plus_rejected_rest = ZERO
     minus_rejected = ZERO
-    for trace in _traces(run):
+    for trace in each_trace(run):
         for jid in trace.promoted_at:
             delayed += by_id[jid].weight
         for jid in trace.immediate_rejected:
@@ -282,7 +272,7 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
         raise TooLargeForOracle(
             f"instance has {len(instance.jobs)} jobs, limit is {limit}")
     by_id = _jobs_by_id(instance)
-    traces = _traces(run)
+    traces = each_trace(run)
     oracle = ZERO
     immediate = kept = ZERO
     slack = ZERO
@@ -311,108 +301,3 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
         holds_plan_bound=plan_flow <= kept + slack,
     )
 
-
-# -- density-class diagnostics ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    # class theta: the jobs with floor(log2 rho_j) == theta exactly, not
-    # summed over the classes <= theta
-    peak_work: dict[int, Rational]      # per class: max_t residual size sum
-    peak_weight: dict[int, Rational]    # per class: max_t residual weight sum
-    plus_impact_total: Rational
-    product_sum: Rational               # sum over classes of peak_work*peak_weight;
-                                        # each peak is at its own t
-    base_sum: Rational                  # sum w_j p_j + plus_impact_total
-    ratio: Rational | None
-    index_sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-
-def density_profile(trace: ScheduleTrace, instance: Instance) -> DensityProfile:
-    """Per-density-class residual peaks plus reporting-only diagnostics.
-
-    Class theta holds exactly the kept jobs with ``floor(log2 rho_j) ==
-    theta``; a class's peaks never include work of lower classes. Each peak
-    is the maximum over integer t of the plan residuals of that class, so
-    ``product_sum`` multiplies a work peak and a weight peak that may occur
-    at different times.
-
-    ``index_sets[j]`` lists the classes theta below job j's class whose
-    residual work at j's arrival was at least ``(3/2)**(delta-theta) *
-    p_j / (8 eps)``, evaluated against the active set the arrival saw.
-    """
-    by_id = _jobs_by_id(instance)
-    horizon = trace.horizon()
-    slots = trace.plan_slots()
-    kept = trace.kept
-
-    peak_work: dict[int, Rational] = {}
-    peak_weight: dict[int, Rational] = {}
-    work_now: dict[int, Rational] = {}
-    weight_now: dict[int, Rational] = {}
-    residual: dict[int, Rational] = {}
-    cursor: dict[int, int] = {jid: 0 for jid in kept}
-    for t in range(horizon + 1):
-        work_now.clear()
-        weight_now.clear()
-        for jid in kept:
-            job = by_id[jid]
-            if job.release > t or trace.completion_plan[jid] <= t:
-                continue
-            my_slots = slots.get(jid, [])
-            if jid not in residual:
-                residual[jid] = Rational(job.size_on(trace.machine))
-            while cursor[jid] < len(my_slots) and my_slots[cursor[jid]] < t:
-                residual[jid] -= 1
-                cursor[jid] += 1
-            klass = trace.impacts[jid].density_class
-            work_now[klass] = work_now.get(klass, ZERO) + residual[jid]
-            weight_now[klass] = weight_now.get(klass, ZERO) \
-                + job.density(trace.machine) * residual[jid]
-        for klass, value in work_now.items():
-            if value > peak_work.get(klass, ZERO):
-                peak_work[klass] = value
-        for klass, value in weight_now.items():
-            if value > peak_weight.get(klass, ZERO):
-                peak_weight[klass] = value
-
-    plus_total = sum((trace.impacts[jid].plus for jid in trace.arrivals), start=ZERO)
-    product = sum((peak_work[k] * peak_weight[k] for k in peak_work), start=ZERO)
-    base = plus_total + sum(
-        (by_id[jid].weight * by_id[jid].size_on(trace.machine)
-         for jid in trace.arrivals), start=ZERO)
-
-    index_sets = _index_sets(trace, instance)
-    return DensityProfile(peak_work, peak_weight, plus_total, product, base,
-                          product / base if base else None, index_sets)
-
-
-def _index_sets(trace: ScheduleTrace, instance: Instance) -> dict[int, tuple[int, ...]]:
-    by_id = _jobs_by_id(instance)
-    out: dict[int, tuple[int, ...]] = {}
-    eps = trace.epsilon
-    order = {jid: i for i, jid in enumerate(trace.arrivals)}
-    for jid in trace.arrivals:
-        decision = trace.decisions[jid]
-        if decision.minus_key is None:
-            continue
-        job = by_id[jid]
-        delta = trace.impacts[jid].density_class
-        # residual work per class in the active set this arrival saw
-        work: dict[int, Rational] = {}
-        for other in trace.kept:
-            if order[other] >= order[jid]:
-                continue
-            if trace.completion_plan[other] <= job.release:
-                continue
-            klass = trace.impacts[other].density_class
-            if klass >= delta:
-                continue
-            work[klass] = work.get(klass, ZERO) + residual_size_at(
-                trace, instance, other, job.release)
-        size = job.size_on(trace.machine)
-        chosen = [theta for theta, value in sorted(work.items())
-                  if value >= Rational(3, 2) ** (delta - theta) * size / (8 * eps)]
-        out[jid] = tuple(chosen)
-    return out

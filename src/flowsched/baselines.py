@@ -34,6 +34,10 @@ class TooLarge(ValueError):
     pass
 
 
+class NonIntegralCost(ValueError):
+    """Integer scaling left a fractional arc cost (a bug, not bad input)."""
+
+
 @dataclass(frozen=True)
 class FractionalSchedule:
     """Per-slot fractional assignment ``allocation[(t, job id)] = amount``."""
@@ -176,7 +180,8 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None,
                 f"horizon {horizon} leaves no slot for job {job.id}")
         for t in range(job.release, end):
             cost = (rho * (t - job.release) + base) * scale
-            assert cost.denominator == 1
+            if cost.denominator != 1:
+                raise NonIntegralCost(f"arc cost {cost} for job {job.id} at slot {t}")
             graph.add_edge(("job", job.id), ("slot", t),
                            capacity=units, weight=cost.numerator)
             used_slots.add(t)

@@ -5,27 +5,26 @@ are line-delimited ``record key=value ...`` text with rationals rendered
 as ``num`` or ``num/den``; no floating point and no timestamps, so
 identical inputs produce byte-identical outputs.
 
-Exit codes: 0 success (verify: feasible, audit: all budgets hold),
-1 invariant violation, 2 usage or input error.
-
-Environment: FLOWSCHED_EPSILON supplies a default epsilon when neither
---epsilon nor the file header should win; FLOWSCHED_HORIZON overrides the
-default baseline horizon.
+Exit codes: 0 success (verify: feasible, audit: all budgets hold);
+1 a violated invariant, including any exception the engine or analysis
+raises, which is a bug and is printed with its traceback; 2 bad usage or
+input (option values, trace or record files, instance validation,
+generator parameters, a too-short baseline horizon), as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import (HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
-from .core import InvalidInstance, JobNotRunnableOnMachine, ONE, Rational
-from .dispatch import MultiTrace, run_multi
+from .core import InvalidInstance, JobNotRunnableOnMachine, ONE, Rational, validate_instance
+from .dispatch import MultiTrace, each_trace, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       format_trace, generate, parse_trace, serialize_trace)
 from .scheduler import run
@@ -35,18 +34,22 @@ VIOLATION = 1
 
 _INPUT_ERRORS = (InvalidInstance, JobNotRunnableOnMachine, MalformedLine,
                  MissingHeader, BadParameters, HorizonTooShort, OSError,
-                 ValueError, ZeroDivisionError)
+                 UnicodeDecodeError)
 
 
 def _rat(text: str) -> Rational:
-    return Rational(text)
+    try:
+        return Rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 def _speed(text: str) -> Rational:
     # accept both "5/4" and the augmented form "1+1/4"
-    if text.startswith("1+"):
-        return ONE + Rational(text[2:])
-    return Rational(text)
+    speed = ONE + _rat(text[2:]) if text.startswith("1+") else _rat(text)
+    if speed <= 0:
+        raise argparse.ArgumentTypeError(f"speed must be positive, got {text!r}")
+    return speed
 
 
 def _fmt(value) -> str:
@@ -77,32 +80,18 @@ class _Writer:
 def _load_instance(args) -> "Instance":
     instance = parse_trace(args.trace)
     epsilon = getattr(args, "epsilon", None)
-    if epsilon is None and os.environ.get("FLOWSCHED_EPSILON"):
-        epsilon = _rat(os.environ["FLOWSCHED_EPSILON"])
     if epsilon is not None:
         instance = replace(instance, epsilon=epsilon)
     machines = getattr(args, "machines", None)
     if machines is not None:
         instance = replace(instance, machines=machines)
-    from .core import validate_instance
     return validate_instance(instance)
-
-
-def _env_horizon() -> int | None:
-    raw = os.environ.get("FLOWSCHED_HORIZON")
-    return int(raw) if raw else None
 
 
 def _run_instance(instance):
     if instance.machines == 1:
         return run(instance)
     return run_multi(instance)
-
-
-def _each_trace(result):
-    if isinstance(result, MultiTrace):
-        return result.traces
-    return [result]
 
 
 # -- subcommands -----------------------------------------------------------
@@ -140,7 +129,7 @@ def cmd_simulate(args) -> int:
         for decision in result.decisions:
             writer.emit("dispatch", job=decision.job, machine=decision.machine,
                         score=decision.score)
-    for trace in _each_trace(result):
+    for trace in each_trace(result):
         writer.emit("machine", index=trace.machine,
                     arrivals=",".join(map(str, trace.arrivals)) or "-")
         for slot in trace.slots:
@@ -149,9 +138,10 @@ def cmd_simulate(args) -> int:
         for event in trace.events:
             writer.emit("event", machine=trace.machine, t=event.time,
                         job=event.job, kind=event.kind)
+        departures = trace.departure
         for jid in trace.arrivals:
             writer.emit("departure", machine=trace.machine, job=jid,
-                        time=trace.departure[jid])
+                        time=departures[jid])
         for jid in trace.arrivals:
             impact = trace.impacts[jid]
             writer.emit("impact", machine=trace.machine, job=jid,
@@ -184,9 +174,7 @@ def cmd_baseline(args) -> int:
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
     speed = args.speed if args.speed is not None else ONE + instance.speedup
-    horizon = args.horizon or _env_horizon()
-    if horizon is None:
-        horizon = default_horizon(instance.jobs, speed)
+    horizon = args.horizon or default_horizon(instance.jobs, speed)
     opt = transport_opt(instance.jobs, speed=speed, horizon=horizon)
     hdf = lp_cost(preemptive_hdf(instance.jobs, speed=speed))
     writer = _Writer(args.out)
@@ -202,7 +190,7 @@ def cmd_verify(args) -> int:
     result = _run_instance(instance)
     writer = _Writer(args.out)
     all_feasible = True
-    for trace in _each_trace(result):
+    for trace in each_trace(result):
         cert = verify_duals(trace, instance, speedup)
         all_feasible &= cert.feasible
         writer.emit("certificate", machine=trace.machine, feasible=cert.feasible,
@@ -226,7 +214,7 @@ def cmd_audit(args) -> int:
                     bound=check.bound, ok=check.ok)
     writer.emit("fraction", name="delayed", value=audit.delayed_fraction)
     writer.emit("fraction", name="immediate", value=audit.immediate_fraction)
-    for trace in _each_trace(result):
+    for trace in each_trace(result):
         for bucket in trace.table_report:
             writer.emit("bucket", machine=trace.machine, table=bucket.table,
                         key=",".join(map(str, bucket.key)), count=bucket.count,
@@ -251,15 +239,25 @@ def _read_records(path: str) -> list[dict[str, str]]:
     return records
 
 
+def _rational(record: dict[str, str], key: str, path: str) -> Rational:
+    try:
+        return Rational(record.get(key, ""))
+    except (ValueError, ZeroDivisionError):
+        raise BadParameters(f"{record['_record']} record in {path} has no "
+                            f"rational {key}=") from None
+
+
 def cmd_report(args) -> int:
-    metrics = {}
-    for record in _read_records(args.sim):
-        if record["_record"] == "metric":
-            metrics[record["name"]] = Rational(record["value"])
+    metrics = {record.get("name"): _rational(record, "value", args.sim)
+               for record in _read_records(args.sim) if record["_record"] == "metric"}
+    needed = ("weighted_flow", "departure_objective", "rejected_weight_delayed",
+              "rejected_weight_immediate", "total_weight")
+    if any(name not in metrics for name in needed):
+        raise BadParameters(f"no metric records in {args.sim} for {', '.join(needed)}")
     opt = None
     for record in _read_records(args.baseline):
         if record["_record"] == "baseline":
-            opt = Rational(record["transport_opt"])
+            opt = _rational(record, "transport_opt", args.baseline)
     if opt is None:
         raise BadParameters(f"no baseline record in {args.baseline}")
     total = metrics["total_weight"]
@@ -356,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:  # an engine or analysis bug, never a usage error
+        traceback.print_exc()
+        return VIOLATION
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .core import Instance, Job, Rational, validate_instance
 from .impact import arrival_impact
-from .scheduler import MachineScheduler, ScheduleTrace
+from .scheduler import MachineScheduler, ScheduleTrace, drive
 
 
 class NoEligibleMachine(ValueError):
@@ -32,6 +32,11 @@ class DispatchDecision:
 class MultiTrace:
     traces: list[ScheduleTrace]
     decisions: list[DispatchDecision]
+
+
+def each_trace(result: ScheduleTrace | MultiTrace) -> list[ScheduleTrace]:
+    """The per-machine traces of a single- or multi-machine run."""
+    return result.traces if isinstance(result, MultiTrace) else [result]
 
 
 def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision:
@@ -56,26 +61,15 @@ def run_multi(instance: Instance) -> MultiTrace:
     """Dispatch every arrival, then drive all machines in lock-step slots.
 
     With a single machine this reduces to :func:`flowsched.scheduler.run`
-    bit for bit. Dispatch is a serialization point: decisions are made one
-    arrival at a time, in input order, and no machine's clock passes an
-    undelivered arrival.
+    bit for bit; both share :func:`flowsched.scheduler.drive`.
     """
     inst = validate_instance(instance)
     machines = [MachineScheduler(inst.epsilon, i) for i in range(inst.machines)]
     decisions: list[DispatchDecision] = []
-    jobs = inst.jobs
-    i, n = 0, len(jobs)
-    while i < n or any(s.active for s in machines):
-        if not any(s.active for s in machines) and i < n \
-                and jobs[i].release > machines[0].clock:
-            for sched in machines:
-                sched.skip_to(jobs[i].release)
-        t = machines[0].clock
-        while i < n and jobs[i].release == t:
-            decision = dispatch(jobs[i], machines)
-            decisions.append(decision)
-            machines[decision.machine].on_arrival(jobs[i])
-            i += 1
-        for sched in machines:
-            sched.select_slot()
-    return MultiTrace([s.finish_trace() for s in machines], decisions)
+
+    def route(job: Job, machines: Sequence[MachineScheduler]) -> int:
+        decision = dispatch(job, machines)
+        decisions.append(decision)
+        return decision.machine
+
+    return MultiTrace(drive(inst.jobs, machines, route), decisions)

@@ -1,4 +1,4 @@
-"""Workload generation, instance file round-trips, policy comparison.
+"""Workload generation and instance file round-trips.
 
 The workload trace file is line oriented and purely textual:
 
@@ -10,6 +10,9 @@ Header: machine count, epsilon, benchmark speedup, generator seed ("-"
 when not applicable). One job per line: id, release, weight ("num" or
 "num/den"), sizes as comma-separated integers with "-" for a machine that
 cannot run the job. ``parse_trace(serialize_trace(x)) == x`` bit-exactly.
+
+Policies are compared through files: ``simulate`` and ``baseline`` write
+``metric`` and ``baseline`` records that ``report`` joins.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
-from .baselines import transport_opt
 from .core import Instance, Job, ONE, Rational, ZERO, validate_instance
-from .scheduler import run
 
 
 class BadParameters(ValueError):
@@ -69,6 +70,10 @@ def generate(model: WorkloadModel) -> Instance:
         raise BadParameters(f"unknown workload kind {model.kind!r}")
     if model.n < 0:
         raise BadParameters("n must be nonnegative")
+    if model.max_size < 1 or model.max_weight < 1:
+        raise BadParameters("max_size and max_weight must be at least 1")
+    if model.kind == "poisson_pareto" and not (model.rate > 0 and model.shape > 0):
+        raise BadParameters("poisson_pareto needs rate > 0 and shape > 0")
     if model.kind == "adversarial_L":
         return _adversarial(model)
     if model.kind == "fixed":
@@ -208,59 +213,3 @@ def parse_trace_text(text: str) -> Instance:
     machines, epsilon, speedup, _ = header
     return validate_instance(Instance(tuple(jobs), machines, epsilon, speedup))
 
-
-# -- policy comparison --------------------------------------------------------------
-
-
-def greedy_nonpreemptive(jobs, machine: int = 0) -> tuple[Rational, dict[int, int]]:
-    """No-rejection baseline: whenever the machine idles, start the densest
-    released job and run it to completion."""
-    pending = sorted(jobs, key=lambda j: (j.release, j.id))
-    completions: dict[int, int] = {}
-    flow = ZERO
-    t = 0
-    while pending:
-        available = [j for j in pending if j.release <= t]
-        if not available:
-            t = min(j.release for j in pending)
-            continue
-        job = min(available, key=lambda j: (-j.density(machine), j.release, j.id))
-        pending.remove(job)
-        t += job.size_on(machine)
-        completions[job.id] = t
-        flow += job.weight * (t - job.release)
-    return flow, completions
-
-
-def compare_policies(instance: Instance) -> list[dict]:
-    """Run the rejecting policy and the no-rejection greedy on a small
-    single-machine instance and report both against the exact optimum."""
-    inst = validate_instance(instance)
-    if inst.machines != 1:
-        raise BadParameters("compare_policies handles single-machine instances")
-    if not inst.jobs:
-        return []
-    from .analysis import compute_metrics  # local import to avoid a cycle
-
-    opt = transport_opt(inst.jobs, speed=ONE)
-    trace = run(inst)
-    metrics = compute_metrics(trace, inst)
-    greedy_flow, _ = greedy_nonpreemptive(inst.jobs)
-    rejected = metrics.rejected_weight_immediate + metrics.rejected_weight_delayed
-    return [
-        {"policy": "online_reject",
-         "weighted_flow": metrics.weighted_flow,
-         "ratio_to_opt": metrics.weighted_flow / opt if opt else None,
-         "departure_objective": metrics.departure_objective,
-         "rejected_fraction": rejected / metrics.total_weight},
-        {"policy": "greedy_no_reject",
-         "weighted_flow": greedy_flow,
-         "ratio_to_opt": greedy_flow / opt if opt else None,
-         "departure_objective": greedy_flow,
-         "rejected_fraction": ZERO},
-        {"policy": "transport_opt",
-         "weighted_flow": opt,
-         "ratio_to_opt": ONE if opt else None,
-         "departure_objective": opt,
-         "rejected_fraction": ZERO},
-    ]

@@ -26,6 +26,7 @@ arrivals see it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from .core import Instance, Job, Rational, ResidualJob, ZERO, validate_instance
 from .impact import ArrivalImpact, arrival_impact
@@ -43,7 +44,12 @@ ARRIVAL_REJECTED = "rejected"
 ARRIVAL_ACTIVATED = "activated"
 
 
-class ArrivalInPast(ValueError):
+class DriverContractError(ValueError):
+    """The driver called the engine out of order: an arrival delivered off
+    the clock, or a skip over active jobs or back in time."""
+
+
+class ArrivalInPast(DriverContractError):
     """A job was delivered after the scheduler clock passed its release."""
 
 
@@ -53,7 +59,10 @@ class Slot:
     t: int
     plan: int
     real: int | None
-    idled: bool
+
+    @property
+    def idled(self) -> bool:
+        return self.real is None
 
 
 @dataclass(frozen=True)
@@ -67,25 +76,33 @@ class Event:
 class ScheduleTrace:
     """Complete, replayable record of one machine's run.
 
-    ``departure[j]`` is the completion time for jobs the real schedule
-    finishes, the release time for immediate rejections, and the marking
-    time for delayed rejections. Every delivered job has exactly one
-    terminal event.
+    ``events`` is the only record of each job's fate, and ``decisions``
+    (kept in arrival order) of which jobs arrived. ``arrivals``,
+    ``departure``, ``completion_real``, ``completion_plan`` and
+    ``promoted_at`` are read-only views rebuilt from them on every access,
+    so bind one to a local before a loop. ``departure[j]`` is the
+    completion time for jobs the real schedule finishes, the release time
+    for immediate rejections, and the marking time for delayed rejections.
+    Every delivered job has exactly one terminal event.
     """
 
     machine: int
     epsilon: Rational
-    arrivals: tuple[int, ...] = ()
     slots: list[Slot] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
-    departure: dict[int, int] = field(default_factory=dict)
     impacts: dict[int, ArrivalImpact] = field(default_factory=dict)
     decisions: dict[int, ImmediateDecision] = field(default_factory=dict)
     phi: dict[int, int] = field(default_factory=dict)
-    promoted_at: dict[int, int] = field(default_factory=dict)
-    completion_plan: dict[int, int] = field(default_factory=dict)
-    completion_real: dict[int, int] = field(default_factory=dict)
     table_report: list[BucketReport] = field(default_factory=list)
+
+    def _times(self, *kinds: str) -> dict[int, int]:
+        return {e.job: e.time for e in self.events if e.kind in kinds}
+
+    arrivals = property(lambda self: tuple(self.decisions))
+    departure = property(lambda self: self._times(*TERMINAL_EVENTS))
+    completion_real = property(lambda self: self._times(EVENT_REAL_COMPLETE))
+    completion_plan = property(lambda self: self._times(EVENT_PLAN_COMPLETE))
+    promoted_at = property(lambda self: self._times(EVENT_PROMOTED))
 
     @property
     def immediate_rejected(self) -> set[int]:
@@ -104,10 +121,8 @@ class ScheduleTrace:
 
     def horizon(self) -> int:
         """First time by which the machine is provably empty."""
-        h = self.slots[-1].t + 1 if self.slots else 0
-        for t in self.departure.values():
-            h = max(h, t)
-        return h
+        end = self.slots[-1].t + 1 if self.slots else 0
+        return max([end, *self.departure.values()])
 
 
 class MachineScheduler:
@@ -122,26 +137,22 @@ class MachineScheduler:
         self.tables = RejectionTables(epsilon)
         # current uninterrupted run of an unmarked job
         self.run_job: int | None = None
-        self.run_started = 0
         self.run_released: Rational = ZERO
         # job processed in [clock-1, clock), None after idling or a completion
         self.last_slot_job: int | None = None
         self._trace = ScheduleTrace(machine=machine, epsilon=epsilon)
-        self._arrivals: list[int] = []
 
     # -- step 1: arrivals ------------------------------------------------
 
     def on_arrival(self, job: Job) -> str:
         """Score, admit or reject, and book-keep one arriving job."""
-        if job.release < self.clock:
-            raise ArrivalInPast(
-                f"job {job.id} released at {job.release}, clock is {self.clock}")
-        assert job.release == self.clock, "driver must deliver arrivals on time"
+        if job.release != self.clock:
+            error = ArrivalInPast if job.release < self.clock else DriverContractError
+            raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
         tr = self._trace
 
         impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
         decision = self.tables.admit(job, impact, self.machine)
-        self._arrivals.append(job.id)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
 
@@ -150,7 +161,6 @@ class MachineScheduler:
 
         if decision.reject:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
-            tr.departure[job.id] = self.clock
             outcome = ARRIVAL_REJECTED
         else:
             self.active[job.id] = ResidualJob(
@@ -177,12 +187,10 @@ class MachineScheduler:
         jid = self.run_job
         tr = self._trace
         self.preemptible.add(jid)
-        tr.promoted_at[jid] = self.clock
         event = Event(self.clock, jid, EVENT_PROMOTED)
         tr.events.append(event)
         # the real schedule gives up on the job right here
         tr.events.append(Event(self.clock, jid, EVENT_DELAYED_REJECT))
-        tr.departure[jid] = self.clock
         self.run_job = None
         return event
 
@@ -203,23 +211,19 @@ class MachineScheduler:
             chosen = best.job.id
             if chosen not in self.preemptible:
                 self.run_job = chosen
-                self.run_started = t
                 self.run_released = ZERO
 
         tr = self._trace
         mirrored = chosen not in self.preemptible
-        tr.slots.append(Slot(t, chosen, chosen if mirrored else None, not mirrored))
+        tr.slots.append(Slot(t, chosen, chosen if mirrored else None))
 
         res = self.active[chosen]
         remaining = res.remaining - 1
         if remaining == 0:
             del self.active[chosen]
-            tr.completion_plan[chosen] = t + 1
             tr.events.append(Event(t + 1, chosen, EVENT_PLAN_COMPLETE))
             if chosen not in self.preemptible:
-                tr.completion_real[chosen] = t + 1
                 tr.events.append(Event(t + 1, chosen, EVENT_REAL_COMPLETE))
-                tr.departure[chosen] = t + 1
             if self.run_job == chosen:
                 self.run_job = None
             # a finished job can no longer be marked or charged against
@@ -234,13 +238,14 @@ class MachineScheduler:
 
     def skip_to(self, t: int) -> None:
         """Advance over an idle gap (no active jobs)."""
-        assert not self.active and t >= self.clock
+        if self.active or t < self.clock:
+            raise DriverContractError(
+                f"cannot skip from {self.clock} to {t} with {len(self.active)} active jobs")
         self.clock = t
         self.last_slot_job = None
 
     def finish_trace(self) -> ScheduleTrace:
         tr = self._trace
-        tr.arrivals = tuple(self._arrivals)
         tr.table_report = self.tables.audit()
         return tr
 
@@ -254,17 +259,28 @@ def run(instance: Instance, machine: int = 0) -> ScheduleTrace:
     schedule).
     """
     inst = validate_instance(instance)
-    jobs = inst.jobs
-    for job in jobs:
+    for job in inst.jobs:
         job.size_on(machine)  # raises JobNotRunnableOnMachine early
     sched = MachineScheduler(inst.epsilon, machine)
+    return drive(inst.jobs, [sched], lambda job, machines: 0)[0]
+
+
+def drive(jobs: Sequence[Job], machines: Sequence[MachineScheduler],
+          route: Callable[[Job, Sequence[MachineScheduler]], int]) -> list[ScheduleTrace]:
+    """Deliver each job at its release to ``machines[route(job, machines)]``,
+    one arrival at a time in input order (sorted by release), and run all
+    machines in lock-step slots until every one is empty. The shared clock
+    skips gaps where all idle and never passes an undelivered arrival."""
     i, n = 0, len(jobs)
-    while i < n or sched.active:
-        if not sched.active and i < n and jobs[i].release > sched.clock:
-            sched.skip_to(jobs[i].release)
-        t = sched.clock
+    while i < n or any(s.active for s in machines):
+        if i < n and jobs[i].release > machines[0].clock \
+                and not any(s.active for s in machines):
+            for sched in machines:
+                sched.skip_to(jobs[i].release)
+        t = machines[0].clock
         while i < n and jobs[i].release == t:
-            sched.on_arrival(jobs[i])
+            machines[route(jobs[i], machines)].on_arrival(jobs[i])
             i += 1
-        sched.select_slot()
-    return sched.finish_trace()
+        for sched in machines:
+            sched.select_slot()
+    return [s.finish_trace() for s in machines]

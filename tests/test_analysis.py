@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, audit_rejections, beta_series,
-                       compute_metrics, density_profile, generate,
-                       lower_bound_check, run, run_multi, transport_opt,
-                       verify_duals)
+                       compute_metrics, generate, lower_bound_check, run,
+                       run_multi, transport_opt, verify_duals)
 from flowsched.analysis import TooLargeForOracle, fractional_flow_plan
 
 from conftest import job, make_instance
@@ -111,45 +110,6 @@ def test_lower_bound_random_eight_jobs():
                                   epsilon=F(1, 4)))
     verdict = lower_bound_check(run(inst), inst)
     assert verdict.holds_oracle_bound and verdict.holds_plan_bound
-
-
-def test_density_profile_single_job():
-    inst = make_instance([job(0, 0, 1, 2)])
-    profile = density_profile(run(inst), inst)
-    assert profile.peak_work == {-1: 2}
-    assert profile.peak_weight == {-1: 1}
-    assert profile.plus_impact_total == 0
-
-
-def test_density_profile_empty():
-    inst = make_instance([])
-    profile = density_profile(run(inst), inst)
-    assert profile.peak_work == {} and profile.ratio is None
-
-
-def test_density_profile_same_class_overlap():
-    # two class-0 jobs overlapping (rho = 3/3 = 2/2 = 1): job 0 runs slots
-    # 0-2, so at job 1's release t=1 class 0 holds 2 remaining + 2 fresh
-    # units of work, each at density 1
-    inst = make_instance([job(0, 0, 3, 3), job(1, 1, 2, 2)])
-    trace = run(inst)
-    assert trace.impacts[0].density_class == trace.impacts[1].density_class == 0
-    profile = density_profile(trace, inst)
-    assert profile.peak_work == {0: 2 + 2}
-    assert profile.peak_weight == {0: 1 * 2 + 1 * 2}
-
-
-def test_density_profile_keeps_classes_apart():
-    # job 0 has rho = 1/3 and 1/4 <= 1/3 < 1/2, so it is class -2; job 1
-    # has rho = 1, class 0. Job 0 runs slots 0-2 and job 1 slots 3-4: each
-    # class peaks on its own residuals, at t=0 and at t=1 respectively
-    inst = make_instance([job(0, 0, 1, 3), job(1, 1, 2, 2)])
-    trace = run(inst)
-    assert (trace.impacts[0].density_class, trace.impacts[1].density_class) == (-2, 0)
-    profile = density_profile(trace, inst)
-    assert profile.peak_work == {-2: 3, 0: 2}
-    assert profile.peak_weight == {-2: F(1, 3) * 3, 0: 1 * 2}
-    assert profile.product_sum == 3 * 1 + 2 * 2
 
 
 def suite_instance(seed):
