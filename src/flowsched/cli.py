@@ -274,6 +274,8 @@ def cmd_report(args) -> int:
     if args.audit:
         for record in _read_records(args.audit):
             if record["_record"] == "budget":
+                if not {"name", "ok"} <= record.keys():
+                    raise BadParameters(f"budget record in {args.audit} lacks name= or ok=")
                 writer.emit("report_budget", name=record["name"], ok=record["ok"])
     writer.flush()
     return 0

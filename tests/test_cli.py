@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from flowsched import WorkloadModel, generate, serialize_trace
+from flowsched import cli
 from flowsched.cli import main
+from flowsched.scheduler import ArrivalInPast
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -59,6 +64,98 @@ def test_cli_outputs_match_recorded_digests(suite, tmp_path):
     actual = golden_digests(suite, tmp_path)
     assert sorted(actual) == sorted(recorded)
     assert [key for key in recorded if actual[key] != recorded[key]] == []
+
+
+# -- exit codes ------------------------------------------------------------
+
+
+@pytest.fixture
+def trace_file(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 2\n1 1 3/2 1\n",
+                    encoding="ascii")
+    return path
+
+
+def run_cli(capsys, argv):
+    rc = main([str(a) for a in argv])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--epsilon", "1/0"],
+    ["simulate", "--epsilon", "abc"],
+    ["baseline", "--speed", "0"],
+    ["baseline", "--speed", "-1"],
+    ["baseline", "--speed", "1+1/0"],
+])
+def test_bad_option_values_exit_2(capsys, trace_file, argv):
+    rc, err = run_cli(capsys, argv + ["--trace", trace_file])
+    assert rc == cli.USAGE_ERROR
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1\n",         # missing field
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n",     # zero denominator
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 2\n0 1 1 1\n",  # duplicate id
+])
+def test_bad_trace_files_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="ascii")
+    rc, err = run_cli(capsys, ["simulate", "--trace", path])
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_file_exits_2(capsys, tmp_path):
+    rc, err = run_cli(capsys, ["simulate", "--trace", tmp_path / "absent.txt"])
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--rate", "0"], ["--shape", "0"], ["--max-weight", "0"]])
+def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
+    rc, err = run_cli(capsys, ["gen", "--model", "poisson_pareto",
+                               "--out", tmp_path / "gen.txt"] + flags)
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith("error: ")
+
+
+def test_engine_error_exits_1_and_names_it(capsys, monkeypatch, trace_file):
+    def broken(instance):
+        raise ArrivalInPast("job 1 released at 0, clock is 3")
+    monkeypatch.setattr(cli, "run", broken)
+    rc, err = run_cli(capsys, ["simulate", "--trace", trace_file])
+    assert rc == cli.VIOLATION
+    assert "ArrivalInPast: job 1 released at 0, clock is 3" in err
+    assert not err.startswith("error: ")
+
+
+def test_report_rejects_malformed_record_files(capsys, tmp_path, trace_file):
+    base = tmp_path / "base.txt"
+    sim = tmp_path / "sim.txt"
+    assert main(["baseline", "--trace", str(trace_file), "--out", str(base)]) == 0
+    assert main(["simulate", "--trace", str(trace_file), "--out", str(sim)]) == 0
+    assert main(["report", "--sim", str(sim), "--baseline", str(base)]) == 0
+    capsys.readouterr()
+
+    rc, err = run_cli(capsys, ["report", "--sim", base, "--baseline", base])
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith(f"error: no metric records in {base}")
+
+    broken = tmp_path / "broken.txt"
+    broken.write_text(re.sub(r"name=total_weight value=\S+", "name=total_weight value=1/0",
+                             sim.read_text(encoding="ascii")), encoding="ascii")
+    rc, err = run_cli(capsys, ["report", "--sim", broken, "--baseline", base])
+    assert rc == cli.USAGE_ERROR
+    assert err == f"error: metric record in {broken} has no rational value=\n"
+
+    audit = tmp_path / "audit.txt"
+    audit.write_text("budget value=1\n", encoding="ascii")
+    rc, err = run_cli(capsys, ["report", "--sim", sim, "--baseline", base, "--audit", audit])
+    assert rc == cli.USAGE_ERROR
+    assert err == f"error: budget record in {audit} lacks name= or ok=\n"
 
 
 if __name__ == "__main__":

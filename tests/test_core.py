@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flowsched
 from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
                        ResidualJob, validate_instance)
 from flowsched.core import (DuplicateJobId, EpsilonTooLarge, MachineCountMismatch,
@@ -93,3 +94,7 @@ def test_rational_stored_in_lowest_terms(a):
     assert a.denominator > 0
     assert math.gcd(a.numerator, a.denominator) == 1
     assert Fraction(a.numerator, a.denominator) == a
+
+
+def test_every_exported_name_exists():
+    assert [name for name in flowsched.__all__ if not hasattr(flowsched, name)] == []

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowsched
 from flowsched import MachineScheduler, WorkloadModel, generate, run
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, ArrivalInPast,
                                  EVENT_DELAYED_REJECT, EVENT_IMMEDIATE_REJECT,
@@ -101,6 +107,37 @@ def test_arrival_in_past_raises():
     with pytest.raises(ArrivalInPast):
         sched.on_arrival(job(1, 0, 1, 2))
 
+
+
+def test_driver_contracts_hold_under_optimize_flag():
+    # python -O strips assert statements; the engine's contracts must still raise
+    program = textwrap.dedent("""
+        from fractions import Fraction
+        from flowsched import Job, MachineScheduler
+        from flowsched.scheduler import DriverContractError
+
+        def attempt(call, *args):
+            try:
+                call(*args)
+            except DriverContractError:
+                return "raised"
+            return "accepted"
+
+        sched = MachineScheduler(Fraction(1, 2))
+        outcomes = [attempt(sched.on_arrival, Job(0, 5, Fraction(1), (1,)))]
+        sched.on_arrival(Job(1, 0, Fraction(1), (2,)))
+        outcomes.append(attempt(sched.skip_to, 0))  # machine still has a job
+        idle = MachineScheduler(Fraction(1, 2))
+        idle.skip_to(4)
+        outcomes.append(attempt(idle.skip_to, 2))  # back in time
+        print(__debug__, *outcomes)
+    """)
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["False", "raised", "raised", "raised"]
 
 def test_immediate_rejection_departs_at_release():
     # congested enough that the plus table fires on some arrival
