@@ -1,14 +1,16 @@
 """Command-line behaviour: byte-identical outputs and exit codes.
 
 The golden digests in ``golden_cli.json`` were recorded from ``cli.main``
-and pin every byte of ``simulate``, ``verify`` and ``audit`` output. After a
-deliberate change of output, re-record them with
-``PYTHONPATH=src python tests/test_cli.py``.
+and pin every byte of ``gen``, ``simulate``, ``baseline``, ``verify``,
+``audit`` and ``report`` output. After a deliberate change of output,
+re-record them with ``PYTHONPATH=src python tests/test_cli.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import sys
@@ -38,24 +40,80 @@ def multi_machine_instances():
     return out
 
 
+def _run_digest(argv, out: Path) -> str:
+    """``"<exit code> <sha256 of the --out file>"`` of one command."""
+    rc = main([str(a) for a in argv] + ["--out", str(out)])
+    return f"{rc} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+
+
 def cli_digests(named, commands, workdir: Path) -> dict[str, str]:
-    """``"<exit code> <sha256 of output>"`` per ``"<command> <name>"``."""
+    """One digest per ``"<command> <name>"``."""
     digests = {}
     for name, instance in named:
         trace = workdir / f"{name}.txt"
         serialize_trace(instance, trace)
         for command in commands:
-            out = workdir / f"{name}.{command}"
-            rc = main([command, "--trace", str(trace), "--out", str(out)])
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            digests[f"{command} {name}"] = f"{rc} {digest}"
+            digests[f"{command} {name}"] = _run_digest(
+                [command, "--trace", trace], workdir / f"{name}.{command}")
+    return digests
+
+
+GENERATORS = {
+    "poisson_pareto-m1": ["--model", "poisson_pareto", "--n", 40, "--seed", 3],
+    "poisson_pareto-m4": ["--model", "poisson_pareto", "--n", 40, "--seed", 4,
+                          "--machines", 4, "--rate", "1.5", "--epsilon", "1/10"],
+    "uniform-m1": ["--model", "uniform", "--n", 30, "--seed", 5, "--max-size", 5],
+    "uniform-m4": ["--model", "uniform", "--n", 30, "--seed", 6, "--machines", 4],
+    "fixed": ["--model", "fixed", "--n", 25, "--epsilon", "1/2"],
+    "adversarial_L": ["--model", "adversarial_L", "--L", 6, "--scale", 2],
+}
+
+
+def gen_digests(workdir: Path) -> dict[str, str]:
+    """Digest of each generated trace file followed by the ``generated``
+    record, whose ``out=`` field is reduced to the file name."""
+    digests = {}
+    for name, argv in GENERATORS.items():
+        out = workdir / f"gen-{name}.txt"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(["gen"] + [str(a) for a in argv] + ["--out", str(out)])
+        text = out.read_bytes() + stdout.getvalue().replace(str(out), out.name).encode()
+        digests[f"gen {name}"] = f"{rc} {hashlib.sha256(text).hexdigest()}"
+    return digests
+
+
+BASELINE_SPEEDS = ("1", "5/4", "2")
+
+
+def baseline_report_digests(named, workdir: Path) -> dict[str, str]:
+    """``baseline`` at each speed, and ``report`` with and without the
+    ``audit`` file, on small single-machine instances."""
+    digests = {}
+    for name, instance in named:
+        trace = workdir / f"{name}.txt"
+        serialize_trace(instance, trace)
+        files = {command: workdir / f"{name}.{command}"
+                 for command in ("simulate", "audit", "baseline")}
+        for speed in BASELINE_SPEEDS:
+            digests[f"baseline speed={speed} {name}"] = _run_digest(
+                ["baseline", "--trace", trace, "--speed", speed], files["baseline"])
+        for command in ("simulate", "audit", "baseline"):
+            main([command, "--trace", str(trace), "--out", str(files[command])])
+        report = ["report", "--sim", files["simulate"], "--baseline", files["baseline"]]
+        digests[f"report {name}"] = _run_digest(report, workdir / f"{name}.report")
+        digests[f"report+audit {name}"] = _run_digest(
+            report + ["--audit", files["audit"]], workdir / f"{name}.report")
     return digests
 
 
 def golden_digests(suite, workdir: Path) -> dict[str, str]:
     multi = multi_machine_instances()
-    digests = cli_digests(suite + multi, ("simulate",), workdir)
-    digests.update(cli_digests(suite[::10] + multi[::4], ("verify", "audit"), workdir))
+    small = [(name, inst) for name, inst in suite if len(inst.jobs) <= 8][:6]
+    digests = cli_digests(suite + multi, ("simulate", "verify"), workdir)
+    digests.update(cli_digests(suite[::10] + multi[::4], ("audit",), workdir))
+    digests.update(gen_digests(workdir))
+    digests.update(baseline_report_digests(small, workdir))
     return digests
 
 
