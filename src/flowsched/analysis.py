@@ -10,14 +10,22 @@ Two accounting conventions coexist on purpose:
   increase within a slot, so ``sum_t beta_t >= fractional flow`` and the
   certified lower bound stays conservative.
 
-Dual constraints are checked exactly for every (job, time) pair up to the
-trace horizon; beyond it every beta is zero and the right-hand side only
-grows, so finite sweeps certify all times.
+The dual constraint of job j must hold at every time t >= r_j. Written as
+``beta_t + rho_j t >= alpha_j / p_j - w_j / 2 + rho_j r_j``, it holds at all
+those t at once iff it holds at the minimum of the left-hand side, and
+that minimum over t in [r_j, H] is attained at a vertex of the lower convex
+hull of the points (t, beta_t), t >= r_j. The verifier builds these suffix
+hulls once, in decreasing t, and answers each job with one binary search,
+in exact arithmetic: O((n + H) log H) comparisons instead of one per
+(job, time) pair. Times past the trace horizon H need no check: beta_H is
+already zero and stays zero, while the right-hand side of the original
+constraint only grows with t, so the pair (j, H) implies every later one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .baselines import transport_opt
 from .core import HALF, Instance, Job, ONE, Rational, ZERO
@@ -103,25 +111,23 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
 
 def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     """Total residual weight at each integer time 0..horizon, sampled just
-    after arrival processing (new arrivals count at full weight)."""
+    after arrival processing (new arrivals count at full weight).
+
+    beta is a running total: it gains w_j at each kept job's release and
+    loses the density of the plan's job after each slot, so one pass over
+    releases and slots builds it. A job's residual weight reaches exactly
+    zero at its plan completion.
+    """
     by_id = _jobs_by_id(instance)
-    horizon = trace.horizon()
-    betas = [ZERO] * (horizon + 1)
-    slots = trace.plan_slots()
-    completions = trace.completion_plan
+    steps = [ZERO] * (trace.horizon() + 1)    # beta_t - beta_{t-1}
+    densities: dict[int, Rational] = {}
     for jid in trace.kept:
         job = by_id[jid]
-        rho = job.density(trace.machine)
-        completion = completions[jid]
-        my_slots = slots.get(jid, [])
-        index = 0
-        residual = Rational(job.size_on(trace.machine))
-        for t in range(job.release, completion):
-            while index < len(my_slots) and my_slots[index] < t:
-                residual -= 1
-                index += 1
-            betas[t] += rho * residual
-    return betas
+        steps[job.release] += job.weight
+        densities[jid] = job.density(trace.machine)
+    for slot in trace.slots:
+        steps[slot.t + 1] -= densities[slot.plan]
+    return list(accumulate(steps))
 
 
 # -- rejection budgets ---------------------------------------------------------
@@ -219,28 +225,69 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
     certificate ``sum alpha - (1 + speedup) sum beta``.
 
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
-    for all t >= r_j. Infeasibility is reported, not raised.
+    for all t >= r_j. Jobs are visited in decreasing release order while
+    the points (t, beta_t) for t = H down to r_j are pushed onto a lower
+    hull (Andrew's monotone chain, growing at the left end); one binary
+    search for the minimum of ``beta_t + rho_j t`` on that hull decides the
+    job. Only a job that fails is rescanned over [r_j, H] to list its
+    violating times, in arrival order, then by t. Infeasibility is
+    reported, not raised.
     """
     by_id = _jobs_by_id(instance)
     betas = beta_series(trace, instance)
     horizon = len(betas) - 1
     alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}
+    failing: dict[int, tuple[Rational, Rational]] = {}    # job -> (rho, bound)
+    # lower hull of (t, beta_t) for t >= the current release, leftmost last
+    hull_t: list[int] = []
+    hull_beta: list[Rational] = []
+    t = horizon
+    for job in sorted((by_id[jid] for jid in trace.arrivals),
+                      key=lambda j: j.release, reverse=True):
+        while t >= job.release:
+            beta = betas[t]
+            # drop the leftmost vertex while it is not strictly below the
+            # segment from the new point to the vertex after it
+            while len(hull_t) >= 2 and (hull_t[-1] - t) * (hull_beta[-2] - beta) \
+                    <= (hull_beta[-1] - beta) * (hull_t[-2] - t):
+                hull_t.pop()
+                hull_beta.pop()
+            hull_t.append(t)
+            hull_beta.append(beta)
+            t -= 1
+        rho = job.density(trace.machine)
+        bound = alphas[job.id] / job.size_on(trace.machine) \
+            - job.weight * HALF + rho * job.release
+        if hull_t and _hull_minimum(hull_t, hull_beta, rho) < bound:
+            failing[job.id] = (rho, bound)
     violations: list[tuple[int, int]] = []
     for jid in trace.arrivals:
-        job = by_id[jid]
-        size = job.size_on(trace.machine)
-        rho = job.density(trace.machine)
-        lhs_base = alphas[jid] / size
-        rhs = job.weight * HALF
-        for t in range(job.release, horizon + 1):
-            if lhs_base - betas[t] > rhs:
-                violations.append((jid, t))
-            rhs += rho
+        if jid in failing:
+            rho, bound = failing[jid]
+            violations.extend((jid, t) for t in range(by_id[jid].release, horizon + 1)
+                              if betas[t] + rho * t < bound)
     objective = sum(alphas.values(), start=ZERO) \
         - (ONE + Rational(speedup)) * sum(betas, start=ZERO)
     return DualCertificate(trace.machine, alphas, tuple(betas),
                            not violations, objective, Rational(speedup),
                            tuple(violations))
+
+
+def _hull_minimum(hull_t: list[int], hull_beta: list[Rational],
+                  rho: Rational) -> Rational:
+    """Minimum of ``beta + rho t`` over a nonempty lower hull stored right to
+    left. Hull slopes rise from left to right, so the value falls while a
+    slope is below -rho and rises after: the minimum is at the leftmost
+    vertex whose value does not exceed its right neighbour's, or at the
+    rightmost vertex if there is none."""
+    lo, hi = 0, len(hull_t) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if hull_beta[mid - 1] - hull_beta[mid] >= rho * (hull_t[mid] - hull_t[mid - 1]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return hull_beta[lo] + rho * hull_t[lo]
 
 
 # -- oracle-backed lower bounds -------------------------------------------------

@@ -174,7 +174,8 @@ def cmd_baseline(args) -> int:
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
     speed = args.speed if args.speed is not None else ONE + instance.speedup
-    horizon = args.horizon or default_horizon(instance.jobs, speed)
+    horizon = args.horizon if args.horizon is not None \
+        else default_horizon(instance.jobs, speed)
     opt = transport_opt(instance.jobs, speed=speed, horizon=horizon)
     hdf = lp_cost(preemptive_hdf(instance.jobs, speed=speed))
     writer = _Writer(args.out)

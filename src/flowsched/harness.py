@@ -74,6 +74,8 @@ def generate(model: WorkloadModel) -> Instance:
         raise BadParameters("max_size and max_weight must be at least 1")
     if model.kind == "poisson_pareto" and not (model.rate > 0 and model.shape > 0):
         raise BadParameters("poisson_pareto needs rate > 0 and shape > 0")
+    if model.kind in ("adversarial_L", "fixed") and model.machines != 1:
+        raise BadParameters(f"{model.kind} generates single-machine instances")
     if model.kind == "adversarial_L":
         return _adversarial(model)
     if model.kind == "fixed":

@@ -103,9 +103,10 @@ def test_windowed_arcs_match_full_horizon(seed, n, speed):
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_hdf_attains_the_transport_optimum(seed, n):
     jobs = random_jobs(seed, n)
-    sched = preemptive_hdf(jobs)
-    sched.validate()
-    assert lp_cost(sched) == transport_opt(jobs)
+    for speed in (F(1), F(5, 4), F(2)):
+        sched = preemptive_hdf(jobs, speed=speed)
+        sched.validate()
+        assert lp_cost(sched) == transport_opt(jobs, speed=speed)
 
 
 def residual_weight_series(jobs, schedule, horizon):

@@ -146,6 +146,7 @@ def run_cli(capsys, argv):
     ["baseline", "--speed", "0"],
     ["baseline", "--speed", "-1"],
     ["baseline", "--speed", "1+1/0"],
+    ["baseline", "--horizon", "0"],
 ])
 def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
@@ -172,10 +173,15 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("flags", [["--rate", "0"], ["--shape", "0"], ["--max-weight", "0"]])
+@pytest.mark.parametrize("flags", [
+    ["--model", "poisson_pareto", "--rate", "0"],
+    ["--model", "poisson_pareto", "--shape", "0"],
+    ["--model", "poisson_pareto", "--max-weight", "0"],
+    ["--model", "fixed", "--machines", "4"],          # single-machine kinds
+    ["--model", "adversarial_L", "--machines", "4"],
+])
 def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
-    rc, err = run_cli(capsys, ["gen", "--model", "poisson_pareto",
-                               "--out", tmp_path / "gen.txt"] + flags)
+    rc, err = run_cli(capsys, ["gen", "--out", tmp_path / "gen.txt"] + flags)
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ")
 
