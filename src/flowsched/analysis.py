@@ -63,14 +63,15 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
 
     A unit processed in slot [s, s+1) contributes ``rho (s - r + 1/2)``:
     it waited s - r at full residual and drained linearly within the slot.
+    Over a job's k plan slots that sums to ``rho (sum s - k r + k/2)``,
+    priced once per job from an integer sum.
     """
     by_id = _jobs_by_id(instance)
     total = ZERO
     for jid, slots in trace.plan_slots().items():
         job = by_id[jid]
-        rho = job.density(trace.machine)
-        for s in slots:
-            total += rho * (Rational(s - job.release) + HALF)
+        k = len(slots)
+        total += job.density(trace.machine) * (sum(slots) - k * job.release + HALF * k)
     return total
 
 

@@ -150,41 +150,41 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None,
 
     q = speed.denominator
     slot_capacity = speed.numerator  # speed * q
-    scale = lcm(*(lcm(j.density(machine).denominator, (j.weight * HALF).denominator)
-                  for j in jobs))
+    densities = [j.density(machine) for j in jobs]
+    scale = lcm(*(lcm(rho.denominator, (j.weight * HALF).denominator)
+                  for rho, j in zip(densities, jobs)))
 
     if windowed:
-        sizes = [(j.density(machine), j.size_on(machine)) for j in jobs]
+        sizes = [(rho, j.size_on(machine)) for rho, j in zip(densities, jobs)]
 
-        def window_end(job: Job) -> int:
-            rho = job.density(machine)
+        def window_end(job: Job, rho: Rational) -> int:
             reach = sum(p for other_rho, p in sizes if other_rho >= rho)
             return min(horizon, job.release + reach + 1)
     else:
-        def window_end(job: Job) -> int:
+        def window_end(job: Job, rho: Rational) -> int:
             return horizon
 
     graph = nx.DiGraph()
     total_units = 0
     used_slots: set[int] = set()
-    for job in jobs:
-        size = job.size_on(machine)
-        units = size * q
+    for job, rho in zip(jobs, densities):
+        units = job.size_on(machine) * q
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
-        rho = job.density(machine)
-        base = job.weight * HALF
-        end = window_end(job)
+        end = window_end(job, rho)
         if end <= job.release:
             raise HorizonTooShort(
                 f"horizon {horizon} leaves no slot for job {job.id}")
+        # the arc cost (rho (t - r) + w/2) * scale is integral at every t
+        # when its slope and intercept are, so check those once per job
+        slope, cost = rho * scale, job.weight * HALF * scale
+        if slope.denominator != 1 or cost.denominator != 1:
+            raise NonIntegralCost(f"scaled costs {slope}, {cost} for job {job.id}")
+        slope, cost = slope.numerator, cost.numerator
         for t in range(job.release, end):
-            cost = (rho * (t - job.release) + base) * scale
-            if cost.denominator != 1:
-                raise NonIntegralCost(f"arc cost {cost} for job {job.id} at slot {t}")
-            graph.add_edge(("job", job.id), ("slot", t),
-                           capacity=units, weight=cost.numerator)
+            graph.add_edge(("job", job.id), ("slot", t), capacity=units, weight=cost)
             used_slots.add(t)
+            cost += slope
     graph.add_node("sink", demand=total_units)
     for t in used_slots:
         graph.add_edge(("slot", t), "sink", capacity=slot_capacity, weight=0)

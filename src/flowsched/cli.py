@@ -102,8 +102,8 @@ def cmd_gen(args) -> int:
         kind=args.model, n=args.n, seed=args.seed, L=args.L, scale=args.scale,
         rate=args.rate, shape=args.shape, max_release=args.max_release,
         max_size=args.max_size, max_weight=args.max_weight,
-        machines=args.machines or 1, epsilon=args.epsilon or Rational(1, 4),
-        speedup=args.speedup)
+        machines=args.machines, speedup=args.speedup,
+        epsilon=Rational(1, 4) if args.epsilon is None else args.epsilon)
     instance = generate(model)
     serialize_trace(instance, args.out, seed=args.seed)
     writer = _Writer(None)

@@ -47,6 +47,32 @@ class JobNotRunnableOnMachine(ValueError):
     """The job has no size entry for the requested machine."""
 
 
+class NonPositiveArgument(ValueError):
+    pass
+
+
+def floor_log(x: Rational) -> int:
+    """Largest integer ``i`` with ``2**i <= x``, computed exactly.
+
+    Works for any positive rational; no floating point is involved, so the
+    answer is correct even when ``x`` sits on a power-of-two boundary.
+    """
+    if x <= 0:
+        raise NonPositiveArgument(f"floor_log needs a positive argument, got {x}")
+    n, d = x.numerator, x.denominator
+
+    def at_most(i: int) -> bool:
+        # 2**i <= n/d, cross-multiplied
+        return (d << i) <= n if i >= 0 else d <= (n << -i)
+
+    i = n.bit_length() - d.bit_length()  # within one of the true value
+    while not at_most(i):
+        i -= 1
+    while at_most(i + 1):
+        i += 1
+    return i
+
+
 @dataclass(frozen=True)
 class Job:
     """One unit of work.
@@ -99,21 +125,25 @@ class Instance:
         return self.epsilon.denominator
 
 
-@dataclass(frozen=True)
 class ResidualJob:
     """A job with its remaining processing time on one machine.
 
-    The residual weight is recomputed from the (constant) density every
-    time, never cached, so it cannot go stale as ``remaining`` shrinks.
+    ``density``, ``density_class`` and the HDF ``key`` (-density, release,
+    id) are constant while the job is active, so they are computed once,
+    here. ``remaining`` is decremented in place by the engine; the residual
+    weight is derived from it on every read, never stored, so it cannot go
+    stale as ``remaining`` shrinks.
     """
 
-    job: Job
-    remaining: Rational
-    machine: int = 0
+    __slots__ = ("job", "remaining", "machine", "density", "density_class", "key")
 
-    @property
-    def density(self) -> Rational:
-        return self.job.density(self.machine)
+    def __init__(self, job: Job, remaining: int, machine: int = 0):
+        self.job = job
+        self.remaining = remaining
+        self.machine = machine
+        self.density = job.density(machine)
+        self.density_class = floor_log(self.density)
+        self.key = (-self.density, job.release, job.id)
 
     @property
     def residual_weight(self) -> Rational:

@@ -1,59 +1,30 @@
 """Arrival impact accounting.
 
-The impact of an arriving job is the exact increase in total fractional
-weighted flow time it would cause if the machine switched to preemptive
-HDF over the current active set from this instant on, with no further
-arrivals. It decomposes into three nonnegative parts:
-
-``plus``
-    terms involving active jobs of the same or a higher density class:
-    the arrival waits behind denser work, and delays equal-class work of
-    strictly lower density;
-``self_term``
-    ``weight * size / 2``, the arrival's own processing half;
-``minus``
-    the delay inflicted on active jobs of strictly lower density classes.
-
-The two side terms drive the immediate-rejection tables, and the total is
-reused as a per-job dual variable by the analysis module.
+The impact of an arriving job j (weight w, size p, density rho) is the
+exact increase in total fractional weighted flow time it would cause if
+the machine switched to preemptive HDF over the current active set from
+this instant on, with no further arrivals. One pass over the active set
+sums three aggregates: ``S1``, the remaining work of active jobs at least
+as dense as j (j waits behind it); ``S2``, the residual weight of less
+dense jobs of j's own density class, and ``S3``, that of jobs of strictly
+lower classes (j delays both). The impact splits into three nonnegative
+parts: ``plus = w*S1 + p*S2``, ``self_term = w*p/2`` (j's own processing
+half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
+tables, and the total is reused as a per-job dual variable by the
+analysis module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection
 
-from .core import HALF, Job, Rational, ResidualJob, ZERO
-
-
-class NonPositiveArgument(ValueError):
-    pass
+# NonPositiveArgument and floor_log are re-exported from here
+from .core import HALF, Job, NonPositiveArgument, Rational, ResidualJob, ZERO, floor_log
 
 
 class JobInActiveSet(ValueError):
     """The arriving job is already present in the active set."""
-
-
-def floor_log(x: Rational) -> int:
-    """Largest integer ``i`` with ``2**i <= x``, computed exactly.
-
-    Works for any positive rational; no floating point is involved, so the
-    answer is correct even when ``x`` sits on a power-of-two boundary.
-    """
-    if x <= 0:
-        raise NonPositiveArgument(f"floor_log needs a positive argument, got {x}")
-    n, d = x.numerator, x.denominator
-
-    def at_most(i: int) -> bool:
-        # 2**i <= n/d, cross-multiplied
-        return (d << i) <= n if i >= 0 else d <= (n << -i)
-
-    i = n.bit_length() - d.bit_length()  # within one of the true value
-    while not at_most(i):
-        i -= 1
-    while at_most(i + 1):
-        i += 1
-    return i
 
 
 def density_class(job: Job, machine: int = 0) -> int:
@@ -80,35 +51,36 @@ class ArrivalImpact:
     in_minus: bool
 
 
-def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
+def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
                    machine: int = 0) -> ArrivalImpact:
     """Compute the impact of ``job`` against the current active set.
 
     ``active`` must reflect the state the arrival actually sees: earlier
-    same-time arrivals included, the job itself excluded. Residual weights
-    are recomputed from densities on the fly.
+    same-time arrivals included, the job itself excluded. It is read once,
+    through each job's cached density and class.
     """
-    size = Rational(job.size_on(machine))
+    size = job.size_on(machine)
     rho = job.density(machine)
     klass = floor_log(rho)
 
-    plus = ZERO
-    minus = ZERO
+    denser = 0          # S1
+    same_class = ZERO   # S2
+    lower_class = ZERO  # S3
     for res in active:
         if res.job.id == job.id:
             raise JobInActiveSet(f"job {job.id} is already active")
-        other_rho = res.density
-        if floor_log(other_rho) >= klass:
-            if other_rho >= rho:
-                plus += job.weight * res.remaining
-            else:
-                plus += size * res.residual_weight
+        if res.density >= rho:
+            denser += res.remaining
+        elif res.density_class >= klass:
+            same_class += res.residual_weight
         else:
-            # a strictly smaller class implies strictly smaller density
-            minus += size * res.residual_weight
+            lower_class += res.residual_weight
 
-    self_term = job.weight * size * HALF
-    threshold = job.weight * size / epsilon
+    plus = job.weight * denser + size * same_class
+    minus = size * lower_class
+    work = job.weight * size
+    self_term = work * HALF
+    threshold = work / epsilon
     return ArrivalImpact(
         total=plus + self_term + minus,
         plus=plus,

@@ -25,7 +25,8 @@ arrivals see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .core import Instance, Job, Rational, ResidualJob, ZERO, validate_instance
@@ -163,8 +164,7 @@ class MachineScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            self.active[job.id] = ResidualJob(
-                job, Rational(job.size_on(self.machine)), self.machine)
+            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine)
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
@@ -206,9 +206,7 @@ class MachineScheduler:
                 self.last_slot_job = None
                 self.clock = t + 1
                 return None
-            best = min(self.active.values(),
-                       key=lambda r: (-r.density, r.job.release, r.job.id))
-            chosen = best.job.id
+            chosen = min(self.active.values(), key=attrgetter("key")).job.id
             if chosen not in self.preemptible:
                 self.run_job = chosen
                 self.run_released = ZERO
@@ -218,8 +216,8 @@ class MachineScheduler:
         tr.slots.append(Slot(t, chosen, chosen if mirrored else None))
 
         res = self.active[chosen]
-        remaining = res.remaining - 1
-        if remaining == 0:
+        res.remaining -= 1
+        if res.remaining == 0:
             del self.active[chosen]
             tr.events.append(Event(t + 1, chosen, EVENT_PLAN_COMPLETE))
             if chosen not in self.preemptible:
@@ -229,7 +227,6 @@ class MachineScheduler:
             # a finished job can no longer be marked or charged against
             self.last_slot_job = None
         else:
-            self.active[chosen] = replace(res, remaining=remaining)
             self.last_slot_job = chosen
         self.clock = t + 1
         return chosen

@@ -1,15 +1,68 @@
 """Straightforward reference implementations kept as test oracles.
 
+``arrival_impact`` classifies every active job by its density class and
+prices it on its own, ``fractional_flow_plan`` prices every plan slot,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
 every (job, time) pair one at a time. They are the definitions the fast
-versions in ``flowsched.analysis`` must reproduce exactly.
+versions in ``flowsched`` must reproduce exactly.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from flowsched.analysis import DualCertificate, _jobs_by_id
-from flowsched.core import HALF, Instance, ONE, Rational, ZERO
+from flowsched.core import HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO
+from flowsched.impact import ArrivalImpact, JobInActiveSet, floor_log
 from flowsched.scheduler import ScheduleTrace
+
+
+def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
+                   machine: int = 0) -> ArrivalImpact:
+    """Impact of ``job`` against the active set, one active job at a time."""
+    size = Rational(job.size_on(machine))
+    rho = job.density(machine)
+    klass = floor_log(rho)
+
+    plus = ZERO
+    minus = ZERO
+    for res in active:
+        if res.job.id == job.id:
+            raise JobInActiveSet(f"job {job.id} is already active")
+        other_rho = res.density
+        if floor_log(other_rho) >= klass:
+            if other_rho >= rho:
+                plus += job.weight * res.remaining
+            else:
+                plus += size * res.residual_weight
+        else:
+            # a strictly smaller class implies strictly smaller density
+            minus += size * res.residual_weight
+
+    self_term = job.weight * size * HALF
+    threshold = job.weight * size / epsilon
+    return ArrivalImpact(
+        total=plus + self_term + minus,
+        plus=plus,
+        minus=minus,
+        self_term=self_term,
+        density_class=klass,
+        in_plus=plus >= threshold,
+        in_minus=minus > threshold,
+    )
+
+
+def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
+    """Continuous fractional weighted flow of the plan, priced slot by slot:
+    a unit processed in [s, s+1) contributes ``rho (s - r + 1/2)``."""
+    by_id = _jobs_by_id(instance)
+    total = ZERO
+    for jid, slots in trace.plan_slots().items():
+        job = by_id[jid]
+        rho = job.density(trace.machine)
+        for s in slots:
+            total += rho * (Rational(s - job.release) + HALF)
+    return total
 
 
 def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:

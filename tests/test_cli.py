@@ -179,6 +179,8 @@ def test_missing_file_exits_2(capsys, tmp_path):
     ["--model", "poisson_pareto", "--max-weight", "0"],
     ["--model", "fixed", "--machines", "4"],          # single-machine kinds
     ["--model", "adversarial_L", "--machines", "4"],
+    ["--model", "uniform", "--machines", "0"],        # zero is a value, not "unset"
+    ["--model", "uniform", "--epsilon", "0"],
 ])
 def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
     rc, err = run_cli(capsys, ["gen", "--out", tmp_path / "gen.txt"] + flags)

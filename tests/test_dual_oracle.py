@@ -1,4 +1,5 @@
-"""The hull-based dual verifier against the pair-by-pair oracle.
+"""The hull-based dual verifier against the pair-by-pair oracle, and the
+per-job fractional flow against the per-slot oracle.
 
 No real trace violates its dual constraints, so most cases scale the
 recorded alphas to force violations: that is the only way to reach the
@@ -14,7 +15,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import WorkloadModel, beta_series, generate, run_multi, verify_duals
+from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generate, run,
+                       run_multi, verify_duals)
 from flowsched.dispatch import each_trace
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
@@ -57,6 +59,7 @@ def seeded_instance(seed: int, machines: int):
 
 
 def assert_matches_oracle(trace, inst, speedup=F(0)):
+    assert fractional_flow_plan(trace, inst) == oracles.fractional_flow_plan(trace, inst)
     assert beta_series(trace, inst) == oracles.beta_series(trace, inst)
     fast = verify_duals(trace, inst, speedup)
     assert fast == oracles.verify_duals(trace, inst, speedup)
@@ -71,6 +74,13 @@ def test_fast_verifier_matches_pair_oracle(seed, machines, mode, speedup):
     rng = random.Random(seed)
     for trace in each_trace(run_multi(inst)):
         assert_matches_oracle(perturbed(trace, mode, rng), inst, speedup)
+
+
+def test_fractional_flow_plan_matches_slot_oracle_on_the_pileup():
+    inst = generate(WorkloadModel(kind="adversarial_L", L=12, scale=5))
+    trace = run(inst)
+    assert len(trace.slots) > 10 * len(inst.jobs)
+    assert fractional_flow_plan(trace, inst) == oracles.fractional_flow_plan(trace, inst)
 
 
 def test_scaled_alphas_reach_the_rescan():

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import ResidualJob, arrival_impact, density_class, floor_log
+from flowsched import Job, ResidualJob, arrival_impact, density_class, floor_log
 from flowsched.impact import JobInActiveSet, NonPositiveArgument
 
+import oracles
 from conftest import job
 
 F = Fraction
@@ -148,3 +149,71 @@ def test_impact_monotone_in_active_set(entries, w, p, we, pe):
     before = arrival_impact(new, active, F(1, 2)).total
     after = arrival_impact(new, active + [extra], F(1, 2)).total
     assert after >= before
+
+
+# -- the one-pass sums against the per-job oracle ----------------------------
+
+
+@st.composite
+def arrival_and_active(draw):
+    """An arrival on ``machine`` of two and an active set whose densities
+    sit on the arrival's density (the ``>=`` tie), on powers of two and
+    just below them (one class apart), or anywhere."""
+    machine = draw(st.sampled_from([0, 1]))
+
+    def sized(jid, rho, size):
+        sizes = [draw(st.integers(1, 8)), draw(st.integers(1, 8))]
+        sizes[machine] = size
+        return Job(jid, 0, rho * size, tuple(sizes))
+
+    powers = [F(2) ** k for k in range(-4, 5)]
+    rho = draw(st.one_of(st.sampled_from(powers),
+                         st.fractions(F(1, 16), F(16), max_denominator=16)))
+    arrival = sized(0, rho, draw(st.integers(1, 8)))
+    klass = floor_log(rho)
+    boundaries = [F(2) ** (klass + d) for d in (-1, 0, 1, 2)]
+    special = [rho, 2 * rho, rho / 2] + boundaries + [b * F(63, 64) for b in boundaries]
+    active = []
+    for jid in range(1, draw(st.integers(0, 8)) + 1):
+        other = draw(st.one_of(st.sampled_from(special + powers),
+                               st.fractions(F(1, 32), F(32), max_denominator=32)))
+        size = draw(st.integers(1, 8))
+        remaining = draw(st.integers(1, size))
+        if draw(st.booleans()):
+            remaining = F(remaining)
+        active.append(ResidualJob(sized(jid, other, size), remaining, machine))
+    return arrival, active, machine
+
+
+@settings(max_examples=200)
+@given(arrival_and_active(), st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(1, 10)]))
+def test_one_pass_impact_matches_per_job_oracle(case, eps):
+    arrival, active, machine = case
+    assert arrival_impact(arrival, active, eps, machine) == \
+        oracles.arrival_impact(arrival, active, eps, machine)
+
+
+def test_a_density_tie_prices_the_same_in_either_sum():
+    # w * rem == p * rho * rem when rho_o == rho_j, so the ">=" that sends a
+    # tie to S1 is a convention: no test can tell it from ">"
+    new = job(0, 0, 4, 2)  # rho 2
+    tied = [ResidualJob(job(1, 0, 2, 1), 1)]
+    assert arrival_impact(new, tied, F(1, 4)).plus == 4 * 1 == 2 * 2 * 1
+    assert arrival_impact(new, tied, F(1, 4)) == oracles.arrival_impact(new, tied, F(1, 4))
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(1, 9)), min_size=1, max_size=4),
+       st.fractions(F(1, 8), F(40), max_denominator=8), st.integers(0, 50),
+       st.integers(0, 99))
+def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
+    sizes[0] = sizes[0] or 1
+    j = Job(jid, release, weight, tuple(sizes))
+    for m, size in enumerate(sizes):
+        if size is None:
+            continue
+        res = ResidualJob(j, size, m)
+        assert res.density == j.density(m)
+        assert res.density_class == density_class(j, m)
+        assert res.key == (-j.density(m), j.release, j.id)
+        res.remaining -= 1
+        assert res.residual_weight == j.density(m) * (size - 1)

@@ -278,3 +278,17 @@ def test_promoted_jobs_accrued_half_their_waiting_flow(inst):
 @given(instances)
 def test_replay_is_deterministic(inst):
     assert run(inst) == run(inst)
+
+
+@pytest.mark.parametrize("scale", [1, 40])
+def test_slot_selection_reads_cached_densities(monkeypatch, scale):
+    # the pile-up steps one long job through far more slots than there are
+    # jobs; densities are computed per arrival and activation, never per slot
+    inst = generate(WorkloadModel(kind="adversarial_L", L=8, scale=scale))
+    calls = []
+    density = flowsched.Job.density
+    monkeypatch.setattr(flowsched.Job, "density",
+                        lambda j, machine=0: calls.append(j.id) or density(j, machine))
+    trace = run(inst)
+    assert len(trace.slots) >= 64 * scale
+    assert len(calls) <= 2 * len(inst.jobs)
