@@ -68,12 +68,14 @@ class FractionalSchedule:
 
 def preemptive_hdf(jobs: list[Job] | tuple[Job, ...], speed: Rational = ONE,
                    machine: int = 0) -> FractionalSchedule:
-    """Slot-by-slot preemptive HDF at the given speed (>= 1).
+    """Slot-by-slot preemptive HDF at the given positive speed.
 
     Each slot hands up to ``speed`` units to the densest released
     unfinished jobs, splitting within the slot; ties break by earlier
     release, then smaller id (same rule as the online engine).
     """
+    if speed <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
     jobs = tuple(jobs)
     remaining = {j.id: Rational(j.size_on(machine)) for j in jobs}
     by_priority = sorted(jobs, key=lambda j: (-j.density(machine), j.release, j.id))
@@ -131,8 +133,9 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None,
     exact; the result is descaled back to a rational.
 
     With ``windowed`` (default) each job only gets arcs to slots in
-    ``[r_j, r_j + P_j]`` where ``P_j`` is the total size of jobs with
-    density >= its own. Some optimal solution lives inside these windows:
+    ``[r_j, r_j + ceil(P_j / speed)]`` where ``P_j`` is the total size of
+    jobs with density >= its own, which take that many slots at ``speed``.
+    Some optimal solution lives inside these windows:
     whenever a cheaper in-window slot is not fully used, moving flow there
     reduces cost (costs grow with t), and a density-exchange between any
     two jobs never increases cost, so an optimum exists that grants every
@@ -159,7 +162,7 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None,
 
         def window_end(job: Job, rho: Rational) -> int:
             reach = sum(p for other_rho, p in sizes if other_rho >= rho)
-            return min(horizon, job.release + reach + 1)
+            return min(horizon, job.release + ceil(reach / speed) + 1)
     else:
         def window_end(job: Job, rho: Rational) -> int:
             return horizon

@@ -52,6 +52,13 @@ def _speed(text: str) -> Rational:
     return speed
 
 
+def _speedup(text: str) -> Rational:
+    speedup = _rat(text)
+    if speedup < 0:
+        raise argparse.ArgumentTypeError(f"speedup must be nonnegative, got {text!r}")
+    return speedup
+
+
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -78,14 +85,12 @@ class _Writer:
 
 
 def _load_instance(args) -> "Instance":
+    """The validated instance in ``args.trace``, re-validated only when
+    ``--epsilon`` or ``--machines`` replaced a field."""
     instance = parse_trace(args.trace)
-    epsilon = getattr(args, "epsilon", None)
-    if epsilon is not None:
-        instance = replace(instance, epsilon=epsilon)
-    machines = getattr(args, "machines", None)
-    if machines is not None:
-        instance = replace(instance, machines=machines)
-    return validate_instance(instance)
+    overrides = {name: value for name in ("epsilon", "machines")
+                 if (value := getattr(args, name, None)) is not None}
+    return validate_instance(replace(instance, **overrides)) if overrides else instance
 
 
 def _run_instance(instance):
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")
     ver.add_argument("--trace", required=True)
     ver.add_argument("--epsilon", type=_rat, default=None)
-    ver.add_argument("--speedup", type=_rat, default=None)
+    ver.add_argument("--speedup", type=_speedup, default=None)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

@@ -59,7 +59,14 @@ def floor_log(x: Rational) -> int:
     """
     if x <= 0:
         raise NonPositiveArgument(f"floor_log needs a positive argument, got {x}")
-    n, d = x.numerator, x.denominator
+    return floor_log_ratio(x.numerator, x.denominator)
+
+
+def floor_log_ratio(n: int, d: int) -> int:
+    """:func:`floor_log` of ``n/d`` for integers ``n`` and ``d > 0``, which
+    need not be in lowest terms."""
+    if n <= 0:
+        raise NonPositiveArgument(f"floor_log needs a positive argument, got {n}/{d}")
 
     def at_most(i: int) -> bool:
         # 2**i <= n/d, cross-multiplied
@@ -128,21 +135,24 @@ class Instance:
 class ResidualJob:
     """A job with its remaining processing time on one machine.
 
-    ``density``, ``density_class`` and the HDF ``key`` (-density, release,
-    id) are constant while the job is active, so they are computed once,
-    here. ``remaining`` is decremented in place by the engine; the residual
+    ``density``, its lowest-terms ``num``/``den`` as ``int``s, the
+    ``density_class`` and the HDF ``key`` (-density, release, id) are
+    constant while the job is active, so they are computed once, here.
+    ``remaining`` is decremented in place by the engine; the residual
     weight is derived from it on every read, never stored, so it cannot go
     stale as ``remaining`` shrinks.
     """
 
-    __slots__ = ("job", "remaining", "machine", "density", "density_class", "key")
+    __slots__ = ("job", "remaining", "machine", "density", "num", "den",
+                 "density_class", "key")
 
     def __init__(self, job: Job, remaining: int, machine: int = 0):
         self.job = job
         self.remaining = remaining
         self.machine = machine
         self.density = job.density(machine)
-        self.density_class = floor_log(self.density)
+        self.num, self.den = self.density.numerator, self.density.denominator
+        self.density_class = floor_log_ratio(self.num, self.den)
         self.key = (-self.density, job.release, job.id)
 
     @property

@@ -12,15 +12,26 @@ parts: ``plus = w*S1 + p*S2``, ``self_term = w*p/2`` (j's own processing
 half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
 tables, and the total is reused as a per-job dual variable by the
 analysis module.
+
+The pass runs in ``int`` arithmetic on the density numerator and
+denominator each ``ResidualJob`` caches at activation. The ``rho_o >= rho``
+test is a cross-multiplication. ``S2`` and ``S3`` are integer numerators
+over one running common denominator, which grows by ``math.lcm`` only when
+an active job brings a denominator it does not already divide. Each output
+is built once as a ``Fraction``, and the rejection-table thresholds are
+decided by cross-multiplication, so the values are exactly those of
+``Fraction`` sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Collection
 
 # NonPositiveArgument and floor_log are re-exported from here
-from .core import HALF, Job, NonPositiveArgument, Rational, ResidualJob, ZERO, floor_log
+from .core import (Job, NonPositiveArgument, Rational, ResidualJob, floor_log,
+                   floor_log_ratio)
 
 
 class JobInActiveSet(ValueError):
@@ -57,36 +68,48 @@ def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
 
     ``active`` must reflect the state the arrival actually sees: earlier
     same-time arrivals included, the job itself excluded. It is read once,
-    through each job's cached density and class.
+    through each job's cached density numerator, denominator and class.
     """
     size = job.size_on(machine)
-    rho = job.density(machine)
-    klass = floor_log(rho)
+    jid = job.id
+    wn, wd = job.weight.numerator, job.weight.denominator
+    rn, rd = wn, wd * size  # rho = rn/rd, not necessarily in lowest terms
+    klass = floor_log_ratio(rn, rd)
 
-    denser = 0          # S1
-    same_class = ZERO   # S2
-    lower_class = ZERO  # S3
+    denser = 0       # S1
+    den = 1          # common denominator of S2 and S3
+    same_class = 0   # S2 * den
+    lower_class = 0  # S3 * den
     for res in active:
-        if res.job.id == job.id:
-            raise JobInActiveSet(f"job {job.id} is already active")
-        if res.density >= rho:
+        if res.job.id == jid:
+            raise JobInActiveSet(f"job {jid} is already active")
+        n, d = res.num, res.den
+        if n * rd >= rn * d:
             denser += res.remaining
-        elif res.density_class >= klass:
-            same_class += res.residual_weight
+            continue
+        if den % d:
+            grown = lcm(den, d)
+            same_class *= grown // den
+            lower_class *= grown // den
+            den = grown
+        weighted = n * res.remaining * (den // d)
+        if res.density_class >= klass:
+            same_class += weighted
         else:
-            lower_class += res.residual_weight
+            lower_class += weighted
 
-    plus = job.weight * denser + size * same_class
+    # plus = w*S1 + p*S2 over wd*den; minus = p*S3 over den; w*p/2 over 2*wd
+    plus = wn * denser * den + size * same_class * wd
     minus = size * lower_class
-    work = job.weight * size
-    self_term = work * HALF
-    threshold = work / epsilon
+    work = wn * size
+    # threshold w*p/epsilon: plus >= it and minus > it, cross-multiplied
+    en, ed = epsilon.numerator, epsilon.denominator
     return ArrivalImpact(
-        total=plus + self_term + minus,
-        plus=plus,
-        minus=minus,
-        self_term=self_term,
+        total=Rational(2 * plus + work * den + 2 * minus * wd, 2 * wd * den),
+        plus=Rational(plus, wd * den),
+        minus=Rational(minus, den),
+        self_term=Rational(work, 2 * wd),
         density_class=klass,
-        in_plus=plus >= threshold,
-        in_minus=minus > threshold,
+        in_plus=plus * en >= work * ed * den,
+        in_minus=lower_class * wd * en > wn * ed * den,
     )

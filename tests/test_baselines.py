@@ -28,6 +28,13 @@ def test_hdf_speed_two_finishes_in_one_slot():
     sched.validate()
 
 
+@pytest.mark.parametrize("speed", [F(0), F(-1, 2)])
+def test_hdf_rejects_a_nonpositive_speed(speed):
+    # no slot would ever make progress, so the loop would never end
+    with pytest.raises(ValueError):
+        preemptive_hdf((job(0, 0, 1, 2),), speed=speed)
+
+
 def test_hdf_empty_input():
     sched = preemptive_hdf(())
     assert sched.allocation == {}
@@ -90,9 +97,9 @@ def random_jobs(seed, n):
     return inst.jobs
 
 
-@settings(max_examples=25)
+@settings(max_examples=50)
 @given(st.integers(0, 10 ** 6), st.integers(1, 7),
-       st.sampled_from([F(1), F(5, 4), F(2)]))
+       st.sampled_from([F(1, 2), F(3, 4), F(1), F(5, 4), F(2)]))
 def test_windowed_arcs_match_full_horizon(seed, n, speed):
     jobs = random_jobs(seed, n)
     assert transport_opt(jobs, speed=speed, windowed=True) == \
@@ -103,7 +110,7 @@ def test_windowed_arcs_match_full_horizon(seed, n, speed):
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_hdf_attains_the_transport_optimum(seed, n):
     jobs = random_jobs(seed, n)
-    for speed in (F(1), F(5, 4), F(2)):
+    for speed in (F(1, 2), F(3, 4), F(1), F(5, 4), F(2)):
         sched = preemptive_hdf(jobs, speed=speed)
         sched.validate()
         assert lp_cost(sched) == transport_opt(jobs, speed=speed)

@@ -147,11 +147,30 @@ def run_cli(capsys, argv):
     ["baseline", "--speed", "-1"],
     ["baseline", "--speed", "1+1/0"],
     ["baseline", "--horizon", "0"],
+    ["verify", "--speedup", "-1"],
+    ["verify", "--speedup", "-2"],
+    ["simulate", "--epsilon", "1"],   # overrides are validated
+    ["simulate", "--machines", "2"],
 ])
 def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
     assert rc == cli.USAGE_ERROR
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, validations", [
+    ([], 0), (["--epsilon", "1/4"], 1), (["--machines", "1"], 1)])
+def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, flags,
+                                                     validations):
+    # parse_trace already returns a validated instance
+    calls = []
+    validate = cli.validate_instance
+    monkeypatch.setattr(cli, "validate_instance",
+                        lambda instance: calls.append(instance) or validate(instance))
+    args = cli.build_parser().parse_args(["simulate", "--trace", str(trace_file), *flags])
+    instance = cli._load_instance(args)
+    assert len(calls) == validations
+    assert instance.epsilon == (Fraction(1, 4) if "--epsilon" in flags else Fraction(1, 2))
 
 
 @pytest.mark.parametrize("text", [

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import Job, ResidualJob, arrival_impact, density_class, floor_log
+from flowsched.core import floor_log_ratio
 from flowsched.impact import JobInActiveSet, NonPositiveArgument
 
 import oracles
@@ -49,6 +50,16 @@ def test_floor_log_rejects_nonpositive():
 def test_floor_log_bracket_property(x):
     i = floor_log(x)
     assert F(2) ** i <= x < F(2) ** (i + 1)
+
+
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 50))
+def test_floor_log_ratio_ignores_common_factors(n, d, k):
+    assert floor_log_ratio(n * k, d * k) == floor_log(F(n, d))
+
+
+def test_floor_log_ratio_rejects_nonpositive():
+    with pytest.raises(NonPositiveArgument):
+        floor_log_ratio(0, 3)
 
 
 def test_density_class_examples():
@@ -213,7 +224,48 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
             continue
         res = ResidualJob(j, size, m)
         assert res.density == j.density(m)
+        assert (res.num, res.den) == j.density(m).as_integer_ratio()
         assert res.density_class == density_class(j, m)
         assert res.key == (-j.density(m), j.release, j.id)
         res.remaining -= 1
         assert res.residual_weight == j.density(m) * (size - 1)
+
+
+# -- the integer sums: many denominators, long active sets --------------------
+
+
+@st.composite
+def arrival_and_crowd(draw):
+    """An arrival and up to 25 active jobs whose weight denominators come
+    from {1, 2, 3, 4, 7, 97}, so the running common denominator of S2 and
+    S3 grows several times within one call."""
+    def weighted(jid, size):
+        weight = F(draw(st.integers(1, 200)), draw(st.sampled_from([1, 2, 3, 4, 7, 97])))
+        return Job(jid, 0, weight, (size,))
+
+    arrival = weighted(0, draw(st.integers(1, 20)))
+    active = []
+    for jid in range(1, draw(st.integers(0, 25)) + 1):
+        size = draw(st.integers(1, 20))
+        remaining = draw(st.integers(1, size))
+        if draw(st.booleans()):
+            remaining = F(remaining)
+        active.append(ResidualJob(weighted(jid, size), remaining))
+    return arrival, active
+
+
+@settings(max_examples=300)
+@given(arrival_and_crowd(), st.sampled_from([F(1, 2), F(1, 4), F(1, 10)]))
+def test_integer_sums_match_oracle_on_many_denominators(case, eps):
+    arrival, active = case
+    assert arrival_impact(arrival, active, eps) == oracles.arrival_impact(arrival, active, eps)
+
+
+@settings(max_examples=50)
+@given(arrival_and_crowd())
+def test_impact_reads_only_the_cached_integer_densities(case):
+    arrival, active = case
+    expected = oracles.arrival_impact(arrival, active, F(1, 10))
+    for res in active:
+        res.density = None
+    assert arrival_impact(arrival, active, F(1, 10)) == expected
