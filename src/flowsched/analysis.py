@@ -27,17 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .baselines import transport_opt
 from .core import HALF, Instance, Job, ONE, Rational, ZERO
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
 
 class IncompleteTrace(ValueError):
-    pass
-
-
-class TooLargeForOracle(ValueError):
     pass
 
 
@@ -232,8 +227,12 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
     search for the minimum of ``beta_t + rho_j t`` on that hull decides the
     job. Only a job that fails is rescanned over [r_j, H] to list its
     violating times, in arrival order, then by t. Infeasibility is
-    reported, not raised.
+    reported, not raised; a negative ``speedup`` raises ``ValueError``,
+    since it would inflate the bound.
     """
+    speedup = Rational(speedup)
+    if speedup < 0:
+        raise ValueError(f"speedup must be nonnegative, got {speedup}")
     by_id = _jobs_by_id(instance)
     betas = beta_series(trace, instance)
     horizon = len(betas) - 1
@@ -268,10 +267,9 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
             violations.extend((jid, t) for t in range(by_id[jid].release, horizon + 1)
                               if betas[t] + rho * t < bound)
     objective = sum(alphas.values(), start=ZERO) \
-        - (ONE + Rational(speedup)) * sum(betas, start=ZERO)
+        - (ONE + speedup) * sum(betas, start=ZERO)
     return DualCertificate(trace.machine, alphas, tuple(betas),
-                           not violations, objective, Rational(speedup),
-                           tuple(violations))
+                           not violations, objective, speedup, tuple(violations))
 
 
 def _hull_minimum(hull_t: list[int], hull_beta: list[Rational],
@@ -289,63 +287,3 @@ def _hull_minimum(hull_t: list[int], hull_beta: list[Rational],
         else:
             hi = mid - 1
     return hull_beta[lo] + rho * hull_t[lo]
-
-
-# -- oracle-backed lower bounds -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowerBoundVerdict:
-    oracle_value: Rational
-    immediate_impact_total: Rational
-    kept_impact_total: Rational
-    slack: Rational                    # sum w_j p_j / eps
-    plan_flow: Rational
-    holds_oracle_bound: bool           # immediate impacts <= oracle + slack
-    holds_plan_bound: bool             # plan flow <= kept impacts + slack
-
-    @property
-    def ok(self) -> bool:
-        return self.holds_oracle_bound and self.holds_plan_bound
-
-
-def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
-                      limit: int = 12) -> LowerBoundVerdict:
-    """Verify the two impact inequalities against the exact transport oracle.
-
-    Only intended for small instances; raises :class:`TooLargeForOracle`
-    beyond ``limit`` jobs.
-    """
-    if len(instance.jobs) > limit:
-        raise TooLargeForOracle(
-            f"instance has {len(instance.jobs)} jobs, limit is {limit}")
-    by_id = _jobs_by_id(instance)
-    traces = each_trace(run)
-    oracle = ZERO
-    immediate = kept = ZERO
-    slack = ZERO
-    plan_flow = ZERO
-    for trace in traces:
-        machine_jobs = [by_id[jid] for jid in trace.arrivals]
-        if machine_jobs:
-            oracle += transport_opt(machine_jobs, speed=ONE, machine=trace.machine)
-        rejected = trace.immediate_rejected
-        for jid in trace.arrivals:
-            total = trace.impacts[jid].total
-            if jid in rejected:
-                immediate += total
-            else:
-                kept += total
-            job = by_id[jid]
-            slack += job.weight * job.size_on(trace.machine) / instance.epsilon
-        plan_flow += fractional_flow_plan(trace, instance)
-    return LowerBoundVerdict(
-        oracle_value=oracle,
-        immediate_impact_total=immediate,
-        kept_impact_total=kept,
-        slack=slack,
-        plan_flow=plan_flow,
-        holds_oracle_bound=immediate <= oracle + slack,
-        holds_plan_bound=plan_flow <= kept + slack,
-    )
-

@@ -45,8 +45,7 @@ def _rat(text: str) -> Rational:
 
 
 def _speed(text: str) -> Rational:
-    # accept both "5/4" and the augmented form "1+1/4"
-    speed = ONE + _rat(text[2:]) if text.startswith("1+") else _rat(text)
+    speed = _rat(text)
     if speed <= 0:
         raise argparse.ArgumentTypeError(f"speed must be positive, got {text!r}")
     return speed
@@ -107,7 +106,7 @@ def cmd_gen(args) -> int:
         kind=args.model, n=args.n, seed=args.seed, L=args.L, scale=args.scale,
         rate=args.rate, shape=args.shape, max_release=args.max_release,
         max_size=args.max_size, max_weight=args.max_weight,
-        machines=args.machines, speedup=args.speedup,
+        machines=args.machines,
         epsilon=Rational(1, 4) if args.epsilon is None else args.epsilon)
     instance = generate(model)
     serialize_trace(instance, args.out, seed=args.seed)
@@ -128,8 +127,8 @@ def cmd_simulate(args) -> int:
     result = _run_instance(instance)
     metrics = compute_metrics(result, instance)
     writer = _Writer(args.out)
-    writer.emit("header", m=instance.machines, epsilon=instance.epsilon,
-                speedup=instance.speedup)
+    # instances carry no speed; the fixed field keeps the record's bytes
+    writer.emit("header", m=instance.machines, epsilon=instance.epsilon, speedup=0)
     if isinstance(result, MultiTrace):
         for decision in result.decisions:
             writer.emit("dispatch", job=decision.job, machine=decision.machine,
@@ -178,13 +177,12 @@ def cmd_baseline(args) -> int:
     instance = _load_instance(args)
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
-    speed = args.speed if args.speed is not None else ONE + instance.speedup
     horizon = args.horizon if args.horizon is not None \
-        else default_horizon(instance.jobs, speed)
-    opt = transport_opt(instance.jobs, speed=speed, horizon=horizon)
-    hdf = lp_cost(preemptive_hdf(instance.jobs, speed=speed))
+        else default_horizon(instance.jobs, args.speed)
+    opt = transport_opt(instance.jobs, speed=args.speed, horizon=horizon)
+    hdf = lp_cost(preemptive_hdf(instance.jobs, speed=args.speed))
     writer = _Writer(args.out)
-    writer.emit("baseline", speed=speed, horizon=horizon, transport_opt=opt,
+    writer.emit("baseline", speed=args.speed, horizon=horizon, transport_opt=opt,
                 hdf_cost=hdf)
     writer.flush()
     return 0
@@ -192,12 +190,11 @@ def cmd_baseline(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args)
-    speedup = args.speedup if args.speedup is not None else instance.speedup
     result = _run_instance(instance)
     writer = _Writer(args.out)
     all_feasible = True
     for trace in each_trace(result):
-        cert = verify_duals(trace, instance, speedup)
+        cert = verify_duals(trace, instance, args.speedup)
         all_feasible &= cert.feasible
         writer.emit("certificate", machine=trace.machine, feasible=cert.feasible,
                     objective=cert.objective, speedup=cert.speedup,
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-weight", type=int, default=12, dest="max_weight")
     gen.add_argument("--machines", type=int, default=1)
     gen.add_argument("--epsilon", type=_rat, default=None)
-    gen.add_argument("--speedup", type=_rat, default=Rational(0))
     gen.set_defaults(func=cmd_gen)
 
     sim = sub.add_parser("simulate", help="run the online policy on a trace file")
@@ -323,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
     base.add_argument("--trace", required=True)
-    base.add_argument("--speed", type=_speed, default=None,
-                      help="benchmark speed, e.g. 1, 5/4 or 1+1/4")
+    base.add_argument("--speed", type=_speed, default=ONE,
+                      help="positive speed of the offline schedule, e.g. 1, 5/4 or 2")
     base.add_argument("--horizon", type=int, default=None)
     base.add_argument("--out", default=None)
     base.set_defaults(func=cmd_baseline)
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")
     ver.add_argument("--trace", required=True)
     ver.add_argument("--epsilon", type=_rat, default=None)
-    ver.add_argument("--speedup", type=_speedup, default=None)
+    ver.add_argument("--speedup", type=_speedup, default=Rational(0))
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

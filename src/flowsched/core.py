@@ -124,12 +124,6 @@ class Instance:
     jobs: tuple[Job, ...]
     machines: int = 1
     epsilon: Rational = Rational(1, 2)
-    speedup: Rational = ZERO
-
-    @property
-    def cadence(self) -> int:
-        """The rejection period 1/epsilon as an integer."""
-        return self.epsilon.denominator
 
 
 class ResidualJob:
@@ -173,9 +167,6 @@ def validate_instance(raw: Instance) -> Instance:
             f"1/epsilon must be a positive integer, got epsilon={eps}")
     if eps * eps > HALF:
         raise EpsilonTooLarge(f"epsilon^2 must be at most 1/2, got epsilon={eps}")
-    speedup = Rational(raw.speedup)
-    if speedup < 0:
-        raise InvalidInstance(f"speedup must be nonnegative, got {speedup}")
     if raw.machines < 1:
         raise MachineCountMismatch(f"need at least one machine, got {raw.machines}")
 
@@ -205,4 +196,4 @@ def validate_instance(raw: Instance) -> Instance:
         jobs.append(Job(job.id, job.release, weight, sizes))
 
     jobs.sort(key=lambda j: j.release)  # stable sort keeps input order within a release
-    return Instance(tuple(jobs), raw.machines, eps, speedup)
+    return Instance(tuple(jobs), raw.machines, eps)

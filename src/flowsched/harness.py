@@ -6,10 +6,17 @@ The workload trace file is line oriented and purely textual:
     0 0 1 4
     1 1 3/2 1
 
-Header: machine count, epsilon, benchmark speedup, generator seed ("-"
-when not applicable). One job per line: id, release, weight ("num" or
-"num/den"), sizes as comma-separated integers with "-" for a machine that
-cannot run the job. ``parse_trace(serialize_trace(x)) == x`` bit-exactly.
+Header: machine count, epsilon, a ``speedup`` field fixed at 0, generator
+seed ("-" when not applicable). One job per line: id, release, weight
+("num" or "num/den"), sizes as comma-separated integers with "-" for a
+machine that cannot run the job. ``parse_trace(serialize_trace(x)) == x``
+bit-exactly.
+
+The paper's only relaxation is rejection: its offline optimum runs at the
+algorithm's speed, so an instance carries no speed. The header keeps
+``speedup=0`` so that files keep their bytes and older files still parse;
+a nonzero value is refused, not ignored. A speed is set per command, with
+``baseline --speed`` or ``verify --speedup``.
 
 Policies are compared through files: ``simulate`` and ``baseline`` write
 ``metric`` and ``baseline`` records that ``report`` joins.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
-from .core import Instance, Job, ONE, Rational, ZERO, validate_instance
+from .core import Instance, Job, ONE, Rational, validate_instance
 
 
 class BadParameters(ValueError):
@@ -62,7 +69,6 @@ class WorkloadModel:
     max_weight: int = 12
     machines: int = 1
     epsilon: Rational = Rational(1, 4)
-    speedup: Rational = ZERO
 
 
 def generate(model: WorkloadModel) -> Instance:
@@ -84,8 +90,7 @@ def generate(model: WorkloadModel) -> Instance:
         jobs = _uniform_jobs(model)
     else:
         jobs = _poisson_pareto_jobs(model)
-    return validate_instance(Instance(tuple(jobs), model.machines,
-                                      model.epsilon, model.speedup))
+    return validate_instance(Instance(tuple(jobs), model.machines, model.epsilon))
 
 
 def _adversarial(model: WorkloadModel) -> Instance:
@@ -100,7 +105,7 @@ def _adversarial(model: WorkloadModel) -> Instance:
     jobs = [Job(0, 0, ONE, (model.L * model.L * model.scale,))]
     for i in range(1, model.L + 1):
         jobs.append(Job(i, i, ONE, (1,)))
-    return validate_instance(Instance(tuple(jobs), 1, model.epsilon, model.speedup))
+    return validate_instance(Instance(tuple(jobs), 1, model.epsilon))
 
 
 def _fixed_jobs(n: int) -> list[Job]:
@@ -169,7 +174,7 @@ def serialize_trace(instance: Instance, path: str | Path,
 
 def format_trace(instance: Instance, seed: int | None = None) -> str:
     lines = [f"m={instance.machines} epsilon={instance.epsilon} "
-             f"speedup={instance.speedup} seed={'-' if seed is None else seed}"]
+             f"speedup=0 seed={'-' if seed is None else seed}"]
     for job in instance.jobs:
         sizes = ",".join("-" if s is None else str(s) for s in job.sizes)
         lines.append(f"{job.id} {job.release} {job.weight} {sizes}")
@@ -193,10 +198,14 @@ def parse_trace_text(text: str) -> Instance:
             if not match:
                 raise MissingHeader(f"line {line_no} is not a valid header: {line!r}")
             try:
-                header = (int(match["m"]), _parse_rational(match["eps"]),
-                          _parse_rational(match["spd"]), match["seed"])
+                header = (int(match["m"]), _parse_rational(match["eps"]))
+                speedup = _parse_rational(match["spd"])
             except (ValueError, ZeroDivisionError) as exc:
                 raise MissingHeader(f"bad header on line {line_no}: {exc}") from exc
+            if speedup != 0:
+                raise MissingHeader(
+                    f"bad header on line {line_no}: speedup={match['spd']} is not read "
+                    f"from trace files; use baseline --speed or verify --speedup")
             continue
         fields = line.split()
         if len(fields) != 4:
@@ -212,6 +221,6 @@ def parse_trace_text(text: str) -> Instance:
         jobs.append(Job(jid, release, weight, sizes))
     if header is None:
         raise MissingHeader("no header line found")
-    machines, epsilon, speedup, _ = header
-    return validate_instance(Instance(tuple(jobs), machines, epsilon, speedup))
+    machines, epsilon = header
+    return validate_instance(Instance(tuple(jobs), machines, epsilon))
 

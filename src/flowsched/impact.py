@@ -38,11 +38,6 @@ class JobInActiveSet(ValueError):
     """The arriving job is already present in the active set."""
 
 
-def density_class(job: Job, machine: int = 0) -> int:
-    """Floor-log of the job's density on the given machine."""
-    return floor_log(job.density(machine))
-
-
 @dataclass(frozen=True)
 class ArrivalImpact:
     """Exact decomposition ``total = plus + self_term + minus``.

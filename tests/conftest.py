@@ -14,8 +14,8 @@ settings.register_profile(
 settings.load_profile("default")
 
 
-def make_instance(jobs, epsilon=Fraction(1, 2), machines=1, speedup=Fraction(0)):
-    return Instance(tuple(jobs), machines, epsilon, speedup)
+def make_instance(jobs, epsilon=Fraction(1, 2), machines=1):
+    return Instance(tuple(jobs), machines, epsilon)
 
 
 def job(jid, release, weight, size) -> Job:

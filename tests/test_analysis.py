@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, audit_rejections, beta_series,
-                       compute_metrics, generate, lower_bound_check, run,
-                       run_multi, transport_opt, verify_duals)
-from flowsched.analysis import TooLargeForOracle, fractional_flow_plan
+                       compute_metrics, generate, run, run_multi, transport_opt,
+                       verify_duals)
+from flowsched.analysis import fractional_flow_plan
 
 from conftest import job, make_instance
+from oracles import TooLargeForOracle, lower_bound_check
 
 F = Fraction
 

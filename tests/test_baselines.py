@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (HorizonTooShort, TooLarge, WorkloadModel,
-                       brute_force_nonpreemptive, default_horizon, generate,
-                       lp_cost, preemptive_hdf, transport_opt)
+from flowsched import (FractionalSchedule, HorizonTooShort, WorkloadModel,
+                       default_horizon, generate, lp_cost, preemptive_hdf, transport_opt)
 from flowsched.core import ZERO
 
 from conftest import job
+from oracles import (TooLarge, brute_force_nonpreemptive, transport_opt_full,
+                     validate_schedule)
 
 F = Fraction
 
@@ -19,13 +20,13 @@ def test_hdf_runs_denser_job_first():
     jobs = (job(0, 0, 1, 2), job(1, 0, 4, 2))
     sched = preemptive_hdf(jobs)
     assert sched.allocation == {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1), (3, 0): F(1)}
-    sched.validate()
+    validate_schedule(sched)
 
 
 def test_hdf_speed_two_finishes_in_one_slot():
     sched = preemptive_hdf((job(0, 0, 1, 2),), speed=F(2))
     assert sched.allocation == {(0, 0): F(2)}
-    sched.validate()
+    validate_schedule(sched)
 
 
 @pytest.mark.parametrize("speed", [F(0), F(-1, 2)])
@@ -46,17 +47,16 @@ def test_hdf_fractional_split_within_slot():
     sched = preemptive_hdf(jobs, speed=F(3, 2))
     assert sched.allocation[(0, 1)] == 1
     assert sched.allocation[(0, 0)] == F(1, 2)
-    sched.validate()
+    validate_schedule(sched)
 
 
 def test_lp_cost_examples():
     single = (job(0, 0, 1, 2),)
     sched = preemptive_hdf(single)
     assert lp_cost(sched) == F(3, 2)
-    from flowsched import FractionalSchedule
-    delayed = FractionalSchedule(single, 0, F(1), {(1, 0): F(1), (2, 0): F(1)})
+    delayed = FractionalSchedule(single, F(1), {(1, 0): F(1), (2, 0): F(1)})
     assert lp_cost(delayed) == F(5, 2)
-    assert lp_cost(FractionalSchedule((), 0, F(1), {})) == 0
+    assert lp_cost(FractionalSchedule((), F(1), {})) == 0
 
 
 def test_transport_single_job():
@@ -102,8 +102,7 @@ def random_jobs(seed, n):
        st.sampled_from([F(1, 2), F(3, 4), F(1), F(5, 4), F(2)]))
 def test_windowed_arcs_match_full_horizon(seed, n, speed):
     jobs = random_jobs(seed, n)
-    assert transport_opt(jobs, speed=speed, windowed=True) == \
-        transport_opt(jobs, speed=speed, windowed=False)
+    assert transport_opt(jobs, speed=speed) == transport_opt_full(jobs, speed=speed)
 
 
 @settings(max_examples=25)
@@ -112,7 +111,7 @@ def test_hdf_attains_the_transport_optimum(seed, n):
     jobs = random_jobs(seed, n)
     for speed in (F(1, 2), F(3, 4), F(1), F(5, 4), F(2)):
         sched = preemptive_hdf(jobs, speed=speed)
-        sched.validate()
+        validate_schedule(sched)
         assert lp_cost(sched) == transport_opt(jobs, speed=speed)
 
 
@@ -132,7 +131,6 @@ def residual_weight_series(jobs, schedule, horizon):
 
 def fixed_permutation_schedule(jobs, order):
     """Fractional slot schedule that serves released jobs in a fixed order."""
-    from flowsched import FractionalSchedule
     remaining = {j.id: F(j.size_on(0)) for j in jobs}
     allocation = {}
     t = min((j.release for j in jobs), default=0)
@@ -153,7 +151,7 @@ def fixed_permutation_schedule(jobs, order):
             if remaining[j.id] == 0:
                 unfinished.discard(j.id)
         t += 1
-    return FractionalSchedule(tuple(jobs), 0, F(1), allocation)
+    return FractionalSchedule(tuple(jobs), F(1), allocation)
 
 
 @settings(max_examples=20)

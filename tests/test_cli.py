@@ -151,6 +151,7 @@ def run_cli(capsys, argv):
     ["verify", "--speedup", "-2"],
     ["simulate", "--epsilon", "1"],   # overrides are validated
     ["simulate", "--machines", "2"],
+    ["baseline", "--speed", "1+1/4"],  # a speed is one rational
 ])
 def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
@@ -177,6 +178,7 @@ def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, fl
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1\n",         # missing field
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n",     # zero denominator
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 2\n0 1 1 1\n",  # duplicate id
+    "m=1 epsilon=1/2 speedup=1/4 seed=-\n0 0 1 2\n",    # instances carry no speed
 ])
 def test_bad_trace_files_exit_2(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"
@@ -205,6 +207,15 @@ def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
     rc, err = run_cli(capsys, ["gen", "--out", tmp_path / "gen.txt"] + flags)
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ")
+
+
+def test_gen_has_no_speedup_option(capsys, tmp_path):
+    out = tmp_path / "gen.txt"
+    rc, err = run_cli(capsys, ["gen", "--model", "uniform", "--out", out,
+                               "--speedup", "1/4"])
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith("usage: ") and "--speedup" in err
+    assert not out.exists()
 
 
 def test_engine_error_exits_1_and_names_it(capsys, monkeypatch, trace_file):

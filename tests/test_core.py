@@ -16,7 +16,6 @@ from conftest import job, make_instance
 def test_accepts_simple_instance():
     inst = validate_instance(make_instance([job(0, 0, 1, 2)], epsilon=Fraction(1, 3)))
     assert inst.epsilon == Fraction(1, 3)
-    assert inst.cadence == 3
     assert inst.jobs[0].weight == 1
 
 

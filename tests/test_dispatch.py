@@ -92,7 +92,7 @@ def test_dispatch_depends_only_on_prefix_state(seed, machines):
     full = run_multi(inst)
     for stop in range(1, len(inst.jobs) + 1):
         prefix = validate_instance(Instance(inst.jobs[:stop], inst.machines,
-                                            inst.epsilon, inst.speedup))
+                                            inst.epsilon))
         partial = run_multi(prefix)
         assert partial.decisions == full.decisions[:stop]
 

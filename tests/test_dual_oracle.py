@@ -12,6 +12,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,13 @@ def test_fast_verifier_matches_pair_oracle(seed, machines, mode, speedup):
     rng = random.Random(seed)
     for trace in each_trace(run_multi(inst)):
         assert_matches_oracle(perturbed(trace, mode, rng), inst, speedup)
+
+
+def test_verifier_rejects_a_negative_speedup():
+    # sum alpha - (1 + s) sum beta would grow as s falls below 0
+    inst = make_instance([job(0, 0, 1, 2), job(1, 1, F(3, 2), 1)])
+    with pytest.raises(ValueError):
+        verify_duals(run(inst), inst, F(-1))
 
 
 def test_fractional_flow_plan_matches_slot_oracle_on_the_pileup():

@@ -13,7 +13,7 @@ def test_trace_file_round_trip_is_exact(tmp_path, kind, machines):
     for seed in range(5):
         instance = generate(WorkloadModel(
             kind=kind, n=30, seed=seed, L=4, machines=machines,
-            epsilon=Fraction(1, 2 + seed), speedup=Fraction(seed, 4)))
+            epsilon=Fraction(1, 2 + seed)))
         path = tmp_path / f"{kind}-{seed}.txt"
         serialize_trace(instance, path, seed=seed)
         assert parse_trace(path) == instance

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import Job, ResidualJob, arrival_impact, density_class, floor_log
+from flowsched import Job, ResidualJob, arrival_impact, floor_log
 from flowsched.core import floor_log_ratio
 from flowsched.impact import JobInActiveSet, NonPositiveArgument
 
@@ -63,9 +63,9 @@ def test_floor_log_ratio_rejects_nonpositive():
 
 
 def test_density_class_examples():
-    assert density_class(job(0, 0, 6, 3)) == 1
-    assert density_class(job(0, 0, 1, 4)) == -2
-    assert density_class(job(0, 0, 3, 3)) == 0
+    for j, klass in ((job(0, 0, 6, 3), 1), (job(0, 0, 1, 4), -2), (job(0, 0, 3, 3), 0)):
+        assert ResidualJob(j, j.size_on(0)).density_class == klass
+        assert arrival_impact(j, [], F(1, 2)).density_class == klass
 
 
 def test_empty_active_only_self_term():
@@ -225,7 +225,7 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
         res = ResidualJob(j, size, m)
         assert res.density == j.density(m)
         assert (res.num, res.den) == j.density(m).as_integer_ratio()
-        assert res.density_class == density_class(j, m)
+        assert res.density_class == floor_log(j.density(m))
         assert res.key == (-j.density(m), j.release, j.id)
         res.remaining -= 1
         assert res.residual_weight == j.density(m) * (size - 1)
