@@ -23,10 +23,11 @@ from pathlib import Path
 from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import (HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
-from .core import InvalidInstance, JobNotRunnableOnMachine, ONE, Rational, validate_instance
+from .core import (Instance, InvalidInstance, JobNotRunnableOnMachine, ONE, Rational,
+                   validate_instance)
 from .dispatch import MultiTrace, each_trace, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
-                      format_trace, generate, parse_trace, serialize_trace)
+                      generate, parse_trace, serialize_trace)
 from .scheduler import run
 
 USAGE_ERROR = 2
@@ -83,7 +84,7 @@ class _Writer:
             sys.stdout.write(text)
 
 
-def _load_instance(args) -> "Instance":
+def _load_instance(args) -> Instance:
     """The validated instance in ``args.trace``, re-validated only when
     ``--epsilon`` or ``--machines`` replaced a field."""
     instance = parse_trace(args.trace)

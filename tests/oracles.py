@@ -6,9 +6,11 @@ prices it on its own, ``fractional_flow_plan`` prices every plan slot,
 every (job, time) pair one at a time. They are the definitions the fast
 versions in ``flowsched`` must reproduce exactly.
 
-The offline references: ``transport_opt_full`` solves the time-indexed
-relaxation with arcs to every slot of the horizon, the check on
-``transport_opt``'s windows; ``brute_force_nonpreemptive`` enumerates
+The offline references: ``preemptive_hdf`` rescans every job in every
+slot; ``busy_period_end`` walks one job's denser set in release order, the
+check on ``transport_opt``'s windows; ``transport_opt_full`` solves the
+time-indexed relaxation with arcs to every slot of the horizon, the check
+that those windows keep the optimum; ``brute_force_nonpreemptive`` enumerates
 every processing order of a tiny instance; ``validate_schedule`` checks a
 fractional schedule's capacities, releases and sizes; and
 ``lower_bound_check`` tests the two impact inequalities against the
@@ -142,6 +144,60 @@ class TooLarge(ValueError):
 
 class TooLargeForOracle(ValueError):
     pass
+
+
+def preemptive_hdf(jobs: list[Job] | tuple[Job, ...],
+                   speed: Rational = ONE) -> FractionalSchedule:
+    """Slot-by-slot preemptive HDF at the given positive speed.
+
+    Each slot hands up to ``speed`` units to the densest released
+    unfinished jobs, splitting within the slot; ties break by earlier
+    release, then smaller id (same rule as the online engine).
+    """
+    if speed <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    jobs = tuple(jobs)
+    remaining = {j.id: Rational(j.size_on(0)) for j in jobs}
+    by_priority = sorted(jobs, key=lambda j: (-j.density(), j.release, j.id))
+    allocation: dict[tuple[int, int], Rational] = {}
+    unfinished = {j.id for j in jobs}
+    if not unfinished:
+        return FractionalSchedule(jobs, Rational(speed), allocation)
+    t = min(j.release for j in jobs)
+    while unfinished:
+        released = [j for j in by_priority if j.id in unfinished and j.release <= t]
+        if not released:
+            t = min(j.release for j in jobs if j.id in unfinished)
+            continue
+        capacity = Rational(speed)
+        for job in released:
+            if capacity <= 0:
+                break
+            amount = min(capacity, remaining[job.id])
+            allocation[(t, job.id)] = amount
+            remaining[job.id] -= amount
+            capacity -= amount
+            if remaining[job.id] == 0:
+                unfinished.discard(job.id)
+        t += 1
+    return FractionalSchedule(jobs, Rational(speed), allocation)
+
+
+def busy_period_end(jobs, job: Job, speed: Rational = ONE) -> Rational:
+    """End of the busy period that contains ``job.release`` when a machine
+    of the given speed serves only the jobs at least as dense as ``job``."""
+    denser = sorted((j for j in jobs if j.density() >= job.density()),
+                    key=lambda j: j.release)
+    end = None
+    for other in denser:
+        if end is not None and other.release >= end:
+            if end > job.release:
+                break
+            end = None
+        if end is None:
+            end = Rational(other.release)
+        end += Rational(other.size_on(0)) / speed
+    return end
 
 
 def validate_schedule(sched: FractionalSchedule) -> None:

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from flowsched import (FractionalSchedule, HorizonTooShort, WorkloadModel,
                        default_horizon, generate, lp_cost, preemptive_hdf, transport_opt)
+from flowsched import baselines
 from flowsched.core import ZERO
 
+import oracles
 from conftest import job
 from oracles import (TooLarge, brute_force_nonpreemptive, transport_opt_full,
                      validate_schedule)
 
 F = Fraction
+SPEEDS = (F(1, 2), F(3, 4), F(1), F(5, 4), F(2))
 
 
 def test_hdf_runs_denser_job_first():
@@ -91,15 +94,86 @@ def test_default_horizon_always_feasible():
     assert transport_opt(jobs, speed=F(5, 4), horizon=h) is not None
 
 
-def random_jobs(seed, n):
-    inst = generate(WorkloadModel(kind="uniform", n=n, seed=seed, max_release=6,
+def random_jobs(seed, n, max_release=6):
+    inst = generate(WorkloadModel(kind="uniform", n=n, seed=seed, max_release=max_release,
                                   max_size=6, max_weight=9))
     return inst.jobs
 
 
 @settings(max_examples=50)
-@given(st.integers(0, 10 ** 6), st.integers(1, 7),
-       st.sampled_from([F(1, 2), F(3, 4), F(1), F(5, 4), F(2)]))
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40),
+       st.sampled_from(SPEEDS))
+def test_heap_hdf_matches_the_rescanning_oracle(seed, n, max_release, speed):
+    jobs = random_jobs(seed, n, max_release)
+    expected = oracles.preemptive_hdf(jobs, speed=speed).allocation
+    assert preemptive_hdf(jobs, speed=speed).allocation == expected
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40),
+       st.sampled_from(SPEEDS))
+def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release, speed):
+    jobs = list(random_jobs(seed, n, max_release))
+    densities = [j.density() for j in jobs]
+    assert baselines._busy_period_ends(jobs, densities, speed) == [
+        oracles.busy_period_end(jobs, j, speed) for j in jobs]
+
+
+def lp_windows(monkeypatch, jobs, speed=F(1)):
+    """Each job's slots in the graph ``transport_opt`` hands to the solver."""
+    graphs = []
+    solve = baselines.nx.network_simplex
+    monkeypatch.setattr(baselines.nx, "network_simplex",
+                        lambda graph: graphs.append(graph) or solve(graph))
+    value = transport_opt(jobs, speed=speed)
+    assert len(graphs) == 1
+    windows = {j.id: [] for j in jobs}
+    for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in jobs):
+        windows[jid].append(t)
+    return value, windows
+
+
+def last_hdf_slots(sched):
+    last = {}
+    for t, jid in sched.allocation:
+        last[jid] = max(last.get(jid, t), t)
+    return last
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(0, 30),
+       st.sampled_from(SPEEDS))
+def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release, speed):
+    # a job of unique density is the last of its denser set that HDF serves,
+    # so its busy period ends in its last HDF slot; a tie can only lengthen it
+    jobs = random_jobs(seed, n, max_release)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        value, windows = lp_windows(monkeypatch, jobs, speed)
+    sched = preemptive_hdf(jobs, speed=speed)
+    assert value == lp_cost(sched)
+    last = last_hdf_slots(sched)
+    densities = [j.density() for j in jobs]
+    for j in jobs:
+        assert windows[j.id] == list(range(j.release, windows[j.id][-1] + 1))
+        if densities.count(j.density()) == 1:
+            assert windows[j.id][-1] == last[j.id]
+        else:
+            assert windows[j.id][-1] >= last[j.id]
+
+
+def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
+    # equal densities: HDF runs the earlier job 1 in slots 0-1 first, so the
+    # later job 0 (smaller id) must still reach slot 2
+    jobs = (job(1, 0, 2, 2), job(0, 1, 1, 1))
+    value, windows = lp_windows(monkeypatch, jobs)
+    assert windows == {1: [0, 1, 2], 0: [1, 2]}
+    sched = preemptive_hdf(jobs)
+    assert sched.allocation == {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1)}
+    assert value == lp_cost(sched) == F(9, 2)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.sampled_from(SPEEDS))
 def test_windowed_arcs_match_full_horizon(seed, n, speed):
     jobs = random_jobs(seed, n)
     assert transport_opt(jobs, speed=speed) == transport_opt_full(jobs, speed=speed)
@@ -109,7 +183,7 @@ def test_windowed_arcs_match_full_horizon(seed, n, speed):
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_hdf_attains_the_transport_optimum(seed, n):
     jobs = random_jobs(seed, n)
-    for speed in (F(1, 2), F(3, 4), F(1), F(5, 4), F(2)):
+    for speed in SPEEDS:
         sched = preemptive_hdf(jobs, speed=speed)
         validate_schedule(sched)
         assert lp_cost(sched) == transport_opt(jobs, speed=speed)

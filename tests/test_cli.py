@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from flowsched import WorkloadModel, generate, serialize_trace
+from flowsched import WorkloadModel, generate, parse_trace, preemptive_hdf, serialize_trace
 from flowsched import cli
 from flowsched.cli import main
 from flowsched.scheduler import ArrivalInPast
@@ -157,6 +157,17 @@ def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
     assert rc == cli.USAGE_ERROR
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("speed", ["1", "5/4", "2"])
+def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file, speed):
+    sched = preemptive_hdf(parse_trace(trace_file).jobs, speed=Fraction(speed))
+    makespan = max(t for t, _ in sched.allocation) + 1
+    argv = ["baseline", "--trace", trace_file, "--speed", speed, "--horizon"]
+    assert run_cli(capsys, argv + [makespan]) == (0, "")
+    rc, err = run_cli(capsys, argv + [makespan - 1])
+    assert rc == cli.USAGE_ERROR
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, validations", [

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 import flowsched
 from flowsched import MachineScheduler, WorkloadModel, generate, run
-from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, ArrivalInPast,
-                                 EVENT_DELAYED_REJECT, EVENT_IMMEDIATE_REJECT,
-                                 EVENT_PLAN_COMPLETE, EVENT_PROMOTED,
-                                 EVENT_REAL_COMPLETE, TERMINAL_EVENTS)
+from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, EVENT_DELAYED_REJECT,
+                                 EVENT_PROMOTED, EVENT_REAL_COMPLETE, TERMINAL_EVENTS)
 
 from conftest import job, make_instance
 
