@@ -1,6 +1,6 @@
 """Online non-preemptive weighted flow-time scheduling with job rejection.
 
-Discrete-slot simulator, exact offline baselines, and a dual-fitting
+Event-driven simulator, exact offline baselines, and a dual-fitting
 verifier, all in exact rational arithmetic.
 """
 
@@ -17,7 +17,7 @@ from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel
 from .impact import ArrivalImpact, arrival_impact, floor_log
 from .rejection import (BucketReport, ImmediateDecision, MinusKey, PlusKey,
                         RejectionTables, bucket_keys)
-from .scheduler import Event, MachineScheduler, ScheduleTrace, Slot, run
+from .scheduler import Event, MachineScheduler, Run, ScheduleTrace, Slot, run
 
 __all__ = [
     "ArrivalImpact", "BadParameters", "BucketReport", "DispatchDecision",
@@ -25,7 +25,7 @@ __all__ = [
     "ImmediateDecision", "Instance", "InvalidInstance", "Job",
     "JobNotRunnableOnMachine", "MachineScheduler", "MalformedLine", "Metrics",
     "MinusKey", "MissingHeader", "MultiTrace", "NoEligibleMachine", "PlusKey",
-    "Rational", "RejectionAudit", "RejectionTables", "ResidualJob",
+    "Rational", "RejectionAudit", "RejectionTables", "ResidualJob", "Run",
     "ScheduleTrace", "Slot", "WorkloadModel", "arrival_impact",
     "audit_rejections", "beta_series", "bucket_keys", "compute_metrics",
     "default_horizon", "dispatch", "floor_log", "format_trace",

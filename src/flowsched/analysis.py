@@ -58,16 +58,18 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
 
     A unit processed in slot [s, s+1) contributes ``rho (s - r + 1/2)``:
     it waited s - r at full residual and drained linearly within the slot.
-    Over a job's k plan slots that sums to ``rho (sum s - k r + k/2)``,
-    priced once per job from an integer sum.
+    Over a run [a, b) of k = b - a slots that sums to
+    ``rho k (a + b - 2 r) / 2``, so each job is priced once, from an
+    integer sum over its runs.
     """
     by_id = _jobs_by_id(instance)
-    total = ZERO
-    for jid, slots in trace.plan_slots().items():
-        job = by_id[jid]
-        k = len(slots)
-        total += job.density(trace.machine) * (sum(slots) - k * job.release + HALF * k)
-    return total
+    doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
+    for run in trace.runs:
+        release = by_id[run.plan].release
+        doubled[run.plan] = doubled.get(run.plan, 0) \
+            + (run.end - run.start) * (run.start + run.end - 2 * release)
+    return sum((by_id[jid].density(trace.machine) * HALF * units
+                for jid, units in doubled.items()), start=ZERO)
 
 
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
@@ -110,9 +112,9 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     after arrival processing (new arrivals count at full weight).
 
     beta is a running total: it gains w_j at each kept job's release and
-    loses the density of the plan's job after each slot, so one pass over
-    releases and slots builds it. A job's residual weight reaches exactly
-    zero at its plan completion.
+    loses the density of the plan's job after each slot of its runs, so
+    one pass over releases and runs builds it. A job's residual weight
+    reaches exactly zero at its plan completion.
     """
     by_id = _jobs_by_id(instance)
     steps = [ZERO] * (trace.horizon() + 1)    # beta_t - beta_{t-1}
@@ -121,8 +123,10 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
         job = by_id[jid]
         steps[job.release] += job.weight
         densities[jid] = job.density(trace.machine)
-    for slot in trace.slots:
-        steps[slot.t + 1] -= densities[slot.plan]
+    for run in trace.runs:
+        rho = densities[run.plan]
+        for t in range(run.start + 1, run.end + 1):
+            steps[t] -= rho
     return list(accumulate(steps))
 
 

@@ -1,10 +1,11 @@
 """Multi-machine orchestration.
 
 Each arriving job is immediately and irrevocably assigned to one machine,
-then the per-machine engines run independently. The dispatch rule is
-greedy minimum impact: send the job where it would inflate fractional
-flow time the least right now (the marginal-increase principle), breaking
-ties toward the smaller machine index. Rejection tables are per machine.
+then the per-machine engines run independently between arrivals. The
+dispatch rule is greedy minimum impact: send the job where it would
+inflate fractional flow time the least right now (the marginal-increase
+principle), breaking ties toward the smaller machine index. Rejection
+tables are per machine.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
 
 
 def run_multi(instance: Instance) -> MultiTrace:
-    """Dispatch every arrival, then drive all machines in lock-step slots.
+    """Dispatch every arrival, and run each machine up to every release.
 
     With a single machine this reduces to :func:`flowsched.scheduler.run`
     bit for bit; both share :func:`flowsched.scheduler.drive`.

@@ -1,33 +1,35 @@
 """Single-machine online engine.
 
-The engine advances in unit slots and maintains two coupled schedules:
+The engine maintains two coupled schedules:
 
-* the *plan*: picks a job every slot and eventually finishes every job it
-  admits. A job that started running is never preempted unless it has been
-  marked preemptible; marked jobs compete under plain HDF.
-* the *real* schedule: mirrors the plan slot by slot, but idles whenever
-  the plan runs a job that has been marked preemptible. Such jobs count as
-  rejected at the moment they were marked (their departure time), so the
-  real schedule is non-preemptive and rejection-only.
+* the *plan*: eventually finishes every job it admits. A job that started
+  running is never preempted unless it has been marked preemptible; marked
+  jobs compete under plain HDF.
+* the *real* schedule: mirrors the plan, but idles whenever the plan runs a
+  job that has been marked preemptible. Such jobs count as rejected at the
+  moment they were marked (their departure time), so the real schedule is
+  non-preemptive and rejection-only.
 
-Per integer time t, in order: (1) each arrival is scored against the
-active set and offered to the rejection tables; (2) after every arrival
-the currently running job is checked for marking: it is marked once the
-weight released since its run began exceeds weight/epsilon (strictly);
-(3) a job is chosen for the slot [t, t+1): a mid-run unmarked job
+Decisions change only at events. At an arrival at integer time t, in input
+order: (1) the job is scored against the active set and offered to the
+rejection tables; (2) the currently running job is checked for marking: it
+is marked once the weight released since its run began exceeds
+weight/epsilon (strictly). Simultaneous arrivals repeat (1)-(2) one at a
+time, so a marking can fire mid-batch and later same-time arrivals see it.
+(3) Between events the plan runs one job: a mid-run unmarked job
 continues, otherwise the densest active job wins (ties: earlier release,
-then smaller id).
-
-Simultaneous arrivals are handled in input order and steps (1)-(2) are
-iterated per arrival, so a marking can fire mid-batch and later same-time
-arrivals see it.
+then smaller id). It keeps running until it completes or the next release,
+whichever comes first, so the engine advances one segment per step and
+stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
+as the :attr:`ScheduleTrace.slots` view that ``simulate`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Instance, Job, Rational, ResidualJob, ZERO, validate_instance
 from .impact import ArrivalImpact, arrival_impact
@@ -47,11 +49,23 @@ ARRIVAL_ACTIVATED = "activated"
 
 class DriverContractError(ValueError):
     """The driver called the engine out of order: an arrival delivered off
-    the clock, or a skip over active jobs or back in time."""
+    the clock, a skip over active jobs or back in time, or a segment asked
+    to stop at or before the clock."""
 
 
 class ArrivalInPast(DriverContractError):
     """A job was delivered after the scheduler clock passed its release."""
+
+
+class Run(NamedTuple):
+    """The plan ran job ``plan`` over [start, end); ``real`` is the same job,
+    or None where the real schedule idled because the job was marked. A
+    tuple, because the engine makes one per segment and a frozen dataclass
+    costs about four times as much to build."""
+    start: int
+    end: int
+    plan: int
+    real: int | None
 
 
 @dataclass(frozen=True)
@@ -77,19 +91,23 @@ class Event:
 class ScheduleTrace:
     """Complete, replayable record of one machine's run.
 
-    ``events`` is the only record of each job's fate, and ``decisions``
-    (kept in arrival order) of which jobs arrived. ``arrivals``,
-    ``departure``, ``completion_real``, ``completion_plan`` and
-    ``promoted_at`` are read-only views rebuilt from them on every access,
-    so bind one to a local before a loop. ``departure[j]`` is the
-    completion time for jobs the real schedule finishes, the release time
-    for immediate rejections, and the marking time for delayed rejections.
-    Every delivered job has exactly one terminal event.
+    ``runs`` is the only record of processing: one :class:`Run` per
+    segment between events, in time order. ``slots`` is a read-only view
+    that expands them into unit slots on every access; only ``simulate``,
+    which prints every slot, needs it. ``events`` is the only record of
+    each job's fate, and ``decisions`` (kept in arrival order) of which
+    jobs arrived. ``arrivals``, ``departure``, ``completion_real``,
+    ``completion_plan`` and ``promoted_at`` are read-only views rebuilt
+    from them on every access, so bind one to a local before a loop.
+    ``departure[j]`` is the completion time for jobs the real schedule
+    finishes, the release time for immediate rejections, and the marking
+    time for delayed rejections. Every delivered job has exactly one
+    terminal event.
     """
 
     machine: int
     epsilon: Rational
-    slots: list[Slot] = field(default_factory=list)
+    runs: list[Run] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     impacts: dict[int, ArrivalImpact] = field(default_factory=dict)
     decisions: dict[int, ImmediateDecision] = field(default_factory=dict)
@@ -113,16 +131,14 @@ class ScheduleTrace:
     def kept(self) -> list[int]:
         return [jid for jid in self.arrivals if not self.decisions[jid].reject]
 
-    def plan_slots(self) -> dict[int, list[int]]:
-        """Slot start times the plan spent on each job, in order."""
-        out: dict[int, list[int]] = {}
-        for slot in self.slots:
-            out.setdefault(slot.plan, []).append(slot.t)
-        return out
+    @property
+    def slots(self) -> list[Slot]:
+        return [Slot(t, run.plan, run.real)
+                for run in self.runs for t in range(run.start, run.end)]
 
     def horizon(self) -> int:
         """First time by which the machine is provably empty."""
-        end = self.slots[-1].t + 1 if self.slots else 0
+        end = self.runs[-1].end if self.runs else 0
         return max([end, *self.departure.values()])
 
 
@@ -133,6 +149,9 @@ class MachineScheduler:
         self.machine = machine
         self.epsilon = epsilon
         self.clock = 0
+        # a segment never runs past this time; the driver sets it to the
+        # next release, and None runs the chosen job to completion
+        self.stop: int | None = None
         self.active: dict[int, ResidualJob] = {}
         self.preemptible: set[int] = set()
         self.tables = RejectionTables(epsilon)
@@ -194,41 +213,46 @@ class MachineScheduler:
         self.run_job = None
         return event
 
-    # -- step 3: slot selection -------------------------------------------
+    # -- step 3: one segment ----------------------------------------------
 
     def select_slot(self) -> int | None:
-        """Run one slot [clock, clock+1); returns the job the plan ran."""
+        """Run the plan from the clock until its job completes or until
+        ``stop``, whichever comes first; returns the job the plan ran, or
+        None if the machine is empty."""
         t = self.clock
         if self.run_job is not None:
             chosen = self.run_job  # non-preemption: an unmarked run continues
         else:
             if not self.active:
-                self.last_slot_job = None
-                self.clock = t + 1
                 return None
             chosen = min(self.active.values(), key=attrgetter("key")).job.id
             if chosen not in self.preemptible:
                 self.run_job = chosen
                 self.run_released = ZERO
 
+        res = self.active[chosen]
+        end = t + res.remaining
+        if self.stop is not None and self.stop < end:
+            end = self.stop
+        if end <= t:
+            raise DriverContractError(f"stop time {self.stop} is not after clock {t}")
         tr = self._trace
         mirrored = chosen not in self.preemptible
-        tr.slots.append(Slot(t, chosen, chosen if mirrored else None))
+        tr.runs.append(Run(t, end, chosen, chosen if mirrored else None))
 
-        res = self.active[chosen]
-        res.remaining -= 1
+        res.remaining -= end - t
         if res.remaining == 0:
             del self.active[chosen]
-            tr.events.append(Event(t + 1, chosen, EVENT_PLAN_COMPLETE))
-            if chosen not in self.preemptible:
-                tr.events.append(Event(t + 1, chosen, EVENT_REAL_COMPLETE))
+            tr.events.append(Event(end, chosen, EVENT_PLAN_COMPLETE))
+            if mirrored:
+                tr.events.append(Event(end, chosen, EVENT_REAL_COMPLETE))
             if self.run_job == chosen:
                 self.run_job = None
             # a finished job can no longer be marked or charged against
             self.last_slot_job = None
         else:
             self.last_slot_job = chosen
-        self.clock = t + 1
+        self.clock = end
         return chosen
 
     # -- driver helpers ----------------------------------------------------
@@ -265,19 +289,24 @@ def run(instance: Instance, machine: int = 0) -> ScheduleTrace:
 def drive(jobs: Sequence[Job], machines: Sequence[MachineScheduler],
           route: Callable[[Job, Sequence[MachineScheduler]], int]) -> list[ScheduleTrace]:
     """Deliver each job at its release to ``machines[route(job, machines)]``,
-    one arrival at a time in input order (sorted by release), and run all
-    machines in lock-step slots until every one is empty. The shared clock
-    skips gaps where all idle and never passes an undelivered arrival."""
-    i, n = 0, len(jobs)
-    while i < n or any(s.active for s in machines):
-        if i < n and jobs[i].release > machines[0].clock \
-                and not any(s.active for s in machines):
-            for sched in machines:
-                sched.skip_to(jobs[i].release)
-        t = machines[0].clock
-        while i < n and jobs[i].release == t:
-            machines[route(jobs[i], machines)].on_arrival(jobs[i])
-            i += 1
+    one arrival at a time in input order (sorted by release), then run every
+    machine until it is empty.
+
+    Before the arrivals at time t, each machine is brought to t on its own:
+    by segments that stop at t, or by a skip once it is empty. Machines
+    share no clock; they interact only through ``route`` at arrivals.
+    """
+    for t, batch in groupby(jobs, key=attrgetter("release")):
         for sched in machines:
+            sched.stop = t
+            while sched.active and sched.clock < t:
+                sched.select_slot()
+            if sched.clock < t:
+                sched.skip_to(t)
+        for job in batch:
+            machines[route(job, machines)].on_arrival(job)
+    for sched in machines:
+        sched.stop = None
+        while sched.active:
             sched.select_slot()
     return [s.finish_trace() for s in machines]

@@ -6,6 +6,12 @@ prices it on its own, ``fractional_flow_plan`` prices every plan slot,
 every (job, time) pair one at a time. They are the definitions the fast
 versions in ``flowsched`` must reproduce exactly.
 
+The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
+``slot_run_multi``, steps every machine one unit slot at a time in
+lock-step and records each slot as a unit :class:`Run`; the event-driven
+engine must produce the same slots, events, impacts and decisions.
+``plan_slots`` lists each job's plan slots for the per-slot references.
+
 The offline references: ``preemptive_hdf`` rescans every job in every
 slot; ``busy_period_end`` walks one job's denser set in release order, the
 check on ``transport_opt``'s windows; ``transport_opt_full`` solves the
@@ -22,16 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
 from flowsched.analysis import DualCertificate, _jobs_by_id
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
-from flowsched.core import HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO
-from flowsched.dispatch import MultiTrace, each_trace
+from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO,
+                            validate_instance)
+from flowsched.dispatch import DispatchDecision, MultiTrace, dispatch, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet, floor_log
-from flowsched.scheduler import ScheduleTrace
+from flowsched.rejection import RejectionTables
+from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
+                                 EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
+                                 EVENT_PROMOTED, EVENT_REAL_COMPLETE, ArrivalInPast,
+                                 DriverContractError, Event, Run, ScheduleTrace)
 
 
 def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
@@ -74,7 +86,7 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     a unit processed in [s, s+1) contributes ``rho (s - r + 1/2)``."""
     by_id = _jobs_by_id(instance)
     total = ZERO
-    for jid, slots in trace.plan_slots().items():
+    for jid, slots in plan_slots(trace).items():
         job = by_id[jid]
         rho = job.density(trace.machine)
         for s in slots:
@@ -88,7 +100,7 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     by_id = _jobs_by_id(instance)
     horizon = trace.horizon()
     betas = [ZERO] * (horizon + 1)
-    slots = trace.plan_slots()
+    slots = plan_slots(trace)
     completions = trace.completion_plan
     for jid in trace.kept:
         job = by_id[jid]
@@ -133,6 +145,193 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
     return DualCertificate(trace.machine, alphas, tuple(betas),
                            not violations, objective, Rational(speedup),
                            tuple(violations))
+
+
+# -- the per-slot engine ---------------------------------------------------------
+
+
+def plan_slots(trace: ScheduleTrace) -> dict[int, list[int]]:
+    """Slot start times the plan spent on each job, in order."""
+    out: dict[int, list[int]] = {}
+    for slot in trace.slots:
+        out.setdefault(slot.plan, []).append(slot.t)
+    return out
+
+
+class SlotScheduler:
+    """The per-slot engine: one :meth:`select_slot` call per unit slot.
+    It scores arrivals with the per-job ``arrival_impact`` above."""
+
+    def __init__(self, epsilon: Rational, machine: int = 0):
+        self.machine = machine
+        self.epsilon = epsilon
+        self.clock = 0
+        self.active: dict[int, ResidualJob] = {}
+        self.preemptible: set[int] = set()
+        self.tables = RejectionTables(epsilon)
+        # current uninterrupted run of an unmarked job
+        self.run_job: int | None = None
+        self.run_released: Rational = ZERO
+        # job processed in [clock-1, clock), None after idling or a completion
+        self.last_slot_job: int | None = None
+        self._trace = ScheduleTrace(machine=machine, epsilon=epsilon)
+
+    # -- step 1: arrivals ------------------------------------------------
+
+    def on_arrival(self, job: Job) -> str:
+        """Score, admit or reject, and book-keep one arriving job."""
+        if job.release != self.clock:
+            error = ArrivalInPast if job.release < self.clock else DriverContractError
+            raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
+        tr = self._trace
+
+        impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
+        decision = self.tables.admit(job, impact, self.machine)
+        tr.impacts[job.id] = impact
+        tr.decisions[job.id] = decision
+
+        if self.last_slot_job is not None and self.last_slot_job not in self.preemptible:
+            tr.phi[job.id] = self.last_slot_job
+
+        if decision.reject:
+            tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
+            outcome = ARRIVAL_REJECTED
+        else:
+            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine)
+            outcome = ARRIVAL_ACTIVATED
+
+        # released weight counts toward the current run whether or not the
+        # arrival survived; the marking budget charges all released weight
+        if self.run_job is not None:
+            self.run_released += job.weight
+        self.promote_check()
+        return outcome
+
+    # -- step 2: marking -------------------------------------------------
+
+    def promote_check(self) -> Event | None:
+        """Mark the running job preemptible if its run accumulated enough
+        released weight (strictly more than weight/epsilon)."""
+        if self.run_job is None:
+            return None
+        runner = self.active[self.run_job]
+        if self.run_released <= runner.job.weight / self.epsilon:
+            return None
+        jid = self.run_job
+        tr = self._trace
+        self.preemptible.add(jid)
+        event = Event(self.clock, jid, EVENT_PROMOTED)
+        tr.events.append(event)
+        # the real schedule gives up on the job right here
+        tr.events.append(Event(self.clock, jid, EVENT_DELAYED_REJECT))
+        self.run_job = None
+        return event
+
+    # -- step 3: slot selection -------------------------------------------
+
+    def select_slot(self) -> int | None:
+        """Run one slot [clock, clock+1); returns the job the plan ran."""
+        t = self.clock
+        if self.run_job is not None:
+            chosen = self.run_job  # non-preemption: an unmarked run continues
+        else:
+            if not self.active:
+                self.last_slot_job = None
+                self.clock = t + 1
+                return None
+            chosen = min(self.active.values(), key=attrgetter("key")).job.id
+            if chosen not in self.preemptible:
+                self.run_job = chosen
+                self.run_released = ZERO
+
+        tr = self._trace
+        mirrored = chosen not in self.preemptible
+        tr.runs.append(Run(t, t + 1, chosen, chosen if mirrored else None))
+
+        res = self.active[chosen]
+        res.remaining -= 1
+        if res.remaining == 0:
+            del self.active[chosen]
+            tr.events.append(Event(t + 1, chosen, EVENT_PLAN_COMPLETE))
+            if chosen not in self.preemptible:
+                tr.events.append(Event(t + 1, chosen, EVENT_REAL_COMPLETE))
+            if self.run_job == chosen:
+                self.run_job = None
+            # a finished job can no longer be marked or charged against
+            self.last_slot_job = None
+        else:
+            self.last_slot_job = chosen
+        self.clock = t + 1
+        return chosen
+
+    # -- driver helpers ----------------------------------------------------
+
+    def skip_to(self, t: int) -> None:
+        """Advance over an idle gap (no active jobs)."""
+        if self.active or t < self.clock:
+            raise DriverContractError(
+                f"cannot skip from {self.clock} to {t} with {len(self.active)} active jobs")
+        self.clock = t
+        self.last_slot_job = None
+
+    def finish_trace(self) -> ScheduleTrace:
+        tr = self._trace
+        tr.table_report = self.tables.audit()
+        return tr
+
+
+def slot_run(instance: Instance, machine: int = 0) -> ScheduleTrace:
+    """Drive the online engine over a (single-machine view of an) instance.
+
+    Every job must be runnable on ``machine``. Deterministic for a fixed
+    input order; the returned trace satisfies all structural invariants
+    (mirror property, one terminal event per job, non-preemptive real
+    schedule).
+    """
+    inst = validate_instance(instance)
+    for job in inst.jobs:
+        job.size_on(machine)  # raises JobNotRunnableOnMachine early
+    sched = SlotScheduler(inst.epsilon, machine)
+    return slot_drive(inst.jobs, [sched], lambda job, machines: 0)[0]
+
+
+def slot_drive(jobs: Sequence[Job], machines: Sequence[SlotScheduler],
+               route: Callable[[Job, Sequence[SlotScheduler]], int]) -> list[ScheduleTrace]:
+    """Deliver each job at its release to ``machines[route(job, machines)]``,
+    one arrival at a time in input order (sorted by release), and run all
+    machines in lock-step slots until every one is empty. The shared clock
+    skips gaps where all idle and never passes an undelivered arrival."""
+    i, n = 0, len(jobs)
+    while i < n or any(s.active for s in machines):
+        if i < n and jobs[i].release > machines[0].clock \
+                and not any(s.active for s in machines):
+            for sched in machines:
+                sched.skip_to(jobs[i].release)
+        t = machines[0].clock
+        while i < n and jobs[i].release == t:
+            machines[route(jobs[i], machines)].on_arrival(jobs[i])
+            i += 1
+        for sched in machines:
+            sched.select_slot()
+    return [s.finish_trace() for s in machines]
+
+
+def slot_run_multi(instance: Instance) -> MultiTrace:
+    """Dispatch every arrival, then drive all machines in lock-step slots.
+
+    With a single machine this reduces to :func:`slot_run` bit for bit;
+    both share :func:`slot_drive`.
+    """
+    inst = validate_instance(instance)
+    machines = [SlotScheduler(inst.epsilon, i) for i in range(inst.machines)]
+    decisions: list[DispatchDecision] = []
+
+    def route(job: Job, machines: Sequence[SlotScheduler]) -> int:
+        decision = dispatch(job, machines)
+        decisions.append(decision)
+        return decision.machine
+
+    return MultiTrace(slot_drive(inst.jobs, machines, route), decisions)
 
 
 # -- offline references ---------------------------------------------------------

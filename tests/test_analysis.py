@@ -10,7 +10,7 @@ from flowsched import (WorkloadModel, audit_rejections, beta_series,
 from flowsched.analysis import fractional_flow_plan
 
 from conftest import job, make_instance
-from oracles import TooLargeForOracle, lower_bound_check
+from oracles import TooLargeForOracle, lower_bound_check, plan_slots
 
 F = Fraction
 
@@ -32,7 +32,7 @@ def test_delayed_start_fractional_flow():
     # released at 0 but run in [2, 4): w (s - r) + w p / 2 = 3
     inst = make_instance([job(0, 0, 3, 2), job(1, 0, 1, 2)])
     trace = run(inst)
-    assert trace.plan_slots()[1] == [2, 3]
+    assert plan_slots(trace)[1] == [2, 3]
     by_job = fractional_flow_plan(trace, inst)
     assert by_job == (3 * 1) + (1 * 2 + 1)  # dense job 3, sparse job 2+1
 
@@ -142,7 +142,7 @@ def test_claim_identities_for_completed_jobs(seed):
     inst = suite_instance(seed)
     trace = run(inst)
     by_id = {j.id: j for j in inst.jobs}
-    slots = trace.plan_slots()
+    slots = plan_slots(trace)
     for jid, completion in trace.completion_real.items():
         j = by_id[jid]
         p = j.size_on(0)

@@ -21,7 +21,7 @@ from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generat
 from flowsched.dispatch import each_trace
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
-                                 EVENT_REAL_COMPLETE, Event, ScheduleTrace, Slot)
+                                 EVENT_REAL_COMPLETE, Event, Run, ScheduleTrace)
 
 import oracles
 from conftest import job, make_instance
@@ -121,7 +121,7 @@ def hand_built(alphas):
                  for jid in (0, 1, 2)}
     events = [Event(0, 0, EVENT_IMMEDIATE_REJECT), Event(1, 2, EVENT_IMMEDIATE_REJECT),
               Event(2, 1, EVENT_PLAN_COMPLETE), Event(2, 1, EVENT_REAL_COMPLETE)]
-    built = replace(trace, slots=[Slot(0, 1, 1), Slot(1, 1, 1)], events=events,
+    built = replace(trace, runs=[Run(0, 2, 1, 1)], events=events,
                     decisions=decisions)
     return with_alphas(built, alphas), inst
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import flowsched
 from flowsched import MachineScheduler, WorkloadModel, generate, run
-from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, EVENT_DELAYED_REJECT,
-                                 EVENT_PROMOTED, EVENT_REAL_COMPLETE, TERMINAL_EVENTS)
+from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, DriverContractError,
+                                 EVENT_DELAYED_REJECT, EVENT_PROMOTED, EVENT_REAL_COMPLETE,
+                                 TERMINAL_EVENTS)
 
+import oracles
 from conftest import job, make_instance
 
 F = Fraction
@@ -70,11 +72,13 @@ def test_hdf_tiebreak_earlier_release_first():
 def test_promotion_threshold_is_strict():
     sched = MachineScheduler(F(1, 2))
     sched.on_arrival(job(0, 0, 1, 10))
+    sched.stop = 1
     sched.select_slot()
     # exactly w/eps = 2 released: no marking
     assert sched.on_arrival(job(1, 1, 2, 1)) == ARRIVAL_ACTIVATED
     assert sched.promote_check() is None
     assert not sched.preemptible
+    sched.stop = 2
     sched.select_slot()
     # one more sliver tips it
     sched.on_arrival(job(2, 2, F(1, 1000), 1))
@@ -91,20 +95,40 @@ def test_running_l_job_yields_to_densest_with_smaller_id():
     # the preemptible job keeps losing HDF to the denser pair, id order
     sched = MachineScheduler(F(1, 2))
     sched.on_arrival(job(0, 0, 1, 4))          # rho 1/4
+    sched.stop = 1
     sched.select_slot()
     sched.on_arrival(job(1, 1, F(3, 2), 1))    # rho 3/2
     sched.on_arrival(job(2, 1, F(3, 2), 1))    # rho 3/2, tips marking
     assert 0 in sched.preemptible
+    sched.stop = 2
     assert sched.select_slot() == 1
 
 
 def test_arrival_in_past_raises():
     sched = MachineScheduler(F(1, 2))
     sched.on_arrival(job(0, 0, 1, 2))
+    sched.stop = 1
     sched.select_slot()
     with pytest.raises(ArrivalInPast):
         sched.on_arrival(job(1, 0, 1, 2))
 
+
+
+def test_segment_runs_to_completion_or_stop():
+    sched = MachineScheduler(F(1, 2))
+    sched.on_arrival(job(0, 0, 1, 10))
+    sched.stop = 4
+    assert sched.select_slot() == 0
+    assert (sched.clock, sched.active[0].remaining) == (4, 6)
+    with pytest.raises(DriverContractError):
+        sched.select_slot()  # stop is not after the clock
+    assert sched.clock == 4 and len(sched._trace.runs) == 1
+    sched.stop = None
+    assert sched.select_slot() == 0
+    assert sched.clock == 10 and not sched.active
+    assert sched.select_slot() is None
+    assert [(r.start, r.end, r.plan, r.real) for r in sched._trace.runs] == [
+        (0, 4, 0, 0), (4, 10, 0, 0)]
 
 
 def test_driver_contracts_hold_under_optimize_flag():
@@ -152,6 +176,7 @@ def test_immediate_rejection_departs_at_release():
 def test_rejected_arrivals_still_count_toward_marking():
     sched = MachineScheduler(F(1, 2))
     sched.on_arrival(job(0, 0, 1, 10))
+    sched.stop = 1
     sched.select_slot()
     # hand the tables a qualifying stream so one of them rejects, while the
     # runner's budget (2) is crossed by total released weight anyway
@@ -256,7 +281,7 @@ def test_promoted_jobs_accrued_half_their_waiting_flow(inst):
     # w (l - r) / 2 for every marked job
     trace = run(inst)
     by_id = {j.id: j for j in inst.jobs}
-    plan_slots = trace.plan_slots()
+    plan_slots = oracles.plan_slots(trace)
     for jid, marked_at in trace.promoted_at.items():
         j = by_id[jid]
         slots = [s for s in plan_slots[jid] if s < marked_at]
