@@ -137,9 +137,13 @@ def cmd_simulate(args) -> int:
     for trace in each_trace(result):
         writer.emit("machine", index=trace.machine,
                     arrivals=",".join(map(str, trace.arrivals)) or "-")
-        for slot in trace.slots:
-            writer.emit("slot", machine=trace.machine, t=slot.t, plan=slot.plan,
-                        real=slot.real, idled=slot.idled)
+        # one line per unit slot, formatted straight from the runs; the
+        # same bytes as emitting each ScheduleTrace.slots entry
+        head = f"slot machine={trace.machine} t="
+        for seg in trace.runs:
+            tail = (f" plan={seg.plan} real=- idled=1" if seg.real is None
+                    else f" plan={seg.plan} real={seg.real} idled=0")
+            writer.lines.extend(f"{head}{t}{tail}" for t in range(seg.start, seg.end))
         for event in trace.events:
             writer.emit("event", machine=trace.machine, t=event.time,
                         job=event.job, kind=event.kind)

@@ -4,8 +4,10 @@ Each arriving job is immediately and irrevocably assigned to one machine,
 then the per-machine engines run independently between arrivals. The
 dispatch rule is greedy minimum impact: send the job where it would
 inflate fractional flow time the least right now (the marginal-increase
-principle), breaking ties toward the smaller machine index. Rejection
-tables are per machine.
+principle), breaking ties toward the smaller machine index. Machines are
+ranked by exact integer totals, and each arrival is fully scored once, on
+the machine it goes to; that machine admits or rejects it with this same
+impact. Rejection tables are per machine.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Instance, Job, Rational, validate_instance
-from .impact import arrival_impact
+from .impact import arrival_impact, impact_sums
 from .scheduler import MachineScheduler, ScheduleTrace, drive
 
 
@@ -44,18 +46,29 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
     """Pick the machine where the job's arrival impact is smallest.
 
     Reads only the machines' current active sets, so the decision depends
-    solely on state at the release time.
+    solely on state at the release time. Only the chosen machine gets a
+    full :func:`arrival_impact`, handed to its scheduler as ``scored``.
     """
-    best: tuple[Rational, int] | None = None
+    wn, wd = job.weight.numerator, job.weight.denominator
+    best: tuple[int, int, int] | None = None  # numerator, denominator, index
     for index, sched in enumerate(machines):
         if not job.runnable_on(index):
             continue
-        score = arrival_impact(job, sched.active.values(), sched.epsilon, index).total
-        if best is None or score < best[0]:
-            best = (score, index)
+        size = job.size_on(index)
+        _, denser, same_class, lower_class, den = impact_sums(
+            job, size, sched.active.values())
+        # 2*wd times the total is num/den (see arrival_impact); wd is the
+        # same on every machine, so these fractions rank the totals
+        num = wn * den * (2 * denser + size) + 2 * wd * size * (same_class + lower_class)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, index)
     if best is None:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
-    return DispatchDecision(job.id, best[1], best[0])
+    _, _, index = best
+    sched = machines[index]
+    impact = arrival_impact(job, sched.active.values(), sched.epsilon, index)
+    sched.scored = (job, impact)
+    return DispatchDecision(job.id, index, impact.total)
 
 
 def run_multi(instance: Instance) -> MultiTrace:

@@ -13,14 +13,17 @@ half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
 tables, and the total is reused as a per-job dual variable by the
 analysis module.
 
-The pass runs in ``int`` arithmetic on the density numerator and
-denominator each ``ResidualJob`` caches at activation. The ``rho_o >= rho``
-test is a cross-multiplication. ``S2`` and ``S3`` are integer numerators
-over one running common denominator, which grows by ``math.lcm`` only when
-an active job brings a denominator it does not already divide. Each output
-is built once as a ``Fraction``, and the rejection-table thresholds are
-decided by cross-multiplication, so the values are exactly those of
-``Fraction`` sums.
+The pass is one integer kernel, :func:`impact_sums`, on the density
+numerator and denominator each ``ResidualJob`` caches at activation. The
+``rho_o >= rho`` test is a cross-multiplication. ``S2`` and ``S3`` are
+integer numerators over one running common denominator, which grows by
+``math.lcm`` only when an active job brings a denominator it does not
+already divide. :func:`arrival_impact` builds each output once from these
+sums as a ``Fraction`` and decides the rejection-table thresholds by
+cross-multiplication, so the values are exactly those of ``Fraction``
+sums. Dispatch ranks machines on the same sums: it turns them into the
+total's unreduced numerator and denominator and compares totals by
+cross-multiplying, building no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -57,18 +60,16 @@ class ArrivalImpact:
     in_minus: bool
 
 
-def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
-                   machine: int = 0) -> ArrivalImpact:
-    """Compute the impact of ``job`` against the current active set.
+def impact_sums(job: Job, size: int,
+                active: Collection[ResidualJob]) -> tuple[int, int, int, int, int]:
+    """The one pass over ``active`` for ``job`` with processing time ``size``.
 
-    ``active`` must reflect the state the arrival actually sees: earlier
-    same-time arrivals included, the job itself excluded. It is read once,
-    through each job's cached density numerator, denominator and class.
+    Returns ``(density_class, S1, S2 * den, S3 * den, den)``: the arriving
+    job's class, the three aggregates as integers, and the common
+    denominator of ``S2`` and ``S3``.
     """
-    size = job.size_on(machine)
     jid = job.id
-    wn, wd = job.weight.numerator, job.weight.denominator
-    rn, rd = wn, wd * size  # rho = rn/rd, not necessarily in lowest terms
+    rn, rd = job.weight.numerator, job.weight.denominator * size  # rho, maybe unreduced
     klass = floor_log_ratio(rn, rd)
 
     denser = 0       # S1
@@ -92,6 +93,20 @@ def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
             same_class += weighted
         else:
             lower_class += weighted
+    return klass, denser, same_class, lower_class, den
+
+
+def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
+                   machine: int = 0) -> ArrivalImpact:
+    """Compute the impact of ``job`` against the current active set.
+
+    ``active`` must reflect the state the arrival actually sees: earlier
+    same-time arrivals included, the job itself excluded. It is read once,
+    by :func:`impact_sums`.
+    """
+    size = job.size_on(machine)
+    wn, wd = job.weight.numerator, job.weight.denominator
+    klass, denser, same_class, lower_class, den = impact_sums(job, size, active)
 
     # plus = w*S1 + p*S2 over wd*den; minus = p*S3 over den; w*p/2 over 2*wd
     plus = wn * denser * den + size * same_class * wd

@@ -21,7 +21,7 @@ continues, otherwise the densest active job wins (ties: earlier release,
 then smaller id). It keeps running until it completes or the next release,
 whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
-as the :attr:`ScheduleTrace.slots` view that ``simulate`` prints.
+in ``simulate``'s slot lines and the :attr:`ScheduleTrace.slots` view.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ class ScheduleTrace:
 
     ``runs`` is the only record of processing: one :class:`Run` per
     segment between events, in time order. ``slots`` is a read-only view
-    that expands them into unit slots on every access; only ``simulate``,
-    which prints every slot, needs it. ``events`` is the only record of
-    each job's fate, and ``decisions`` (kept in arrival order) of which
-    jobs arrived. ``arrivals``, ``departure``, ``completion_real``,
-    ``completion_plan`` and ``promoted_at`` are read-only views rebuilt
-    from them on every access, so bind one to a local before a loop.
-    ``departure[j]`` is the completion time for jobs the real schedule
-    finishes, the release time for immediate rejections, and the marking
-    time for delayed rejections. Every delivered job has exactly one
-    terminal event.
+    that expands them into unit slots on every access, for the tests;
+    ``simulate`` prints its slot lines from the runs. ``events`` is the
+    only record of each job's fate, and ``decisions`` (kept in arrival
+    order) of which jobs arrived. ``arrivals``, ``departure``,
+    ``completion_real``, ``completion_plan`` and ``promoted_at`` are
+    read-only views rebuilt from them on every access, so bind one to a
+    local before a loop. ``departure[j]`` is the completion time for jobs
+    the real schedule finishes, the release time for immediate
+    rejections, and the marking time for delayed rejections. Every
+    delivered job has exactly one terminal event.
     """
 
     machine: int
@@ -152,6 +152,9 @@ class MachineScheduler:
         # a segment never runs past this time; the driver sets it to the
         # next release, and None runs the chosen job to completion
         self.stop: int | None = None
+        # (job, impact) from dispatch, which scored the job here; the next
+        # on_arrival uses it only for that same job and clears it either way
+        self.scored: tuple[Job, ArrivalImpact] | None = None
         self.active: dict[int, ResidualJob] = {}
         self.preemptible: set[int] = set()
         self.tables = RejectionTables(epsilon)
@@ -165,13 +168,18 @@ class MachineScheduler:
     # -- step 1: arrivals ------------------------------------------------
 
     def on_arrival(self, job: Job) -> str:
-        """Score, admit or reject, and book-keep one arriving job."""
+        """Score (or take dispatch's ``scored`` impact of this job), admit
+        or reject, and book-keep one arriving job."""
         if job.release != self.clock:
             error = ArrivalInPast if job.release < self.clock else DriverContractError
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
         tr = self._trace
 
-        impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
+        scored, self.scored = self.scored, None
+        if scored is not None and scored[0] is job:
+            impact = scored[1]
+        else:
+            impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
         decision = self.tables.admit(job, impact, self.machine)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision

@@ -10,6 +10,8 @@ The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 ``slot_run_multi``, steps every machine one unit slot at a time in
 lock-step and records each slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions.
+``slot_run_multi`` routes with ``dispatch``, which scores every eligible
+machine in full with the ``arrival_impact`` above.
 ``plan_slots`` lists each job's plan slots for the per-slot references.
 
 The offline references: ``preemptive_hdf`` rescans every job in every
@@ -37,7 +39,7 @@ from flowsched.analysis import DualCertificate, _jobs_by_id
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO,
                             validate_instance)
-from flowsched.dispatch import DispatchDecision, MultiTrace, dispatch, each_trace
+from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet, floor_log
 from flowsched.rejection import RejectionTables
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
@@ -314,6 +316,21 @@ def slot_drive(jobs: Sequence[Job], machines: Sequence[SlotScheduler],
         for sched in machines:
             sched.select_slot()
     return [s.finish_trace() for s in machines]
+
+
+def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
+    """Pick the machine where the job's arrival impact is smallest, scoring
+    every eligible machine in full; ties go to the smaller index."""
+    best: tuple[Rational, int] | None = None
+    for index, sched in enumerate(machines):
+        if not job.runnable_on(index):
+            continue
+        score = arrival_impact(job, sched.active.values(), sched.epsilon, index).total
+        if best is None or score < best[0]:
+            best = (score, index)
+    if best is None:
+        raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
+    return DispatchDecision(job.id, best[1], best[0])
 
 
 def slot_run_multi(instance: Instance) -> MultiTrace:

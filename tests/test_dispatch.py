@@ -1,12 +1,15 @@
+import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine,
-                       WorkloadModel, dispatch, generate, run, run_multi,
+from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
+                       WorkloadModel, arrival_impact, dispatch, generate, run, run_multi,
                        validate_instance)
+
+import oracles
 
 F = Fraction
 
@@ -42,6 +45,7 @@ def test_dispatch_no_eligible_machine():
     machines = empty_machines(2)
     with pytest.raises(NoEligibleMachine):
         dispatch(mjob(0, 0, 1, (None, None)), machines)
+    assert all(s.scored is None for s in machines)
 
 
 def test_two_jobs_split_across_their_cheap_machines():
@@ -110,3 +114,107 @@ def test_per_machine_traces_keep_scheduler_invariants(seed, machines):
                 assert slot.real == slot.plan
         for jid in trace.arrivals:
             assert jid in trace.departure
+
+
+# -- integer ranking against the oracle's full scoring ----------------------------
+
+
+def machine_with(index, active, eps=F(1, 2)):
+    """A scheduler for machine ``index`` whose active set is ``active``, a
+    list of (weight, size, remaining) triples."""
+    sched = MachineScheduler(eps, index)
+    for k, (weight, size, remaining) in enumerate(active):
+        jid = 100 + k
+        other = Job(jid, 0, F(weight), (size,) * (index + 1))
+        sched.active[jid] = ResidualJob(other, remaining, index)
+    return sched
+
+
+def assert_matches_oracle(job, machines):
+    try:
+        expected = oracles.dispatch(job, machines)
+    except NoEligibleMachine:
+        with pytest.raises(NoEligibleMachine):
+            dispatch(job, machines)
+        assert all(s.scored is None for s in machines)
+        return
+    assert dispatch(job, machines) == expected
+    chosen = machines[expected.machine]
+    scored_job, impact = chosen.scored
+    assert scored_job is job
+    assert impact == oracles.arrival_impact(job, chosen.active.values(), chosen.epsilon,
+                                            expected.machine)
+
+
+weights = st.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 4)))
+active_jobs = st.lists(
+    st.tuples(weights, st.integers(1, 6)).flatmap(
+        lambda ws: st.tuples(st.just(ws[0]), st.just(ws[1]), st.integers(1, ws[1]))),
+    max_size=4)
+
+
+@settings(max_examples=300)
+@given(weights, st.lists(st.tuples(st.one_of(st.none(), st.integers(1, 6)), active_jobs),
+                         min_size=2, max_size=4),
+       st.sampled_from((F(1, 2), F(1, 4))))
+def test_dispatch_matches_full_scoring_oracle(weight, states, eps):
+    job = Job(0, 0, weight, tuple(size for size, _ in states))
+    machines = [machine_with(i, active, eps) for i, (_, active) in enumerate(states)]
+    assert_matches_oracle(job, machines)
+
+
+@settings(max_examples=150)
+@given(weights, st.integers(1, 6), active_jobs, st.booleans())
+@example(F(1), 1, [(F(3, 2), 3, 3)], False)
+@example(F(1), 1, [(F(3, 2), 3, 3)], True)
+def test_equal_totals_over_different_denominators_tie_to_smaller_index(
+        weight, size, active, stretched_first):
+    # halving a less dense job's density and doubling its remaining time
+    # keeps its residual weight, so the total is unchanged while the
+    # common denominator of S2 and S3 changes
+    job = Job(0, 0, weight, (size, size))
+    stretched = [(w, 2 * p, 2 * r) if F(w) / p < weight / size else (w, p, r)
+                 for w, p, r in active]
+    states = [stretched, active] if stretched_first else [active, stretched]
+    machines = [machine_with(i, state) for i, state in enumerate(states)]
+    totals = {oracles.arrival_impact(job, m.active.values(), m.epsilon, i).total
+              for i, m in enumerate(machines)}
+    assert len(totals) == 1
+    assert_matches_oracle(job, machines)
+    assert dispatch(job, machines).machine == 0
+
+
+# -- each arrival is scored once -------------------------------------------------
+
+
+def test_run_multi_scores_each_arrival_once(monkeypatch):
+    inst = generate(WorkloadModel(kind="poisson_pareto", n=150, seed=7, rate=1.2,
+                                  shape=1.6, size_cap=20, machines=4))
+    calls = []
+    # the package exports the function dispatch under the module's name
+    for module in map(importlib.import_module, ("flowsched.dispatch",
+                                                "flowsched.scheduler")):
+        def counted(job, *rest, _score=module.arrival_impact):
+            calls.append(job.id)
+            return _score(job, *rest)
+        monkeypatch.setattr(module, "arrival_impact", counted)
+    result = run_multi(inst)
+    assert sorted(calls) == sorted(j.id for j in inst.jobs)
+    assert result.decisions == oracles.slot_run_multi(inst).decisions
+
+
+def test_handed_over_impact_is_never_used_for_another_job():
+    job_a, job_b = mjob(0, 0, 3, (2, 2)), mjob(1, 0, 1, (5, 5))
+    machines = [machine_with(i, [(1, 4, 3)]) for i in range(2)]
+    chosen = machines[dispatch(job_a, machines).machine]
+    stale = chosen.scored[1]
+    fresh_b = arrival_impact(job_b, chosen.active.values(), chosen.epsilon, chosen.machine)
+    assert fresh_b != stale
+    chosen.on_arrival(job_b)
+    assert chosen.scored is None
+    # job A arrives after B: its handed-over score is gone and B is active
+    fresh_a = arrival_impact(job_a, chosen.active.values(), chosen.epsilon, chosen.machine)
+    chosen.on_arrival(job_a)
+    trace = chosen.finish_trace()
+    assert trace.impacts[job_b.id] == fresh_b
+    assert trace.impacts[job_a.id] == fresh_a != stale
