@@ -17,7 +17,7 @@ from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel
 from .impact import ArrivalImpact, arrival_impact, floor_log
 from .rejection import (BucketReport, ImmediateDecision, MinusKey, PlusKey,
                         RejectionTables, bucket_keys)
-from .scheduler import Event, MachineScheduler, Run, ScheduleTrace, Slot, run
+from .scheduler import Event, MachineScheduler, Run, ScheduleTrace, run
 
 __all__ = [
     "ArrivalImpact", "BadParameters", "BucketReport", "DispatchDecision",
@@ -26,7 +26,7 @@ __all__ = [
     "JobNotRunnableOnMachine", "MachineScheduler", "MalformedLine", "Metrics",
     "MinusKey", "MissingHeader", "MultiTrace", "NoEligibleMachine", "PlusKey",
     "Rational", "RejectionAudit", "RejectionTables", "ResidualJob", "Run",
-    "ScheduleTrace", "Slot", "WorkloadModel", "arrival_impact",
+    "ScheduleTrace", "WorkloadModel", "arrival_impact",
     "audit_rejections", "beta_series", "bucket_keys", "compute_metrics",
     "default_horizon", "dispatch", "floor_log", "format_trace",
     "fractional_flow_plan", "generate", "lp_cost", "parse_trace",

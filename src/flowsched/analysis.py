@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import HALF, Instance, Job, ONE, Rational, ZERO
+from .core import HALF, Instance, Job, Rational, ZERO
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
@@ -215,14 +215,12 @@ class DualCertificate:
     betas: tuple[Rational, ...]
     feasible: bool
     objective: Rational
-    speedup: Rational
     violations: tuple[tuple[int, int], ...] = ()
 
 
-def verify_duals(trace: ScheduleTrace, instance: Instance,
-                 speedup: Rational = ZERO) -> DualCertificate:
+def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
     """Check every (job, time) dual constraint exactly and price the
-    certificate ``sum alpha - (1 + speedup) sum beta``.
+    certificate ``sum alpha - sum beta``.
 
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
     for all t >= r_j. Jobs are visited in decreasing release order while
@@ -231,12 +229,8 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
     search for the minimum of ``beta_t + rho_j t`` on that hull decides the
     job. Only a job that fails is rescanned over [r_j, H] to list its
     violating times, in arrival order, then by t. Infeasibility is
-    reported, not raised; a negative ``speedup`` raises ``ValueError``,
-    since it would inflate the bound.
+    reported, not raised.
     """
-    speedup = Rational(speedup)
-    if speedup < 0:
-        raise ValueError(f"speedup must be nonnegative, got {speedup}")
     by_id = _jobs_by_id(instance)
     betas = beta_series(trace, instance)
     horizon = len(betas) - 1
@@ -270,10 +264,9 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
             rho, bound = failing[jid]
             violations.extend((jid, t) for t in range(by_id[jid].release, horizon + 1)
                               if betas[t] + rho * t < bound)
-    objective = sum(alphas.values(), start=ZERO) \
-        - (ONE + speedup) * sum(betas, start=ZERO)
+    objective = sum(alphas.values(), start=ZERO) - sum(betas, start=ZERO)
     return DualCertificate(trace.machine, alphas, tuple(betas),
-                           not violations, objective, speedup, tuple(violations))
+                           not violations, objective, tuple(violations))
 
 
 def _hull_minimum(hull_t: list[int], hull_beta: list[Rational],

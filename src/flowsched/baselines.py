@@ -2,13 +2,16 @@
 
 Two independent routes to the same reference cost:
 
-* :func:`preemptive_hdf` simulates highest-density-first on one machine of
-  a given speed, splitting within slots, and :func:`lp_cost` prices any
-  fractional schedule with the time-indexed objective
-  ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
+* :func:`preemptive_hdf` simulates highest-density-first on one machine,
+  slot by slot, and :func:`lp_cost` prices any fractional schedule with
+  the time-indexed objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
 * :func:`transport_opt` solves that time-indexed relaxation exactly as a
   min-cost transportation problem (integer-scaled network simplex). It
   never touches the HDF code path, so it can serve as the oracle for it.
+
+Every schedule runs at unit speed, as the paper's offline optimum does:
+its only relaxation is rejection. Sizes are integers, so a slot never
+splits between jobs.
 
 Preemptive HDF attains the relaxation's optimum (Becchetti, Leonardi,
 Marchetti-Spaccamela and Pruhs, 2006). HDF serves the jobs at least as dense
@@ -27,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import groupby
-from math import ceil, lcm
+from math import lcm
 
 import networkx as nx
 
@@ -47,26 +50,20 @@ class FractionalSchedule:
     """Per-slot fractional assignment ``allocation[(t, job id)] = amount``."""
 
     jobs: tuple[Job, ...]
-    speed: Rational
     allocation: dict[tuple[int, int], Rational]
 
 
-def preemptive_hdf(jobs: list[Job] | tuple[Job, ...],
-                   speed: Rational = ONE) -> FractionalSchedule:
-    """Slot-by-slot preemptive HDF at the given positive speed.
+def preemptive_hdf(jobs: list[Job] | tuple[Job, ...]) -> FractionalSchedule:
+    """Slot-by-slot preemptive HDF.
 
-    Each slot hands up to ``speed`` units to the densest released
-    unfinished jobs, splitting within the slot; ties break by earlier
-    release, then smaller id (same rule as the online engine). Released
-    jobs wait in a heap on that key, and an idle machine jumps straight
-    to the next release.
+    Each slot goes whole to the densest released unfinished job; ties
+    break by earlier release, then smaller id (same rule as the online
+    engine). Released jobs wait in a heap on that key, and an idle machine
+    jumps straight to the next release.
     """
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
     jobs = tuple(jobs)
-    speed = Rational(speed)
     pending = sorted(jobs, key=lambda j: j.release, reverse=True)
-    remaining: dict[int, Rational] = {}
+    remaining: dict[int, int] = {}
     ready: list[tuple[Rational, int, int]] = []
     allocation: dict[tuple[int, int], Rational] = {}
     t = 0
@@ -75,19 +72,15 @@ def preemptive_hdf(jobs: list[Job] | tuple[Job, ...],
             t = pending[-1].release
         while pending and pending[-1].release <= t:
             job = pending.pop()
-            remaining[job.id] = Rational(job.size_on(0))
+            remaining[job.id] = job.size_on(0)
             heappush(ready, (-job.density(), job.release, job.id))
-        capacity = speed
-        while ready and capacity > 0:
-            jid = ready[0][2]
-            amount = min(capacity, remaining[jid])
-            allocation[(t, jid)] = amount
-            remaining[jid] -= amount
-            capacity -= amount
-            if remaining[jid] == 0:
-                heappop(ready)
+        jid = ready[0][2]
+        allocation[(t, jid)] = ONE
+        remaining[jid] -= 1
+        if remaining[jid] == 0:
+            heappop(ready)
         t += 1
-    return FractionalSchedule(jobs, speed, allocation)
+    return FractionalSchedule(jobs, allocation)
 
 
 def lp_cost(sched: FractionalSchedule) -> Rational:
@@ -101,35 +94,33 @@ def lp_cost(sched: FractionalSchedule) -> Rational:
     return total
 
 
-def default_horizon(jobs, speed: Rational = ONE) -> int:
-    """Always-feasible slot horizon: max release + ceil(total work / speed) + 1."""
+def default_horizon(jobs) -> int:
+    """Always-feasible slot horizon: max release + total work + 1."""
     jobs = list(jobs)
     if not jobs:
         return 1
-    total = sum(j.size_on(0) for j in jobs)
-    return max(j.release for j in jobs) + ceil(Rational(total) / Rational(speed)) + 1
+    return max(j.release for j in jobs) + sum(j.size_on(0) for j in jobs) + 1
 
 
-def _busy_period_ends(jobs: list[Job], densities: list[Rational],
-                      speed: Rational) -> list[Rational]:
+def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
     """For each job j, the end of the busy period that contains ``r_j`` when
-    a machine of the given speed serves only the jobs at least as dense as j
+    the machine serves only the jobs at least as dense as j
     (``densities[i]`` is ``jobs[i].density()``).
 
     Jobs go in by decreasing density into a sorted list of disjoint busy
     periods ``[starts[k], ends[k])``. A job released inside a period extends
-    its end by ``p/speed``; otherwise it opens a new period. Either way the
+    its end by its size; otherwise it opens a new period. Either way the
     period then absorbs every later period that now starts before its end.
     All jobs of one density go in before any of them is looked up.
     """
     starts: list[int] = []
-    ends: list[Rational] = []
-    out: list[Rational] = [ZERO] * len(jobs)
+    ends: list[int] = []
+    out: list[int] = [0] * len(jobs)
     order = sorted(range(len(jobs)), key=densities.__getitem__, reverse=True)
     for _, tied in groupby(order, key=densities.__getitem__):
         tied = list(tied)
         for i in tied:
-            release, work = jobs[i].release, jobs[i].size_on(0) / speed
+            release, work = jobs[i].release, jobs[i].size_on(0)
             k = bisect_right(starts, release) - 1
             if k >= 0 and release < ends[k]:
                 ends[k] += work
@@ -145,22 +136,22 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational],
     return out
 
 
-def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None) -> Rational:
+def transport_opt(jobs, horizon: int | None = None) -> Rational:
     """Exact optimum of the time-indexed relaxation, via min-cost flow.
 
-    Demands are job sizes, slot capacities equal ``speed``, and the unit
-    cost of giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``.
-    Flows and costs are scaled to integers so the network simplex stays
-    exact; the result is descaled back to a rational.
+    Demands are job sizes, every slot has capacity 1, and the unit cost of
+    giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``. Costs
+    are scaled to integers so the network simplex stays exact; the result
+    is descaled back to a rational.
 
-    Job j only gets arcs to the slots ``r_j .. ceil(E_j) - 1`` (and below
+    Job j only gets arcs to the slots ``r_j .. E_j - 1`` (and below
     ``horizon``), where ``E_j`` is the end of the busy period that contains
     ``r_j`` among the jobs of density >= rho_j (:func:`_busy_period_ends`).
     Preemptive HDF is optimal for the relaxation and serves that set ahead
     of every other job without idling while any of it waits, so it finishes
     j by ``E_j``. Its schedule therefore lies inside the windows, and since
     dropping arcs can only raise the optimum, the windowed problem keeps
-    the same one. When no other job has j's density, ``ceil(E_j) - 1`` is
+    the same one. When no other job has j's density, ``E_j - 1`` is
     exactly j's last HDF slot; a tie can only lengthen the window. If
     ``horizon`` cuts into a window, no schedule finishes that busy period's
     work by ``horizon``, so the problem is infeasible either way. Tests
@@ -170,14 +161,9 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None) -> Ra
     jobs = list(jobs)
     if not jobs:
         return ZERO
-    speed = Rational(speed)
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
     if horizon is None:
-        horizon = default_horizon(jobs, speed)
+        horizon = default_horizon(jobs)
 
-    q = speed.denominator
-    slot_capacity = speed.numerator  # speed * q
     densities = [j.density() for j in jobs]
     scale = lcm(*(lcm(rho.denominator, (j.weight * HALF).denominator)
                   for rho, j in zip(densities, jobs)))
@@ -185,12 +171,12 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None) -> Ra
     graph = nx.DiGraph()
     total_units = 0
     used_slots: set[int] = set()
-    busy_ends = _busy_period_ends(jobs, densities, speed)
+    busy_ends = _busy_period_ends(jobs, densities)
     for job, rho, busy_end in zip(jobs, densities, busy_ends):
-        units = job.size_on(0) * q
+        units = job.size_on(0)
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
-        end = min(horizon, ceil(busy_end))
+        end = min(horizon, busy_end)
         if end <= job.release:
             raise HorizonTooShort(
                 f"horizon {horizon} leaves no slot for job {job.id}")
@@ -206,12 +192,11 @@ def transport_opt(jobs, speed: Rational = ONE, horizon: int | None = None) -> Ra
             cost += slope
     graph.add_node("sink", demand=total_units)
     for t in used_slots:
-        graph.add_edge(("slot", t), "sink", capacity=slot_capacity, weight=0)
+        graph.add_edge(("slot", t), "sink", capacity=1, weight=0)
 
     try:
         cost, _ = nx.network_simplex(graph)
     except nx.NetworkXUnfeasible as exc:
         raise HorizonTooShort(
-            f"horizon {horizon} cannot fit {total_units}/{q} units at speed {speed}"
-        ) from exc
-    return Rational(cost, scale * q)
+            f"horizon {horizon} cannot fit {total_units} units of work") from exc
+    return Rational(cost, scale)

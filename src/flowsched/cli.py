@@ -23,8 +23,7 @@ from pathlib import Path
 from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import (HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
-from .core import (Instance, InvalidInstance, JobNotRunnableOnMachine, ONE, Rational,
-                   validate_instance)
+from .core import Instance, InvalidInstance, Rational, validate_instance
 from .dispatch import MultiTrace, each_trace, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       generate, parse_trace, serialize_trace)
@@ -33,9 +32,8 @@ from .scheduler import run
 USAGE_ERROR = 2
 VIOLATION = 1
 
-_INPUT_ERRORS = (InvalidInstance, JobNotRunnableOnMachine, MalformedLine,
-                 MissingHeader, BadParameters, HorizonTooShort, OSError,
-                 UnicodeDecodeError)
+_INPUT_ERRORS = (InvalidInstance, MalformedLine, MissingHeader, BadParameters,
+                 HorizonTooShort, OSError, UnicodeDecodeError)
 
 
 def _rat(text: str) -> Rational:
@@ -43,20 +41,6 @@ def _rat(text: str) -> Rational:
         return Rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
-
-
-def _speed(text: str) -> Rational:
-    speed = _rat(text)
-    if speed <= 0:
-        raise argparse.ArgumentTypeError(f"speed must be positive, got {text!r}")
-    return speed
-
-
-def _speedup(text: str) -> Rational:
-    speedup = _rat(text)
-    if speedup < 0:
-        raise argparse.ArgumentTypeError(f"speedup must be nonnegative, got {text!r}")
-    return speedup
 
 
 def _fmt(value) -> str:
@@ -137,8 +121,7 @@ def cmd_simulate(args) -> int:
     for trace in each_trace(result):
         writer.emit("machine", index=trace.machine,
                     arrivals=",".join(map(str, trace.arrivals)) or "-")
-        # one line per unit slot, formatted straight from the runs; the
-        # same bytes as emitting each ScheduleTrace.slots entry
+        # one line per unit slot, formatted straight from the runs
         head = f"slot machine={trace.machine} t="
         for seg in trace.runs:
             tail = (f" plan={seg.plan} real=- idled=1" if seg.real is None
@@ -183,12 +166,12 @@ def cmd_baseline(args) -> int:
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
     horizon = args.horizon if args.horizon is not None \
-        else default_horizon(instance.jobs, args.speed)
-    opt = transport_opt(instance.jobs, speed=args.speed, horizon=horizon)
-    hdf = lp_cost(preemptive_hdf(instance.jobs, speed=args.speed))
+        else default_horizon(instance.jobs)
+    opt = transport_opt(instance.jobs, horizon=horizon)
+    hdf = lp_cost(preemptive_hdf(instance.jobs))
     writer = _Writer(args.out)
-    writer.emit("baseline", speed=args.speed, horizon=horizon, transport_opt=opt,
-                hdf_cost=hdf)
+    # schedules run at unit speed; the fixed field keeps the record's bytes
+    writer.emit("baseline", speed=1, horizon=horizon, transport_opt=opt, hdf_cost=hdf)
     writer.flush()
     return 0
 
@@ -199,10 +182,11 @@ def cmd_verify(args) -> int:
     writer = _Writer(args.out)
     all_feasible = True
     for trace in each_trace(result):
-        cert = verify_duals(trace, instance, args.speedup)
+        cert = verify_duals(trace, instance)
         all_feasible &= cert.feasible
+        # schedules run at unit speed; the fixed field keeps the record's bytes
         writer.emit("certificate", machine=trace.machine, feasible=cert.feasible,
-                    objective=cert.objective, speedup=cert.speedup,
+                    objective=cert.objective, speedup=0,
                     alpha_total=sum(cert.alphas.values(), start=Rational(0)),
                     beta_total=sum(cert.betas, start=Rational(0)),
                     violations=len(cert.violations))
@@ -324,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
     base.add_argument("--trace", required=True)
-    base.add_argument("--speed", type=_speed, default=ONE,
-                      help="positive speed of the offline schedule, e.g. 1, 5/4 or 2")
     base.add_argument("--horizon", type=int, default=None)
     base.add_argument("--out", default=None)
     base.set_defaults(func=cmd_baseline)
@@ -333,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")
     ver.add_argument("--trace", required=True)
     ver.add_argument("--epsilon", type=_rat, default=None)
-    ver.add_argument("--speedup", type=_speedup, default=Rational(0))
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

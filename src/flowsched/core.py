@@ -132,9 +132,7 @@ class ResidualJob:
     ``density``, its lowest-terms ``num``/``den`` as ``int``s, the
     ``density_class`` and the HDF ``key`` (-density, release, id) are
     constant while the job is active, so they are computed once, here.
-    ``remaining`` is decremented in place by the engine; the residual
-    weight is derived from it on every read, never stored, so it cannot go
-    stale as ``remaining`` shrinks.
+    ``remaining`` is decremented in place by the engine.
     """
 
     __slots__ = ("job", "remaining", "machine", "density", "num", "den",
@@ -148,10 +146,6 @@ class ResidualJob:
         self.num, self.den = self.density.numerator, self.density.denominator
         self.density_class = floor_log_ratio(self.num, self.den)
         self.key = (-self.density, job.release, job.id)
-
-    @property
-    def residual_weight(self) -> Rational:
-        return self.density * self.remaining
 
 
 def validate_instance(raw: Instance) -> Instance:

@@ -13,10 +13,10 @@ machine that cannot run the job. ``parse_trace(serialize_trace(x)) == x``
 bit-exactly.
 
 The paper's only relaxation is rejection: its offline optimum runs at the
-algorithm's speed, so an instance carries no speed. The header keeps
-``speedup=0`` so that files keep their bytes and older files still parse;
-a nonzero value is refused, not ignored. A speed is set per command, with
-``baseline --speed`` or ``verify --speedup``.
+algorithm's speed, so every schedule runs at unit speed and an instance
+carries no speed. The header keeps ``speedup=0`` so that files keep their
+bytes and older files still parse; a nonzero value is refused, not
+ignored.
 
 Policies are compared through files: ``simulate`` and ``baseline`` write
 ``metric`` and ``baseline`` records that ``report`` joins.
@@ -204,8 +204,8 @@ def parse_trace_text(text: str) -> Instance:
                 raise MissingHeader(f"bad header on line {line_no}: {exc}") from exc
             if speedup != 0:
                 raise MissingHeader(
-                    f"bad header on line {line_no}: speedup={match['spd']} is not read "
-                    f"from trace files; use baseline --speed or verify --speedup")
+                    f"bad header on line {line_no}: speedup={match['spd']} is not "
+                    f"supported; schedules run at unit speed")
             continue
         fields = line.split()
         if len(fields) != 4:

@@ -21,7 +21,7 @@ continues, otherwise the densest active job wins (ties: earlier release,
 then smaller id). It keeps running until it completes or the next release,
 whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
-in ``simulate``'s slot lines and the :attr:`ScheduleTrace.slots` view.
+in ``simulate``'s slot lines.
 """
 
 from __future__ import annotations
@@ -69,18 +69,6 @@ class Run(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Slot:
-    """One busy slot [t, t+1): what the plan ran and what really ran."""
-    t: int
-    plan: int
-    real: int | None
-
-    @property
-    def idled(self) -> bool:
-        return self.real is None
-
-
-@dataclass(frozen=True)
 class Event:
     time: int
     job: int
@@ -92,13 +80,10 @@ class ScheduleTrace:
     """Complete, replayable record of one machine's run.
 
     ``runs`` is the only record of processing: one :class:`Run` per
-    segment between events, in time order. ``slots`` is a read-only view
-    that expands them into unit slots on every access, for the tests;
-    ``simulate`` prints its slot lines from the runs. ``events`` is the
-    only record of each job's fate, and ``decisions`` (kept in arrival
-    order) of which jobs arrived. ``arrivals``, ``departure``,
-    ``completion_real``, ``completion_plan`` and ``promoted_at`` are
-    read-only views rebuilt from them on every access, so bind one to a
+    segment between events, in time order. ``events`` is the only record
+    of each job's fate, and ``decisions`` (kept in arrival order) of which
+    jobs arrived. ``arrivals``, ``departure``, ``completion_real`` and
+    ``promoted_at`` are read-only views rebuilt from them on every access, so bind one to a
     local before a loop. ``departure[j]`` is the completion time for jobs
     the real schedule finishes, the release time for immediate
     rejections, and the marking time for delayed rejections. Every
@@ -120,7 +105,6 @@ class ScheduleTrace:
     arrivals = property(lambda self: tuple(self.decisions))
     departure = property(lambda self: self._times(*TERMINAL_EVENTS))
     completion_real = property(lambda self: self._times(EVENT_REAL_COMPLETE))
-    completion_plan = property(lambda self: self._times(EVENT_PLAN_COMPLETE))
     promoted_at = property(lambda self: self._times(EVENT_PROMOTED))
 
     @property
@@ -130,11 +114,6 @@ class ScheduleTrace:
     @property
     def kept(self) -> list[int]:
         return [jid for jid in self.arrivals if not self.decisions[jid].reject]
-
-    @property
-    def slots(self) -> list[Slot]:
-        return [Slot(t, run.plan, run.real)
-                for run in self.runs for t in range(run.start, run.end)]
 
     def horizon(self) -> int:
         """First time by which the machine is provably empty."""

@@ -12,7 +12,12 @@ lock-step and records each slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
 machine in full with the ``arrival_impact`` above.
-``plan_slots`` lists each job's plan slots for the per-slot references.
+
+Views of engine state that only the tests read: ``slots`` expands a
+trace's runs into unit :class:`Slot` records, ``plan_slots`` lists each
+job's plan slots for the per-slot references, ``completion_plan`` maps
+each job to its plan completion time, and ``residual_weight`` prices an
+active job's remaining work.
 
 The offline references: ``preemptive_hdf`` rescans every job in every
 slot; ``busy_period_end`` walks one job's denser set in release order, the
@@ -65,10 +70,10 @@ def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
             if other_rho >= rho:
                 plus += job.weight * res.remaining
             else:
-                plus += size * res.residual_weight
+                plus += size * residual_weight(res)
         else:
             # a strictly smaller class implies strictly smaller density
-            minus += size * res.residual_weight
+            minus += size * residual_weight(res)
 
     self_term = job.weight * size * HALF
     threshold = job.weight * size / epsilon
@@ -103,7 +108,7 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     horizon = trace.horizon()
     betas = [ZERO] * (horizon + 1)
     slots = plan_slots(trace)
-    completions = trace.completion_plan
+    completions = completion_plan(trace)
     for jid in trace.kept:
         job = by_id[jid]
         rho = job.density(trace.machine)
@@ -119,10 +124,9 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     return betas
 
 
-def verify_duals(trace: ScheduleTrace, instance: Instance,
-                 speedup: Rational = ZERO) -> DualCertificate:
+def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
     """Check every (job, time) dual constraint exactly and price the
-    certificate ``sum alpha - (1 + speedup) sum beta``.
+    certificate ``sum alpha - sum beta``.
 
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
     for all t >= r_j. Infeasibility is reported, not raised.
@@ -142,22 +146,51 @@ def verify_duals(trace: ScheduleTrace, instance: Instance,
             if lhs_base - betas[t] > rhs:
                 violations.append((jid, t))
             rhs += rho
-    objective = sum(alphas.values(), start=ZERO) \
-        - (ONE + Rational(speedup)) * sum(betas, start=ZERO)
+    objective = sum(alphas.values(), start=ZERO) - sum(betas, start=ZERO)
     return DualCertificate(trace.machine, alphas, tuple(betas),
-                           not violations, objective, Rational(speedup),
-                           tuple(violations))
+                           not violations, objective, tuple(violations))
 
 
-# -- the per-slot engine ---------------------------------------------------------
+# -- test-only views of engine state ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One busy slot [t, t+1): what the plan ran and what really ran."""
+    t: int
+    plan: int
+    real: int | None
+
+    @property
+    def idled(self) -> bool:
+        return self.real is None
+
+
+def slots(trace: ScheduleTrace) -> list[Slot]:
+    """The trace's runs expanded into unit slots, in time order."""
+    return [Slot(t, run.plan, run.real)
+            for run in trace.runs for t in range(run.start, run.end)]
+
+
+def completion_plan(trace: ScheduleTrace) -> dict[int, int]:
+    """Plan completion time of each job the plan finished."""
+    return {e.job: e.time for e in trace.events if e.kind == EVENT_PLAN_COMPLETE}
+
+
+def residual_weight(res: ResidualJob) -> Rational:
+    """Weight of an active job's remaining work, ``density * remaining``."""
+    return res.density * res.remaining
 
 
 def plan_slots(trace: ScheduleTrace) -> dict[int, list[int]]:
     """Slot start times the plan spent on each job, in order."""
     out: dict[int, list[int]] = {}
-    for slot in trace.slots:
+    for slot in slots(trace):
         out.setdefault(slot.plan, []).append(slot.t)
     return out
+
+
+# -- the per-slot engine ---------------------------------------------------------
 
 
 class SlotScheduler:
@@ -362,30 +395,27 @@ class TooLargeForOracle(ValueError):
     pass
 
 
-def preemptive_hdf(jobs: list[Job] | tuple[Job, ...],
-                   speed: Rational = ONE) -> FractionalSchedule:
-    """Slot-by-slot preemptive HDF at the given positive speed.
+def preemptive_hdf(jobs: list[Job] | tuple[Job, ...]) -> FractionalSchedule:
+    """Slot-by-slot preemptive HDF.
 
-    Each slot hands up to ``speed`` units to the densest released
-    unfinished jobs, splitting within the slot; ties break by earlier
-    release, then smaller id (same rule as the online engine).
+    Each slot hands up to one unit to the densest released unfinished
+    jobs, in priority order; ties break by earlier release, then smaller
+    id (same rule as the online engine).
     """
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
     jobs = tuple(jobs)
     remaining = {j.id: Rational(j.size_on(0)) for j in jobs}
     by_priority = sorted(jobs, key=lambda j: (-j.density(), j.release, j.id))
     allocation: dict[tuple[int, int], Rational] = {}
     unfinished = {j.id for j in jobs}
     if not unfinished:
-        return FractionalSchedule(jobs, Rational(speed), allocation)
+        return FractionalSchedule(jobs, allocation)
     t = min(j.release for j in jobs)
     while unfinished:
         released = [j for j in by_priority if j.id in unfinished and j.release <= t]
         if not released:
             t = min(j.release for j in jobs if j.id in unfinished)
             continue
-        capacity = Rational(speed)
+        capacity = ONE
         for job in released:
             if capacity <= 0:
                 break
@@ -396,12 +426,12 @@ def preemptive_hdf(jobs: list[Job] | tuple[Job, ...],
             if remaining[job.id] == 0:
                 unfinished.discard(job.id)
         t += 1
-    return FractionalSchedule(jobs, Rational(speed), allocation)
+    return FractionalSchedule(jobs, allocation)
 
 
-def busy_period_end(jobs, job: Job, speed: Rational = ONE) -> Rational:
-    """End of the busy period that contains ``job.release`` when a machine
-    of the given speed serves only the jobs at least as dense as ``job``."""
+def busy_period_end(jobs, job: Job) -> int:
+    """End of the busy period that contains ``job.release`` when the
+    machine serves only the jobs at least as dense as ``job``."""
     denser = sorted((j for j in jobs if j.density() >= job.density()),
                     key=lambda j: j.release)
     end = None
@@ -411,14 +441,15 @@ def busy_period_end(jobs, job: Job, speed: Rational = ONE) -> Rational:
                 break
             end = None
         if end is None:
-            end = Rational(other.release)
-        end += Rational(other.size_on(0)) / speed
+            end = other.release
+        end += other.size_on(0)
     return end
 
 
 def validate_schedule(sched: FractionalSchedule) -> None:
     """Raise ``ValueError`` unless no allocation is negative or before its
-    job's release, no slot exceeds the speed and every job gets its size."""
+    job's release, no slot holds more than one unit and every job gets its
+    size."""
     per_slot: dict[int, Rational] = {}
     per_job: dict[int, Rational] = {}
     by_id = {j.id: j for j in sched.jobs}
@@ -430,28 +461,26 @@ def validate_schedule(sched: FractionalSchedule) -> None:
         per_slot[t] = per_slot.get(t, ZERO) + amount
         per_job[jid] = per_job.get(jid, ZERO) + amount
     for t, used in per_slot.items():
-        if used > sched.speed:
-            raise ValueError(f"slot {t} over capacity: {used} > {sched.speed}")
+        if used > 1:
+            raise ValueError(f"slot {t} over capacity: {used} > 1")
     for job in sched.jobs:
         if per_job.get(job.id, ZERO) != job.size_on(0):
             raise ValueError(f"job {job.id} not fully processed")
 
 
-def transport_opt_full(jobs, speed: Rational = ONE) -> Rational:
+def transport_opt_full(jobs) -> Rational:
     """Optimum of the time-indexed relaxation with an arc from each job to
     every slot of the default horizon from its release on."""
     jobs = list(jobs)
     if not jobs:
         return ZERO
-    speed = Rational(speed)
-    horizon = default_horizon(jobs, speed)
-    q = speed.denominator
+    horizon = default_horizon(jobs)
     scale = lcm(*(lcm(j.density().denominator, (j.weight * HALF).denominator)
                   for j in jobs))
     graph = nx.DiGraph()
     total_units = 0
     for job in jobs:
-        units = job.size_on(0) * q
+        units = job.size_on(0)
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
         for t in range(job.release, horizon):
@@ -461,9 +490,9 @@ def transport_opt_full(jobs, speed: Rational = ONE) -> Rational:
                            weight=cost.numerator)
     graph.add_node("sink", demand=total_units)
     for t in range(horizon):
-        graph.add_edge(("slot", t), "sink", capacity=speed.numerator, weight=0)
+        graph.add_edge(("slot", t), "sink", capacity=1, weight=0)
     cost, _ = nx.network_simplex(graph)
-    return Rational(cost, scale * q)
+    return Rational(cost, scale)
 
 
 def brute_force_nonpreemptive(jobs) -> Rational:

@@ -16,7 +16,6 @@ from oracles import (TooLarge, brute_force_nonpreemptive, transport_opt_full,
                      validate_schedule)
 
 F = Fraction
-SPEEDS = (F(1, 2), F(3, 4), F(1), F(5, 4), F(2))
 
 
 def test_hdf_runs_denser_job_first():
@@ -26,40 +25,18 @@ def test_hdf_runs_denser_job_first():
     validate_schedule(sched)
 
 
-def test_hdf_speed_two_finishes_in_one_slot():
-    sched = preemptive_hdf((job(0, 0, 1, 2),), speed=F(2))
-    assert sched.allocation == {(0, 0): F(2)}
-    validate_schedule(sched)
-
-
-@pytest.mark.parametrize("speed", [F(0), F(-1, 2)])
-def test_hdf_rejects_a_nonpositive_speed(speed):
-    # no slot would ever make progress, so the loop would never end
-    with pytest.raises(ValueError):
-        preemptive_hdf((job(0, 0, 1, 2),), speed=speed)
-
-
 def test_hdf_empty_input():
     sched = preemptive_hdf(())
     assert sched.allocation == {}
-
-
-def test_hdf_fractional_split_within_slot():
-    # speed 3/2: the denser job takes 1, the other gets the leftover 1/2
-    jobs = (job(0, 0, 1, 1), job(1, 0, 4, 1))
-    sched = preemptive_hdf(jobs, speed=F(3, 2))
-    assert sched.allocation[(0, 1)] == 1
-    assert sched.allocation[(0, 0)] == F(1, 2)
-    validate_schedule(sched)
 
 
 def test_lp_cost_examples():
     single = (job(0, 0, 1, 2),)
     sched = preemptive_hdf(single)
     assert lp_cost(sched) == F(3, 2)
-    delayed = FractionalSchedule(single, F(1), {(1, 0): F(1), (2, 0): F(1)})
+    delayed = FractionalSchedule(single, {(1, 0): F(1), (2, 0): F(1)})
     assert lp_cost(delayed) == F(5, 2)
-    assert lp_cost(FractionalSchedule((), F(1), {})) == 0
+    assert lp_cost(FractionalSchedule((), {})) == 0
 
 
 def test_transport_single_job():
@@ -75,12 +52,6 @@ def test_transport_empty():
     assert transport_opt(()) == 0
 
 
-def test_transport_speed_monotone():
-    jobs = (job(0, 0, 1, 3), job(1, 1, 4, 2), job(2, 2, 2, 4))
-    values = [transport_opt(jobs, speed=s) for s in (F(1), F(5, 4), F(2))]
-    assert values == sorted(values, reverse=True)
-
-
 def test_transport_horizon_too_short():
     with pytest.raises(HorizonTooShort):
         transport_opt((job(0, 0, 1, 5),), horizon=3)
@@ -90,8 +61,8 @@ def test_transport_horizon_too_short():
 
 def test_default_horizon_always_feasible():
     jobs = (job(0, 0, 1, 3), job(1, 7, 2, 5))
-    h = default_horizon(jobs, speed=F(5, 4))
-    assert transport_opt(jobs, speed=F(5, 4), horizon=h) is not None
+    h = default_horizon(jobs)
+    assert transport_opt(jobs, horizon=h) is not None
 
 
 def random_jobs(seed, n, max_release=6):
@@ -101,31 +72,29 @@ def random_jobs(seed, n, max_release=6):
 
 
 @settings(max_examples=50)
-@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40),
-       st.sampled_from(SPEEDS))
-def test_heap_hdf_matches_the_rescanning_oracle(seed, n, max_release, speed):
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40))
+def test_heap_hdf_matches_the_rescanning_oracle(seed, n, max_release):
     jobs = random_jobs(seed, n, max_release)
-    expected = oracles.preemptive_hdf(jobs, speed=speed).allocation
-    assert preemptive_hdf(jobs, speed=speed).allocation == expected
+    expected = oracles.preemptive_hdf(jobs).allocation
+    assert preemptive_hdf(jobs).allocation == expected
 
 
 @settings(max_examples=50)
-@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40),
-       st.sampled_from(SPEEDS))
-def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release, speed):
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40))
+def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release):
     jobs = list(random_jobs(seed, n, max_release))
     densities = [j.density() for j in jobs]
-    assert baselines._busy_period_ends(jobs, densities, speed) == [
-        oracles.busy_period_end(jobs, j, speed) for j in jobs]
+    assert baselines._busy_period_ends(jobs, densities) == [
+        oracles.busy_period_end(jobs, j) for j in jobs]
 
 
-def lp_windows(monkeypatch, jobs, speed=F(1)):
+def lp_windows(monkeypatch, jobs):
     """Each job's slots in the graph ``transport_opt`` hands to the solver."""
     graphs = []
     solve = baselines.nx.network_simplex
     monkeypatch.setattr(baselines.nx, "network_simplex",
                         lambda graph: graphs.append(graph) or solve(graph))
-    value = transport_opt(jobs, speed=speed)
+    value = transport_opt(jobs)
     assert len(graphs) == 1
     windows = {j.id: [] for j in jobs}
     for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in jobs):
@@ -141,15 +110,14 @@ def last_hdf_slots(sched):
 
 
 @settings(max_examples=40)
-@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(0, 30),
-       st.sampled_from(SPEEDS))
-def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release, speed):
+@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(0, 30))
+def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
     # a job of unique density is the last of its denser set that HDF serves,
     # so its busy period ends in its last HDF slot; a tie can only lengthen it
     jobs = random_jobs(seed, n, max_release)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        value, windows = lp_windows(monkeypatch, jobs, speed)
-    sched = preemptive_hdf(jobs, speed=speed)
+        value, windows = lp_windows(monkeypatch, jobs)
+    sched = preemptive_hdf(jobs)
     assert value == lp_cost(sched)
     last = last_hdf_slots(sched)
     densities = [j.density() for j in jobs]
@@ -173,20 +141,19 @@ def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
 
 
 @settings(max_examples=50)
-@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.sampled_from(SPEEDS))
-def test_windowed_arcs_match_full_horizon(seed, n, speed):
+@given(st.integers(0, 10 ** 6), st.integers(1, 7))
+def test_windowed_arcs_match_full_horizon(seed, n):
     jobs = random_jobs(seed, n)
-    assert transport_opt(jobs, speed=speed) == transport_opt_full(jobs, speed=speed)
+    assert transport_opt(jobs) == transport_opt_full(jobs)
 
 
 @settings(max_examples=25)
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_hdf_attains_the_transport_optimum(seed, n):
     jobs = random_jobs(seed, n)
-    for speed in SPEEDS:
-        sched = preemptive_hdf(jobs, speed=speed)
-        validate_schedule(sched)
-        assert lp_cost(sched) == transport_opt(jobs, speed=speed)
+    sched = preemptive_hdf(jobs)
+    validate_schedule(sched)
+    assert lp_cost(sched) == transport_opt(jobs)
 
 
 def residual_weight_series(jobs, schedule, horizon):
@@ -225,7 +192,7 @@ def fixed_permutation_schedule(jobs, order):
             if remaining[j.id] == 0:
                 unfinished.discard(j.id)
         t += 1
-    return FractionalSchedule(tuple(jobs), F(1), allocation)
+    return FractionalSchedule(tuple(jobs), allocation)
 
 
 @settings(max_examples=20)

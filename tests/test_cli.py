@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import re
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from flowsched import WorkloadModel, generate, parse_trace, preemptive_hdf, serialize_trace
+from flowsched import (DispatchDecision, WorkloadModel, generate, parse_trace, preemptive_hdf,
+                       serialize_trace)
 from flowsched import cli
 from flowsched.cli import main
 from flowsched.scheduler import ArrivalInPast
@@ -83,21 +85,18 @@ def gen_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
-BASELINE_SPEEDS = ("1", "5/4", "2")
-
-
 def baseline_report_digests(named, workdir: Path) -> dict[str, str]:
-    """``baseline`` at each speed, and ``report`` with and without the
-    ``audit`` file, on small single-machine instances."""
+    """``baseline``, and ``report`` with and without the ``audit`` file, on
+    small single-machine instances. The ``baseline`` keys keep the
+    ``speed=1`` of the record they pin: every schedule runs at unit speed."""
     digests = {}
     for name, instance in named:
         trace = workdir / f"{name}.txt"
         serialize_trace(instance, trace)
         files = {command: workdir / f"{name}.{command}"
                  for command in ("simulate", "audit", "baseline")}
-        for speed in BASELINE_SPEEDS:
-            digests[f"baseline speed={speed} {name}"] = _run_digest(
-                ["baseline", "--trace", trace, "--speed", speed], files["baseline"])
+        digests[f"baseline speed=1 {name}"] = _run_digest(
+            ["baseline", "--trace", trace], files["baseline"])
         for command in ("simulate", "audit", "baseline"):
             main([command, "--trace", str(trace), "--out", str(files[command])])
         report = ["report", "--sim", files["simulate"], "--baseline", files["baseline"]]
@@ -143,15 +142,15 @@ def run_cli(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--epsilon", "1/0"],
     ["simulate", "--epsilon", "abc"],
-    ["baseline", "--speed", "0"],
-    ["baseline", "--speed", "-1"],
-    ["baseline", "--speed", "1+1/0"],
     ["baseline", "--horizon", "0"],
-    ["verify", "--speedup", "-1"],
-    ["verify", "--speedup", "-2"],
+    ["baseline", "--horizon", "x"],
+    ["verify", "--epsilon", "1/0"],
+    ["audit", "--epsilon", "abc"],
     ["simulate", "--epsilon", "1"],   # overrides are validated
     ["simulate", "--machines", "2"],
-    ["baseline", "--speed", "1+1/4"],  # a speed is one rational
+    ["simulate", "--machines", "0"],
+    ["verify", "--epsilon", "1"],
+    ["audit", "--epsilon", "2/3"],
 ])
 def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
@@ -159,11 +158,10 @@ def test_bad_option_values_exit_2(capsys, trace_file, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("speed", ["1", "5/4", "2"])
-def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file, speed):
-    sched = preemptive_hdf(parse_trace(trace_file).jobs, speed=Fraction(speed))
+def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file):
+    sched = preemptive_hdf(parse_trace(trace_file).jobs)
     makespan = max(t for t, _ in sched.allocation) + 1
-    argv = ["baseline", "--trace", trace_file, "--speed", speed, "--horizon"]
+    argv = ["baseline", "--trace", trace_file, "--horizon"]
     assert run_cli(capsys, argv + [makespan]) == (0, "")
     rc, err = run_cli(capsys, argv + [makespan - 1])
     assert rc == cli.USAGE_ERROR
@@ -220,12 +218,18 @@ def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
     assert err.startswith("error: ")
 
 
-def test_gen_has_no_speedup_option(capsys, tmp_path):
-    out = tmp_path / "gen.txt"
-    rc, err = run_cli(capsys, ["gen", "--model", "uniform", "--out", out,
-                               "--speedup", "1/4"])
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--model", "uniform"], "--speedup"),
+    (["baseline"], "--speed"),
+    (["verify"], "--speedup"),
+], ids=["gen", "baseline", "verify"])
+def test_commands_have_no_speed_option(capsys, tmp_path, trace_file, argv, flag):
+    # every schedule runs at unit speed, so no command takes a speed
+    out = tmp_path / "out.txt"
+    source = [] if argv[0] == "gen" else ["--trace", trace_file]
+    rc, err = run_cli(capsys, argv + source + ["--out", out, flag, "5/4"])
     assert rc == cli.USAGE_ERROR
-    assert err.startswith("usage: ") and "--speedup" in err
+    assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 5/4" in err
     assert not out.exists()
 
 
@@ -236,6 +240,24 @@ def test_engine_error_exits_1_and_names_it(capsys, monkeypatch, trace_file):
     rc, err = run_cli(capsys, ["simulate", "--trace", trace_file])
     assert rc == cli.VIOLATION
     assert "ArrivalInPast: job 1 released at 0, clock is 3" in err
+    assert not err.startswith("error: ")
+
+
+def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
+    # validation and dispatch keep every job on a machine that can run it,
+    # so a job that reaches any other machine is an engine bug
+    path = tmp_path / "m2.txt"
+    path.write_text("m=2 epsilon=1/2 speedup=0 seed=-\n0 0 1 2,2\n1 1 3/2 1,-\n",
+                    encoding="ascii")
+    module = importlib.import_module("flowsched.dispatch")
+    route = module.dispatch
+
+    def misroute(job, machines):
+        return DispatchDecision(job.id, 1, 0) if job.id == 1 else route(job, machines)
+    monkeypatch.setattr(module, "dispatch", misroute)
+    rc, err = run_cli(capsys, ["simulate", "--trace", path])
+    assert rc == cli.VIOLATION
+    assert "JobNotRunnableOnMachine: job 1 has no size on machine 1" in err
     assert not err.startswith("error: ")
 
 

@@ -107,7 +107,7 @@ def test_per_machine_traces_keep_scheduler_invariants(seed, machines):
     inst = multi_instance(seed, machines)
     result = run_multi(inst)
     for trace in result.traces:
-        for slot in trace.slots:
+        for slot in oracles.slots(trace):
             if slot.plan in trace.promoted_at and trace.promoted_at[slot.plan] <= slot.t:
                 assert slot.real is None
             else:

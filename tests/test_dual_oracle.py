@@ -12,7 +12,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,35 +58,27 @@ def seeded_instance(seed: int, machines: int):
         epsilon=(F(1, 2), F(1, 4), F(1, 10))[seed % 3]))
 
 
-def assert_matches_oracle(trace, inst, speedup=F(0)):
+def assert_matches_oracle(trace, inst):
     assert fractional_flow_plan(trace, inst) == oracles.fractional_flow_plan(trace, inst)
     assert beta_series(trace, inst) == oracles.beta_series(trace, inst)
-    fast = verify_duals(trace, inst, speedup)
-    assert fast == oracles.verify_duals(trace, inst, speedup)
+    fast = verify_duals(trace, inst)
+    assert fast == oracles.verify_duals(trace, inst)
     return fast
 
 
 @settings(max_examples=60)
-@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]),
-       st.sampled_from(ALPHA_MODES), st.sampled_from([F(0), F(1, 4)]))
-def test_fast_verifier_matches_pair_oracle(seed, machines, mode, speedup):
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]), st.sampled_from(ALPHA_MODES))
+def test_fast_verifier_matches_pair_oracle(seed, machines, mode):
     inst = seeded_instance(seed, machines)
     rng = random.Random(seed)
     for trace in each_trace(run_multi(inst)):
-        assert_matches_oracle(perturbed(trace, mode, rng), inst, speedup)
-
-
-def test_verifier_rejects_a_negative_speedup():
-    # sum alpha - (1 + s) sum beta would grow as s falls below 0
-    inst = make_instance([job(0, 0, 1, 2), job(1, 1, F(3, 2), 1)])
-    with pytest.raises(ValueError):
-        verify_duals(run(inst), inst, F(-1))
+        assert_matches_oracle(perturbed(trace, mode, rng), inst)
 
 
 def test_fractional_flow_plan_matches_slot_oracle_on_the_pileup():
     inst = generate(WorkloadModel(kind="adversarial_L", L=12, scale=5))
     trace = run(inst)
-    assert len(trace.slots) > 10 * len(inst.jobs)
+    assert len(oracles.slots(trace)) > 10 * len(inst.jobs)
     assert fractional_flow_plan(trace, inst) == oracles.fractional_flow_plan(trace, inst)
 
 

@@ -42,7 +42,7 @@ def engine_instance(seed: int, machines: int) -> Instance:
 
 
 def assert_same_trace(fast, slow):
-    assert fast.slots == slow.slots
+    assert oracles.slots(fast) == oracles.slots(slow)
     assert fast.events == slow.events
     assert fast.impacts == slow.impacts
     assert fast.decisions == slow.decisions
@@ -72,7 +72,7 @@ def features(trace, inst: Instance) -> set[str]:
     """Which of the hard cases one machine's trace exercises."""
     found = set()
     releases = {j.id: j.release for j in inst.jobs}
-    slots = trace.slots
+    slots = oracles.slots(trace)
     if any(b.t > a.t + 1 for a, b in zip(slots, slots[1:])):
         found.add("idle gap")
     at: dict[int, list[int]] = {}
@@ -115,5 +115,5 @@ def test_pileup_takes_one_step_per_segment(monkeypatch):
     monkeypatch.setattr(MachineScheduler, "select_slot",
                         lambda sched: calls.append(sched.clock) or select_slot(sched))
     trace = run(inst)
-    assert len(trace.slots) >= 36_000
+    assert len(oracles.slots(trace)) >= 36_000
     assert len(calls) <= 2 * len(inst.jobs) + 1

@@ -145,7 +145,7 @@ def test_decomposition_and_oracle_equivalence(entries, w, p, eps):
     impact = arrival_impact(new, active, eps)
     assert impact.total == impact.plus + impact.self_term + impact.minus
     assert impact.plus >= 0 and impact.minus >= 0
-    base = [(res.residual_weight, res.remaining) for res in active]
+    base = [(oracles.residual_weight(res), res.remaining) for res in active]
     diff = hdf_fractional_flow(base + [(new.weight, F(p))]) - hdf_fractional_flow(base)
     assert impact.total == diff
 
@@ -228,7 +228,7 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
         assert res.density_class == floor_log(j.density(m))
         assert res.key == (-j.density(m), j.release, j.id)
         res.remaining -= 1
-        assert res.residual_weight == j.density(m) * (size - 1)
+        assert oracles.residual_weight(res) == j.density(m) * (size - 1)
 
 
 # -- the integer sums: many denominators, long active sets --------------------

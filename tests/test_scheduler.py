@@ -29,12 +29,12 @@ def worked_instance():
 
 def test_worked_run_slots_and_events():
     trace = run(worked_instance())
-    assert [(s.t, s.plan, s.real) for s in trace.slots] == [
+    assert [(s.t, s.plan, s.real) for s in oracles.slots(trace)] == [
         (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, None), (4, 0, None), (5, 0, None)]
     assert trace.promoted_at == {0: 1}
     assert trace.departure == {0: 1, 1: 2, 2: 3}
     assert trace.completion_real == {1: 2, 2: 3}
-    assert trace.completion_plan == {0: 6, 1: 2, 2: 3}
+    assert oracles.completion_plan(trace) == {0: 6, 1: 2, 2: 3}
     kinds = {(e.job, e.kind) for e in trace.events}
     assert (0, EVENT_PROMOTED) in kinds and (0, EVENT_DELAYED_REJECT) in kinds
     assert (0, EVENT_REAL_COMPLETE) not in kinds
@@ -51,14 +51,15 @@ def test_worked_run_promotion_fires_mid_batch():
 
 def test_single_job_real_equals_plan():
     trace = run(make_instance([job(0, 0, 1, 3)]))
-    assert [(s.t, s.plan, s.real) for s in trace.slots] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert [(s.t, s.plan, s.real) for s in oracles.slots(trace)] == [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0)]
     assert trace.departure == {0: 3}
     assert trace.events[-1].kind == EVENT_REAL_COMPLETE
 
 
 def test_simultaneous_equal_density_jobs_run_in_id_order():
     trace = run(make_instance([job(0, 0, 1, 2), job(1, 0, 1, 2)]))
-    assert [s.plan for s in trace.slots] == [0, 0, 1, 1]
+    assert [s.plan for s in oracles.slots(trace)] == [0, 0, 1, 1]
 
 
 def test_hdf_tiebreak_earlier_release_first():
@@ -66,7 +67,7 @@ def test_hdf_tiebreak_earlier_release_first():
     trace = run(make_instance([job(0, 0, 2, 4), job(1, 1, 1, 1), job(2, 2, 1, 1)],
                               epsilon=F(1, 2)))
     # runner (w=2, threshold 4) never promoted: cumulative arrivals 2 <= 4
-    assert [s.plan for s in trace.slots] == [0, 0, 0, 0, 1, 2]
+    assert [s.plan for s in oracles.slots(trace)] == [0, 0, 0, 0, 1, 2]
 
 
 def test_promotion_threshold_is_strict():
@@ -170,7 +171,7 @@ def test_immediate_rejection_departs_at_release():
     releases = {j.id: j.release for j in inst.jobs}
     for jid in trace.immediate_rejected:
         assert trace.departure[jid] == releases[jid]
-        assert all(s.plan != jid for s in trace.slots)
+        assert all(s.plan != jid for s in oracles.slots(trace))
 
 
 def test_rejected_arrivals_still_count_toward_marking():
@@ -219,7 +220,7 @@ def test_every_job_has_exactly_one_terminal_event(inst):
 @given(instances)
 def test_mirror_property_per_slot(inst):
     trace = run(inst)
-    for slot in trace.slots:
+    for slot in oracles.slots(trace):
         promoted_by_now = slot.plan in trace.promoted_at \
             and trace.promoted_at[slot.plan] <= slot.t
         if promoted_by_now:
@@ -234,7 +235,7 @@ def test_real_schedule_never_preempts(inst):
     trace = run(inst)
     sizes = {j.id: j.size_on(0) for j in inst.jobs}
     real_slots = {}
-    for slot in trace.slots:
+    for slot in oracles.slots(trace):
         if slot.real is not None:
             real_slots.setdefault(slot.real, []).append(slot.t)
     for jid, slots in real_slots.items():
@@ -313,5 +314,5 @@ def test_slot_selection_reads_cached_densities(monkeypatch, scale):
     monkeypatch.setattr(flowsched.Job, "density",
                         lambda j, machine=0: calls.append(j.id) or density(j, machine))
     trace = run(inst)
-    assert len(trace.slots) >= 64 * scale
+    assert len(oracles.slots(trace)) >= 64 * scale
     assert len(calls) <= 2 * len(inst.jobs)
