@@ -15,17 +15,25 @@ The dual constraint of job j must hold at every time t >= r_j. Written as
 those t at once iff it holds at the minimum of the left-hand side, and
 that minimum over t in [r_j, H] is attained at a vertex of the lower convex
 hull of the points (t, beta_t), t >= r_j. The verifier builds these suffix
-hulls once, in decreasing t, and answers each job with one binary search,
-in exact arithmetic: O((n + H) log H) comparisons instead of one per
-(job, time) pair. Times past the trace horizon H need no check: beta_H is
-already zero and stays zero, while the right-hand side of the original
-constraint only grows with t, so the pair (j, H) implies every later one.
+hulls once, in decreasing t, and answers each job with one binary search:
+O((n + H) log H) comparisons instead of one per (job, time) pair. Times
+past the trace horizon H need no check: beta_H is already zero and stays
+zero, while the right-hand side of the original constraint only grows with
+t, so the pair (j, H) implies every later one.
+
+The arithmetic stays exact but per-time work runs on Python ints: each
+machine's beta series is stored as integer numerators over one common
+denominator ``scale``, the lcm of the density denominators of every job
+that arrived there. Every ``rho_j * scale`` and ``w_j * scale`` is then an
+integer, so the hull and its searches never build a Fraction; only each
+job's right-hand side stays rational, compared once per job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import ceil, lcm
 
 from .core import HALF, Instance, Job, Rational, ZERO
 from .dispatch import MultiTrace, each_trace
@@ -107,27 +115,41 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
 # -- residual reconstruction --------------------------------------------------
 
 
-def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
+def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int]]:
     """Total residual weight at each integer time 0..horizon, sampled just
-    after arrival processing (new arrivals count at full weight).
+    after arrival processing (new arrivals count at full weight), as
+    ``(scale, numerators)``: beta_t is ``numerators[t] / scale``.
 
-    beta is a running total: it gains w_j at each kept job's release and
-    loses the density of the plan's job after each slot of its runs, so
-    one pass over releases and runs builds it. A job's residual weight
-    reaches exactly zero at its plan completion.
+    ``scale`` is the lcm of the density denominators of every arrival,
+    kept or rejected, so ``rho_j * scale`` is an integer for each of them;
+    so is ``w_j * scale``, since ``w_j = rho_j p_j``. beta gains w_j at each
+    kept job's release and loses the plan job's density after each slot of
+    its runs, so its second difference has two nonzero entries per kept
+    job and two per run: summing that twice builds it. A job's residual
+    weight reaches exactly zero at its plan completion.
     """
     by_id = _jobs_by_id(instance)
-    steps = [ZERO] * (trace.horizon() + 1)    # beta_t - beta_{t-1}
-    densities: dict[int, Rational] = {}
+    densities = {jid: by_id[jid].density(trace.machine) for jid in trace.arrivals}
+    scale = lcm(*(rho.denominator for rho in densities.values()))
+    horizon = trace.horizon()
+    bends = [0] * (horizon + 2)    # second difference of beta, one spare entry
     for jid in trace.kept:
-        job = by_id[jid]
-        steps[job.release] += job.weight
-        densities[jid] = job.density(trace.machine)
+        release = by_id[jid].release
+        weight = _scaled(by_id[jid].weight, scale)
+        bends[release] += weight
+        bends[release + 1] -= weight
     for run in trace.runs:
-        rho = densities[run.plan]
-        for t in range(run.start + 1, run.end + 1):
-            steps[t] -= rho
-    return list(accumulate(steps))
+        rho = _scaled(densities[run.plan], scale)
+        bends[run.start + 1] -= rho
+        bends[run.end + 1] += rho
+    numerators = list(accumulate(accumulate(bends)))
+    numerators.pop()
+    return scale, numerators
+
+
+def _scaled(value: Rational, scale: int) -> int:
+    """``value * scale`` for a ``scale`` that its denominator divides."""
+    return value.numerator * (scale // value.denominator)
 
 
 # -- rejection budgets ---------------------------------------------------------
@@ -210,9 +232,14 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
 
 @dataclass(frozen=True)
 class DualCertificate:
+    """``betas`` are integer numerators over ``scale``: beta_t is
+    ``betas[t] / scale`` for t = 0..H."""
     machine: int
     alphas: dict[int, Rational]
-    betas: tuple[Rational, ...]
+    scale: int
+    betas: tuple[int, ...]
+    alpha_total: Rational
+    beta_total: Rational
     feasible: bool
     objective: Rational
     violations: tuple[tuple[int, int], ...] = ()
@@ -224,21 +251,23 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
 
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
     for all t >= r_j. Jobs are visited in decreasing release order while
-    the points (t, beta_t) for t = H down to r_j are pushed onto a lower
-    hull (Andrew's monotone chain, growing at the left end); one binary
-    search for the minimum of ``beta_t + rho_j t`` on that hull decides the
-    job. Only a job that fails is rescanned over [r_j, H] to list its
-    violating times, in arrival order, then by t. Infeasibility is
-    reported, not raised.
+    the points (t, beta_t * scale) for t = H down to r_j are pushed onto a
+    lower hull (Andrew's monotone chain, growing at the left end); one
+    binary search for the minimum of ``(beta_t + rho_j t) * scale`` on that
+    hull decides the job. All of that is integer arithmetic. The minimum is
+    an integer, so it falls below the rational ``bound * scale`` iff it
+    falls below that value's ceiling: one rational step per job. Only a job
+    that fails is rescanned over [r_j, H] to list its violating times, in
+    arrival order, then by t. Infeasibility is reported, not raised.
     """
     by_id = _jobs_by_id(instance)
-    betas = beta_series(trace, instance)
+    scale, betas = beta_series(trace, instance)
     horizon = len(betas) - 1
     alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}
-    failing: dict[int, tuple[Rational, Rational]] = {}    # job -> (rho, bound)
-    # lower hull of (t, beta_t) for t >= the current release, leftmost last
+    failing: dict[int, tuple[int, int]] = {}    # job -> (rho, ceil(bound)), scaled
+    # lower hull of (t, beta_t * scale) for t >= the current release, leftmost last
     hull_t: list[int] = []
-    hull_beta: list[Rational] = []
+    hull_beta: list[int] = []
     t = horizon
     for job in sorted((by_id[jid] for jid in trace.arrivals),
                       key=lambda j: j.release, reverse=True):
@@ -253,24 +282,27 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
             hull_t.append(t)
             hull_beta.append(beta)
             t -= 1
-        rho = job.density(trace.machine)
-        bound = alphas[job.id] / job.size_on(trace.machine) \
-            - job.weight * HALF + rho * job.release
-        if hull_t and _hull_minimum(hull_t, hull_beta, rho) < bound:
-            failing[job.id] = (rho, bound)
+        size = job.size_on(trace.machine)
+        weight = _scaled(job.weight, scale)
+        rho = weight // size    # exact: scale spans this job's density denominator
+        # the ceiling of (alpha_j / p_j - w_j / 2 + rho_j r_j) * scale
+        least = ceil(alphas[job.id] * scale / size - Rational(weight, 2)) + rho * job.release
+        if hull_t and _hull_minimum(hull_t, hull_beta, rho) < least:
+            failing[job.id] = (rho, least)
     violations: list[tuple[int, int]] = []
     for jid in trace.arrivals:
         if jid in failing:
-            rho, bound = failing[jid]
+            rho, least = failing[jid]
             violations.extend((jid, t) for t in range(by_id[jid].release, horizon + 1)
-                              if betas[t] + rho * t < bound)
-    objective = sum(alphas.values(), start=ZERO) - sum(betas, start=ZERO)
-    return DualCertificate(trace.machine, alphas, tuple(betas),
-                           not violations, objective, tuple(violations))
+                              if betas[t] + rho * t < least)
+    alpha_total = sum(alphas.values(), start=ZERO)
+    beta_total = Rational(sum(betas), scale)
+    return DualCertificate(trace.machine, alphas, scale, tuple(betas),
+                           alpha_total, beta_total, not violations,
+                           alpha_total - beta_total, tuple(violations))
 
 
-def _hull_minimum(hull_t: list[int], hull_beta: list[Rational],
-                  rho: Rational) -> Rational:
+def _hull_minimum(hull_t: list[int], hull_beta: list[int], rho: int) -> int:
     """Minimum of ``beta + rho t`` over a nonempty lower hull stored right to
     left. Hull slopes rise from left to right, so the value falls while a
     slope is below -rho and rises after: the minimum is at the leftmost

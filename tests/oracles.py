@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from flowsched.analysis import DualCertificate, _jobs_by_id
+from flowsched.analysis import _jobs_by_id
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO,
                             validate_instance)
@@ -124,9 +124,20 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     return betas
 
 
-def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
+@dataclass(frozen=True)
+class PairCertificate:
+    """The pair-by-pair verifier's verdict, with each beta_t a Fraction."""
+    machine: int
+    alphas: dict[int, Rational]
+    betas: tuple[Rational, ...]
+    feasible: bool
+    objective: Rational
+    violations: tuple[tuple[int, int], ...]
+
+
+def verify_duals(trace: ScheduleTrace, instance: Instance) -> PairCertificate:
     """Check every (job, time) dual constraint exactly and price the
-    certificate ``sum alpha - sum beta``.
+    certificate ``sum alpha - sum beta``, in Fractions throughout.
 
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
     for all t >= r_j. Infeasibility is reported, not raised.
@@ -147,7 +158,7 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
                 violations.append((jid, t))
             rhs += rho
     objective = sum(alphas.values(), start=ZERO) - sum(betas, start=ZERO)
-    return DualCertificate(trace.machine, alphas, tuple(betas),
+    return PairCertificate(trace.machine, alphas, tuple(betas),
                            not violations, objective, tuple(violations))
 
 

@@ -53,7 +53,8 @@ def test_single_job_certificate():
     trace = run(inst)
     cert = verify_duals(trace, inst)
     assert cert.alphas == {0: F(1)}
-    assert cert.betas == (F(1), F(1, 2), F(0))
+    assert tuple(F(b, cert.scale) for b in cert.betas) == (F(1), F(1, 2), F(0))
+    assert (cert.alpha_total, cert.beta_total) == (F(1), F(3, 2))
     assert cert.feasible
     assert cert.objective == F(-1, 2)
     assert cert.objective <= transport_opt(inst.jobs)
@@ -87,8 +88,9 @@ def test_no_rejection_run_audit_all_zero():
 
 def test_beta_sampled_after_arrivals():
     inst = worked_instance()
-    betas = beta_series(run(inst), inst)
-    assert betas == [F(1), F(15, 4), F(9, 4), F(3, 4), F(1, 2), F(1, 4), F(0)]
+    scale, numerators = beta_series(run(inst), inst)
+    assert [F(b, scale) for b in numerators] == \
+        [F(1), F(15, 4), F(9, 4), F(3, 4), F(1, 2), F(1, 4), F(0)]
 
 
 def test_lower_bound_single_job():
@@ -170,8 +172,8 @@ def test_impact_totals_match_decomposition(seed):
 def test_beta_sum_dominates_continuous_flow(seed):
     inst = suite_instance(seed)
     trace = run(inst)
-    assert sum(beta_series(trace, inst), start=F(0)) >= \
-        fractional_flow_plan(trace, inst)
+    scale, numerators = beta_series(trace, inst)
+    assert F(sum(numerators), scale) >= fractional_flow_plan(trace, inst)
 
 
 def test_multi_machine_certificates_and_audit():

@@ -123,6 +123,18 @@ def test_cli_outputs_match_recorded_digests(suite, tmp_path):
     assert [key for key in recorded if actual[key] != recorded[key]] == []
 
 
+def test_verify_record_on_the_long_horizon_pileup(tmp_path):
+    # one 36,000-unit job then 60 unit jobs: the horizon is 36,059, so the
+    # beta series and the dual hull cover far more times than jobs
+    trace = tmp_path / "pileup.txt"
+    serialize_trace(generate(WorkloadModel(kind="adversarial_L", L=60, scale=10)), trace)
+    out = tmp_path / "pileup.verify"
+    assert main(["verify", "--trace", str(trace), "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == (
+        "certificate machine=0 feasible=1 objective=-248399/7200 speedup=0 "
+        "alpha_total=65753971/3600 beta_total=131756341/7200 violations=0\n")
+
+
 # -- exit codes ------------------------------------------------------------
 
 

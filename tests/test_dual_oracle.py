@@ -4,6 +4,10 @@ per-job fractional flow against the per-slot oracle.
 No real trace violates its dual constraints, so most cases scale the
 recorded alphas to force violations: that is the only way to reach the
 rescan that lists a failing job's violating times.
+
+The fast verifier keeps each beta_t as an integer numerator over one
+per-machine ``scale``; every comparison with the oracle's Fractions goes
+through ``Fraction(numerator, scale)``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generate, run,
-                       run_multi, verify_duals)
+from flowsched import (Instance, Job, WorkloadModel, beta_series, fractional_flow_plan,
+                       generate, run, run_multi, validate_instance, verify_duals)
 from flowsched.dispatch import each_trace
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
@@ -58,11 +62,23 @@ def seeded_instance(seed: int, machines: int):
         epsilon=(F(1, 2), F(1, 4), F(1, 10))[seed % 3]))
 
 
+def exact(scale: int, numerators) -> tuple[Fraction, ...]:
+    return tuple(F(b, scale) for b in numerators)
+
+
 def assert_matches_oracle(trace, inst):
     assert fractional_flow_plan(trace, inst) == oracles.fractional_flow_plan(trace, inst)
-    assert beta_series(trace, inst) == oracles.beta_series(trace, inst)
+    scale, numerators = beta_series(trace, inst)
+    assert all(type(b) is int for b in numerators)
+    assert exact(scale, numerators) == tuple(oracles.beta_series(trace, inst))
     fast = verify_duals(trace, inst)
-    assert fast == oracles.verify_duals(trace, inst)
+    slow = oracles.verify_duals(trace, inst)
+    assert len(fast.betas) == trace.horizon() + 1
+    assert exact(fast.scale, fast.betas) == slow.betas
+    assert fast.alpha_total == sum(slow.alphas.values(), start=F(0))
+    assert fast.beta_total == sum(slow.betas, start=F(0))
+    assert (fast.machine, fast.alphas, fast.feasible, fast.objective, fast.violations) \
+        == (slow.machine, slow.alphas, slow.feasible, slow.objective, slow.violations)
     return fast
 
 
@@ -70,6 +86,30 @@ def assert_matches_oracle(trace, inst):
 @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]), st.sampled_from(ALPHA_MODES))
 def test_fast_verifier_matches_pair_oracle(seed, machines, mode):
     inst = seeded_instance(seed, machines)
+    rng = random.Random(seed)
+    for trace in each_trace(run_multi(inst)):
+        assert_matches_oracle(perturbed(trace, mode, rng), inst)
+
+
+@st.composite
+def rational_instances(draw):
+    """Up to 12 jobs whose weights have denominators 3, 5, 7 or 9, which
+    the generator never makes, and sizes up to 20, some machines missing."""
+    machines = draw(st.sampled_from([1, 2, 4]))
+    jobs = []
+    for jid in range(draw(st.integers(1, 12))):
+        sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 20)),
+                              min_size=machines, max_size=machines)
+                     .filter(lambda sizes: any(s is not None for s in sizes)))
+        weight = F(draw(st.integers(1, 40)), draw(st.sampled_from([3, 5, 7, 9])))
+        jobs.append(Job(jid, draw(st.integers(0, 12)), weight, tuple(sizes)))
+    epsilon = draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 10)]))
+    return validate_instance(Instance(tuple(jobs), machines, epsilon))
+
+
+@settings(max_examples=60)
+@given(rational_instances(), st.sampled_from(ALPHA_MODES), st.integers(0, 10 ** 6))
+def test_fast_verifier_matches_pair_oracle_on_rational_weights(inst, mode, seed):
     rng = random.Random(seed)
     for trace in each_trace(run_multi(inst)):
         assert_matches_oracle(perturbed(trace, mode, rng), inst)
@@ -98,15 +138,16 @@ def test_scaled_alphas_reach_the_rescan():
 # -- hand-built hulls ------------------------------------------------------
 
 
-def hand_built(alphas):
-    """Jobs S (w=1, p=2) and D (w=4, p=2) at t=0 and E (w=8, p=1) at t=1.
+def hand_built(alphas, s_size=2):
+    """Jobs S (w=1, p=``s_size``) and D (w=4, p=2) at t=0 and E (w=8, p=1)
+    at t=1.
 
     S and E are rejected on arrival, D runs in [0, 2), so beta = (4, 2, 0)
-    and H = 2. Over t >= r_j, ``beta_t + rho_j t`` is (4, 5/2, 1) for S,
-    its minimum at t = H; (4, 4, 4) for D, collinear points whose hull
-    keeps only the ends; and (10, 16) for E, its minimum at t = r_E.
+    and H = 2. Over t >= r_j, ``beta_t + rho_j t`` is (4, 5/2, 1) for S
+    with p=2, its minimum at t = H; (4, 4, 4) for D, collinear points whose
+    hull keeps only the ends; and (10, 16) for E, its minimum at t = r_E.
     """
-    inst = make_instance([job(0, 0, 1, 2), job(1, 0, 4, 2), job(2, 1, 8, 1)])
+    inst = make_instance([job(0, 0, 1, s_size), job(1, 0, 4, 2), job(2, 1, 8, 1)])
     trace = run_multi(inst).traces[0]
     decisions = {jid: ImmediateDecision(jid, None, None, None, None, jid != 1, "-")
                  for jid in (0, 1, 2)}
@@ -121,7 +162,7 @@ def test_hand_built_hull_ties_are_feasible():
     # bounds alpha/p - w/2 + rho r equal each job's minimum exactly
     trace, inst = hand_built({0: F(3), 1: F(12), 2: F(6)})
     cert = assert_matches_oracle(trace, inst)
-    assert cert.betas == (4, 2, 0)
+    assert exact(cert.scale, cert.betas) == (4, 2, 0)
     assert cert.feasible and cert.violations == ()
 
 
@@ -132,3 +173,16 @@ def test_hand_built_minima_at_horizon_release_and_on_a_line():
     cert = assert_matches_oracle(trace, inst)
     assert not cert.feasible
     assert cert.violations == ((0, 2), (1, 0), (1, 1), (1, 2), (2, 1))
+
+
+def test_scale_spans_jobs_rejected_on_arrival():
+    # S (w=1, p=7) is rejected on arrival, and no kept job's density has a
+    # 7 in its denominator. Over t >= 0, beta_t + t/7 is (4, 15/7, 2/7), so
+    # alpha_S = 11/2 puts S's bound 11/14 - 1/2 exactly on its minimum at H;
+    # a scale over kept jobs only would price S's slope wrongly here
+    trace, inst = hand_built({0: F(11, 2), 1: F(12), 2: F(6)}, s_size=7)
+    cert = assert_matches_oracle(trace, inst)
+    assert cert.scale % 7 == 0
+    assert cert.feasible
+    trace, inst = hand_built({0: F(11, 2) + F(1, 1000), 1: F(12), 2: F(6)}, s_size=7)
+    assert assert_matches_oracle(trace, inst).violations == ((0, 2),)
