@@ -26,7 +26,11 @@ machine's beta series is stored as integer numerators over one common
 denominator ``scale``, the lcm of the density denominators of every job
 that arrived there. Every ``rho_j * scale`` and ``w_j * scale`` is then an
 integer, so the hull and its searches never build a Fraction; only each
-job's right-hand side stays rational, compared once per job.
+job's right-hand side stays rational, compared once per job. The metrics
+follow the same convention: weighted sums are integer numerators over the
+lcm of the instance's weight denominators, and the plan's fractional flow
+over the lcm of the density denominators of the jobs that ran, so each
+metric builds one Fraction.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import ceil, lcm
 
-from .core import HALF, Instance, Job, Rational, ZERO
+from .core import Instance, Job, Rational, ZERO
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
@@ -68,7 +72,9 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     it waited s - r at full residual and drained linearly within the slot.
     Over a run [a, b) of k = b - a slots that sums to
     ``rho k (a + b - 2 r) / 2``, so each job is priced once, from an
-    integer sum over its runs.
+    integer sum over its runs, as an integer numerator over ``scale``, the
+    lcm of the density denominators of the jobs that ran. Only the total
+    becomes a Fraction.
     """
     by_id = _jobs_by_id(instance)
     doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
@@ -76,40 +82,41 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
         release = by_id[run.plan].release
         doubled[run.plan] = doubled.get(run.plan, 0) \
             + (run.end - run.start) * (run.start + run.end - 2 * release)
-    return sum((by_id[jid].density(trace.machine) * HALF * units
-                for jid, units in doubled.items()), start=ZERO)
+    densities = {jid: by_id[jid].density(trace.machine) for jid in doubled}
+    scale = lcm(*(rho.denominator for rho in densities.values()))
+    return Rational(sum(_scaled(rho, scale) * doubled[jid]
+                        for jid, rho in densities.items()), 2 * scale)
 
 
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
-    by_id = _jobs_by_id(instance)
+    """The six metrics of one run. Each weight sum is an integer numerator
+    over ``scale``, the lcm of the instance's weight denominators; only
+    the totals become Fractions."""
+    scale = lcm(*{j.weight.denominator for j in instance.jobs})
+    release = {j.id: j.release for j in instance.jobs}
+    weight = {j.id: _scaled(j.weight, scale) for j in instance.jobs}
     delivered: set[int] = set()
-    weighted_flow = ZERO
+    weighted_flow = departure_objective = rejected_immediate = rejected_delayed = 0
     fractional = ZERO
-    departure_objective = ZERO
-    rejected_immediate = ZERO
-    rejected_delayed = ZERO
     for trace in each_trace(run):
         delivered.update(trace.arrivals)
         fractional += fractional_flow_plan(trace, instance)
-        for jid, completion in trace.completion_real.items():
-            job = by_id[jid]
-            weighted_flow += job.weight * (completion - job.release)
+        weighted_flow += sum(weight[jid] * (completion - release[jid])
+                             for jid, completion in trace.completion_real.items())
         departures = trace.departure
-        for jid, departure in departures.items():
-            job = by_id[jid]
-            departure_objective += job.weight * (departure - job.release)
-        for jid in trace.immediate_rejected:
-            rejected_immediate += by_id[jid].weight
-        for jid in trace.promoted_at:
-            rejected_delayed += by_id[jid].weight
+        departure_objective += sum(weight[jid] * (departure - release[jid])
+                                   for jid, departure in departures.items())
+        rejected_immediate += sum(weight[jid] for jid in trace.immediate_rejected)
+        rejected_delayed += sum(weight[jid] for jid in trace.promoted_at)
         missing = set(trace.arrivals) - set(departures)
         if missing:
             raise IncompleteTrace(f"no departure recorded for jobs {sorted(missing)}")
-    if delivered != set(by_id):
+    if delivered != set(weight):
         raise IncompleteTrace("trace does not cover every job in the instance")
-    total_weight = sum((j.weight for j in instance.jobs), start=ZERO)
-    return Metrics(weighted_flow, fractional, departure_objective,
-                   rejected_immediate, rejected_delayed, total_weight)
+    return Metrics(Rational(weighted_flow, scale), fractional,
+                   Rational(departure_objective, scale),
+                   Rational(rejected_immediate, scale), Rational(rejected_delayed, scale),
+                   Rational(sum(weight.values()), scale))
 
 
 # -- residual reconstruction --------------------------------------------------

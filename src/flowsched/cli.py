@@ -5,6 +5,10 @@ are line-delimited ``record key=value ...`` text with rationals rendered
 as ``num`` or ``num/den``; no floating point and no timestamps, so
 identical inputs produce byte-identical outputs.
 
+The argument parser is built once per process, on the first ``main``
+call, and ``main`` finds each ``cmd_<name>`` function by name only when it
+runs that command.
+
 Exit codes: 0 success (verify: feasible, audit: all budgets hold);
 1 a violated invariant, including any exception the engine or analysis
 raises, which is a bug and is printed with its traceback; 2 bad usage or
@@ -15,6 +19,7 @@ generator parameters, a too-short baseline horizon), as one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from dataclasses import replace
@@ -275,7 +280,10 @@ def cmd_report(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, not at import.
+    Every parse fills a fresh namespace, so no state leaks between calls."""
     parser = argparse.ArgumentParser(
         prog="flowsched",
         description="online weighted flow-time scheduling with rejection")
@@ -296,50 +304,47 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-weight", type=int, default=12, dest="max_weight")
     gen.add_argument("--machines", type=int, default=1)
     gen.add_argument("--epsilon", type=_rat, default=None)
-    gen.set_defaults(func=cmd_gen)
 
     sim = sub.add_parser("simulate", help="run the online policy on a trace file")
     sim.add_argument("--trace", required=True)
     sim.add_argument("--epsilon", type=_rat, default=None)
     sim.add_argument("--machines", type=int, default=None)
     sim.add_argument("--out", default=None)
-    sim.set_defaults(func=cmd_simulate)
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
     base.add_argument("--trace", required=True)
     base.add_argument("--horizon", type=int, default=None)
     base.add_argument("--out", default=None)
-    base.set_defaults(func=cmd_baseline)
 
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")
     ver.add_argument("--trace", required=True)
     ver.add_argument("--epsilon", type=_rat, default=None)
     ver.add_argument("--out", default=None)
-    ver.set_defaults(func=cmd_verify)
 
     aud = sub.add_parser("audit", help="rejection budgets; exit 0 iff all hold")
     aud.add_argument("--trace", required=True)
     aud.add_argument("--epsilon", type=_rat, default=None)
     aud.add_argument("--out", default=None)
-    aud.set_defaults(func=cmd_audit)
 
     rep = sub.add_parser("report", help="join simulate/baseline outputs")
     rep.add_argument("--sim", required=True)
     rep.add_argument("--baseline", required=True)
     rep.add_argument("--audit", default=None)
     rep.add_argument("--out", default=None)
-    rep.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand. The parser is shared by every call in the
+    process; the command function is looked up by name at call time, so
+    a replaced ``cmd_*`` attribute of this module takes effect."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

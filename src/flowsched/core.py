@@ -153,7 +153,10 @@ def validate_instance(raw: Instance) -> Instance:
 
     Jobs are re-sorted stably by release time (input order breaks ties),
     weights are coerced to ``Rational`` and size lists to tuples, so two
-    validated instances with equal content compare equal.
+    validated instances with equal content compare equal. A job whose
+    weight is already a ``Rational`` and whose sizes are already a tuple is
+    canonical and kept as the same object, so validating a validated
+    instance again builds no job.
     """
     eps = Rational(raw.epsilon)
     if eps <= 0 or eps.numerator != 1:
@@ -175,7 +178,7 @@ def validate_instance(raw: Instance) -> Instance:
         if not isinstance(job.release, int) or job.release < 0:
             raise InvalidInstance(
                 f"job {job.id} release must be a nonnegative integer, got {job.release!r}")
-        sizes = tuple(job.sizes)
+        sizes = job.sizes if type(job.sizes) is tuple else tuple(job.sizes)
         if len(sizes) != raw.machines:
             raise MachineCountMismatch(
                 f"job {job.id} lists {len(sizes)} sizes for {raw.machines} machines")
@@ -184,10 +187,12 @@ def validate_instance(raw: Instance) -> Instance:
             raise NonPositiveSizeOrWeight(f"job {job.id} is not runnable on any machine")
         if any(not isinstance(s, int) or s < 1 for s in present):
             raise NonPositiveSizeOrWeight(f"job {job.id} has a size below 1")
-        weight = Rational(job.weight)
-        if weight <= 0:
+        weight = job.weight if type(job.weight) is Rational else Rational(job.weight)
+        if weight.numerator <= 0:
             raise NonPositiveSizeOrWeight(f"job {job.id} has nonpositive weight {weight}")
-        jobs.append(Job(job.id, job.release, weight, sizes))
+        if weight is not job.weight or sizes is not job.sizes or type(job) is not Job:
+            job = Job(job.id, job.release, weight, sizes)
+        jobs.append(job)
 
     jobs.sort(key=lambda j: j.release)  # stable sort keeps input order within a release
     return Instance(tuple(jobs), raw.machines, eps)

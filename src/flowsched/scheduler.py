@@ -18,7 +18,11 @@ weight/epsilon (strictly). Simultaneous arrivals repeat (1)-(2) one at a
 time, so a marking can fire mid-batch and later same-time arrivals see it.
 (3) Between events the plan runs one job: a mid-run unmarked job
 continues, otherwise the densest active job wins (ties: earlier release,
-then smaller id). It keeps running until it completes or the next release,
+then smaller id), read from the top of a per-machine heap of HDF keys.
+Keys never change, so each is pushed once, at activation; a completed
+job's key is popped only when it reaches the top (lazy deletion), since a
+non-preemptive run can finish a job that is not the densest. The job
+keeps running until it completes or the next release,
 whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
 in ``simulate``'s slot lines.
@@ -27,6 +31,7 @@ in ``simulate``'s slot lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
@@ -135,6 +140,9 @@ class MachineScheduler:
         # on_arrival uses it only for that same job and clears it either way
         self.scored: tuple[Job, ArrivalImpact] | None = None
         self.active: dict[int, ResidualJob] = {}
+        # HDF keys of activated jobs; entries of completed jobs linger
+        # below the top until select_slot pops them
+        self.heap: list[tuple[Rational, int, int]] = []
         self.preemptible: set[int] = set()
         self.tables = RejectionTables(epsilon)
         # current uninterrupted run of an unmarked job
@@ -170,7 +178,9 @@ class MachineScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine)
+            res = ResidualJob(job, job.size_on(self.machine), self.machine)
+            self.active[job.id] = res
+            heappush(self.heap, res.key)
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
@@ -205,14 +215,19 @@ class MachineScheduler:
     def select_slot(self) -> int | None:
         """Run the plan from the clock until its job completes or until
         ``stop``, whichever comes first; returns the job the plan ran, or
-        None if the machine is empty."""
+        None if the machine is empty. A new run takes the densest active
+        job from the top of the heap, after popping the keys of jobs that
+        completed while they were not on top."""
         t = self.clock
         if self.run_job is not None:
             chosen = self.run_job  # non-preemption: an unmarked run continues
         else:
             if not self.active:
                 return None
-            chosen = min(self.active.values(), key=attrgetter("key")).job.id
+            heap, active = self.heap, self.active
+            while heap[0][2] not in active:
+                heappop(heap)
+            chosen = heap[0][2]
             if chosen not in self.preemptible:
                 self.run_job = chosen
                 self.run_released = ZERO

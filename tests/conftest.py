@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from flowsched import Instance, Job, WorkloadModel, generate
+from flowsched import Instance, Job, WorkloadModel, generate, validate_instance
+from flowsched.rejection import RejectionTables
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -20,6 +24,51 @@ def make_instance(jobs, epsilon=Fraction(1, 2), machines=1):
 
 def job(jid, release, weight, size) -> Job:
     return Job(jid, release, Fraction(weight), (size,))
+
+
+def seeded_instance(seed: int, machines: int) -> Instance:
+    kind = "uniform" if seed % 2 else "poisson_pareto"
+    return generate(WorkloadModel(
+        kind=kind, n=4 + seed % 30, seed=seed, max_release=2 + seed % 13,
+        max_size=6, rate=0.7 * machines, size_cap=12, machines=machines,
+        epsilon=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))[seed % 3]))
+
+
+@st.composite
+def rational_instances(draw) -> tuple[Instance, frozenset[int]]:
+    """Up to 12 jobs whose weights have denominators 3, 5, 7 or 9, which
+    the generator never makes, and sizes up to 20, some machines missing;
+    with the ids of at least one job to reject on arrival under
+    :func:`rejecting`, since the tables alone rarely reject one."""
+    machines = draw(st.sampled_from([1, 2, 4]))
+    jobs = []
+    for jid in range(draw(st.integers(1, 12))):
+        sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 20)),
+                              min_size=machines, max_size=machines)
+                     .filter(lambda sizes: any(s is not None for s in sizes)))
+        weight = Fraction(draw(st.integers(1, 40)), draw(st.sampled_from([3, 5, 7, 9])))
+        jobs.append(Job(jid, draw(st.integers(0, 12)), weight, tuple(sizes)))
+    epsilon = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)]))
+    forced = draw(st.sets(st.sampled_from(range(len(jobs))), min_size=1))
+    return validate_instance(Instance(tuple(jobs), machines, epsilon)), frozenset(forced)
+
+
+@contextmanager
+def rejecting(forced):
+    """Runs inside this block reject every job in ``forced`` on arrival:
+    the tables still assign it to its buckets, and its decision is flipped
+    to a rejection, so the trace stays consistent."""
+    admit = RejectionTables.admit
+
+    def flipped(tables, job, impact, machine=0):
+        decision = admit(tables, job, impact, machine)
+        if job.id in forced and not decision.reject:
+            return replace(decision, reject=True, reason="forced")
+        return decision
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(RejectionTables, "admit", flipped)
+        yield
 
 
 # -- the criterion-1 suite: 200 seeded instances, eps in {1/2, 1/4, 1/10} ----

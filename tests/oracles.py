@@ -2,13 +2,15 @@
 
 ``arrival_impact`` classifies every active job by its density class and
 prices it on its own, ``fractional_flow_plan`` prices every plan slot,
+``compute_metrics`` sums every metric job by job in Fractions,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
 every (job, time) pair one at a time. They are the definitions the fast
 versions in ``flowsched`` must reproduce exactly.
 
 The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 ``slot_run_multi``, steps every machine one unit slot at a time in
-lock-step and records each slot as a unit :class:`Run`; the event-driven
+lock-step, picks each new run with a ``min`` over the active jobs' HDF
+keys and records each slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
 machine in full with the ``arrival_impact`` above.
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from flowsched.analysis import _jobs_by_id
+from flowsched.analysis import IncompleteTrace, Metrics, _jobs_by_id
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO,
                             validate_instance)
@@ -99,6 +101,40 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
         for s in slots:
             total += rho * (Rational(s - job.release) + HALF)
     return total
+
+
+def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
+    """The six metrics summed job by job in Fractions; the plan's
+    fractional flow is the per-slot ``fractional_flow_plan`` above."""
+    by_id = _jobs_by_id(instance)
+    delivered: set[int] = set()
+    weighted_flow = ZERO
+    fractional = ZERO
+    departure_objective = ZERO
+    rejected_immediate = ZERO
+    rejected_delayed = ZERO
+    for trace in each_trace(run):
+        delivered.update(trace.arrivals)
+        fractional += fractional_flow_plan(trace, instance)
+        for jid, completion in trace.completion_real.items():
+            job = by_id[jid]
+            weighted_flow += job.weight * (completion - job.release)
+        departures = trace.departure
+        for jid, departure in departures.items():
+            job = by_id[jid]
+            departure_objective += job.weight * (departure - job.release)
+        for jid in trace.immediate_rejected:
+            rejected_immediate += by_id[jid].weight
+        for jid in trace.promoted_at:
+            rejected_delayed += by_id[jid].weight
+        missing = set(trace.arrivals) - set(departures)
+        if missing:
+            raise IncompleteTrace(f"no departure recorded for jobs {sorted(missing)}")
+    if delivered != set(by_id):
+        raise IncompleteTrace("trace does not cover every job in the instance")
+    total_weight = sum((j.weight for j in instance.jobs), start=ZERO)
+    return Metrics(weighted_flow, fractional, departure_objective,
+                   rejected_immediate, rejected_delayed, total_weight)
 
 
 def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:

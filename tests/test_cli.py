@@ -195,6 +195,29 @@ def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, fl
     assert instance.epsilon == (Fraction(1, 4) if "--epsilon" in flags else Fraction(1, 2))
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_parse_state_leaks_between_calls(capsys, trace_file):
+    # the trace's header says epsilon=1/2; an override must not stick
+    headers = []
+    for flags in (["--epsilon", "1/4"], []):
+        assert main(["simulate", "--trace", str(trace_file), *flags]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert headers == ["header m=1 epsilon=1/4 speedup=0",
+                       "header m=1 epsilon=1/2 speedup=0"]
+
+
+def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
+    assert main(["audit", "--trace", str(trace_file)]) == 0
+    assert capsys.readouterr().out.startswith("budget ")
+    calls = []
+    monkeypatch.setattr(cli, "cmd_audit", lambda args: calls.append(args.trace) or 7)
+    assert main(["audit", "--trace", str(trace_file)]) == 7
+    assert calls == [str(trace_file)] and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("text", [
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1\n",         # missing field
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n",     # zero denominator

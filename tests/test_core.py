@@ -36,12 +36,24 @@ def test_duplicate_ids_rejected():
 
 
 def test_nonpositive_weight_and_size():
-    with pytest.raises(NonPositiveSizeOrWeight):
-        validate_instance(make_instance([job(0, 0, 0, 2)]))
+    for weight in (Fraction(0), Fraction(-1, 3), 0, -2):
+        with pytest.raises(NonPositiveSizeOrWeight):
+            validate_instance(make_instance([Job(0, 0, weight, (2,))]))
     with pytest.raises(NonPositiveSizeOrWeight):
         validate_instance(make_instance([job(0, 0, 1, 0)]))
     with pytest.raises(NonPositiveSizeOrWeight):
         validate_instance(make_instance([Job(0, 0, Fraction(1), (None,))]))
+
+
+def test_canonical_jobs_are_kept_and_others_coerced():
+    canonical = Job(0, 0, Fraction(3, 2), (2,))
+    raw = Job(1, 1, 4, [3])
+    inst = validate_instance(make_instance([canonical, raw]))
+    assert inst.jobs[0] is canonical
+    assert inst.jobs[1] == Job(1, 1, Fraction(4), (3,))
+    assert type(inst.jobs[1].weight) is Fraction and type(inst.jobs[1].sizes) is tuple
+    again = validate_instance(inst)
+    assert all(a is b for a, b in zip(again.jobs, inst.jobs))
 
 
 def test_sizes_must_match_machine_count():

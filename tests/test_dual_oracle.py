@@ -19,15 +19,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (Instance, Job, WorkloadModel, beta_series, fractional_flow_plan,
-                       generate, run, run_multi, validate_instance, verify_duals)
+from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generate, run,
+                       run_multi, verify_duals)
 from flowsched.dispatch import each_trace
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_REAL_COMPLETE, Event, Run, ScheduleTrace)
 
 import oracles
-from conftest import job, make_instance
+from conftest import job, make_instance, rational_instances, rejecting, seeded_instance
 
 F = Fraction
 ALPHA_MODES = ("recorded", "scaled", "scaled_offset")
@@ -52,14 +52,6 @@ def perturbed(trace: ScheduleTrace, mode: str, rng: random.Random) -> ScheduleTr
             alpha += F(rng.randint(-4, 4), 8)
         alphas[jid] = alpha
     return with_alphas(trace, alphas)
-
-
-def seeded_instance(seed: int, machines: int):
-    kind = "uniform" if seed % 2 else "poisson_pareto"
-    return generate(WorkloadModel(
-        kind=kind, n=4 + seed % 30, seed=seed, max_release=2 + seed % 13,
-        max_size=6, rate=0.7 * machines, size_cap=12, machines=machines,
-        epsilon=(F(1, 2), F(1, 4), F(1, 10))[seed % 3]))
 
 
 def exact(scale: int, numerators) -> tuple[Fraction, ...]:
@@ -91,27 +83,17 @@ def test_fast_verifier_matches_pair_oracle(seed, machines, mode):
         assert_matches_oracle(perturbed(trace, mode, rng), inst)
 
 
-@st.composite
-def rational_instances(draw):
-    """Up to 12 jobs whose weights have denominators 3, 5, 7 or 9, which
-    the generator never makes, and sizes up to 20, some machines missing."""
-    machines = draw(st.sampled_from([1, 2, 4]))
-    jobs = []
-    for jid in range(draw(st.integers(1, 12))):
-        sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 20)),
-                              min_size=machines, max_size=machines)
-                     .filter(lambda sizes: any(s is not None for s in sizes)))
-        weight = F(draw(st.integers(1, 40)), draw(st.sampled_from([3, 5, 7, 9])))
-        jobs.append(Job(jid, draw(st.integers(0, 12)), weight, tuple(sizes)))
-    epsilon = draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 10)]))
-    return validate_instance(Instance(tuple(jobs), machines, epsilon))
-
-
 @settings(max_examples=60)
 @given(rational_instances(), st.sampled_from(ALPHA_MODES), st.integers(0, 10 ** 6))
-def test_fast_verifier_matches_pair_oracle_on_rational_weights(inst, mode, seed):
+def test_fast_verifier_matches_pair_oracle_on_rational_weights(case, mode, seed):
+    # some job is rejected on arrival in every example, so a scale that
+    # misses a rejected job's density denominator fails here
+    inst, forced = case
+    with rejecting(forced):
+        traces = each_trace(run_multi(inst))
+    assert any(trace.immediate_rejected for trace in traces)
     rng = random.Random(seed)
-    for trace in each_trace(run_multi(inst)):
+    for trace in traces:
         assert_matches_oracle(perturbed(trace, mode, rng), inst)
 
 

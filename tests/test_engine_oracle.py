@@ -117,3 +117,48 @@ def test_pileup_takes_one_step_per_segment(monkeypatch):
     trace = run(inst)
     assert len(oracles.slots(trace)) >= 36_000
     assert len(calls) <= 2 * len(inst.jobs) + 1
+
+
+# -- the HDF heap on hand-built cases ------------------------------------------
+# epsilon = 1/10 keeps every arrival below the rejection-table thresholds
+
+
+def runs_of(jobs, epsilon=F(1, 10)):
+    inst = Instance(tuple(jobs), 1, epsilon)
+    slow = assert_matches_slot_engine(inst)
+    assert not any(d.reject for d in slow.traces[0].decisions.values())
+    return [tuple(r) for r in run(inst).runs]
+
+
+def test_heap_skips_a_job_that_finished_below_the_top():
+    # A (rho 2) and C (rho 1/5) arrive at 0 and A starts; B (rho 3) arrives
+    # at 1 but A runs on to 5 unmarked, so A's key is stale but not on top
+    a, c, b = (Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 1, F(3), (1,)))
+    sched = MachineScheduler(F(1, 10))
+    sched.on_arrival(a)
+    sched.on_arrival(c)
+    sched.stop = 1
+    assert sched.select_slot() == a.id
+    sched.on_arrival(b)
+    sched.stop = None
+    assert sched.select_slot() == a.id and sched.clock == 5
+    assert a.id not in sched.active
+    assert sched.heap[0][2] == b.id and a.id in {key[2] for key in sched.heap}
+    assert sched.select_slot() == b.id
+    assert sched.select_slot() == c.id    # pops the stale keys of B and A
+    assert [key[2] for key in sched.heap] == [c.id]
+    assert runs_of([a, c, b]) == [(0, 1, 0, 0), (1, 5, 0, 0), (5, 6, 2, 2), (6, 11, 1, 1)]
+
+
+def test_heap_resumes_a_marked_job():
+    # B's weight 12 exceeds A's 1/epsilon = 10, so A is marked at 1; after
+    # B completes, A comes back off the heap and runs with the real idle
+    runs = runs_of([Job(0, 0, F(1), (10,)), Job(1, 1, F(12), (1,))])
+    assert runs == [(0, 1, 0, 0), (1, 2, 1, 1), (2, 11, 0, None)]
+
+
+def test_heap_ties_on_release_then_id():
+    # all three have density 1: job 3 beats job 5 on id at the same
+    # release, and job 5 beats job 0 on the earlier release
+    runs = runs_of([Job(5, 0, F(2), (2,)), Job(3, 0, F(1), (1,)), Job(0, 1, F(1), (1,))])
+    assert runs == [(0, 1, 3, 3), (1, 3, 5, 5), (3, 4, 0, 0)]
