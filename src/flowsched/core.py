@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -129,23 +130,25 @@ class Instance:
 class ResidualJob:
     """A job with its remaining processing time on one machine.
 
-    ``density``, its lowest-terms ``num``/``den`` as ``int``s, the
-    ``density_class`` and the HDF ``key`` (-density, release, id) are
-    constant while the job is active, so they are computed once, here.
+    The density ``w/p`` is kept only as ``int``s: ``num``/``den`` in lowest
+    terms, taken from ``gcd(w_num, p)`` (``w_num`` and ``w_den`` are already
+    coprime), with its ``density_class``. Both are constant while the job
+    is active, so they are computed once, here, without a ``Fraction``.
     ``remaining`` is decremented in place by the engine.
     """
 
-    __slots__ = ("job", "remaining", "machine", "density", "num", "den",
-                 "density_class", "key")
+    __slots__ = ("job", "remaining", "machine", "num", "den", "density_class")
 
     def __init__(self, job: Job, remaining: int, machine: int = 0):
         self.job = job
         self.remaining = remaining
         self.machine = machine
-        self.density = job.density(machine)
-        self.num, self.den = self.density.numerator, self.density.denominator
+        size = job.size_on(machine)
+        weight = job.weight
+        g = gcd(weight.numerator, size)
+        self.num = weight.numerator // g
+        self.den = weight.denominator * (size // g)
         self.density_class = floor_log_ratio(self.num, self.den)
-        self.key = (-self.density, job.release, job.id)
 
 
 def validate_instance(raw: Instance) -> Instance:

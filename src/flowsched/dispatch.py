@@ -13,7 +13,7 @@ impact. Rejection tables are per machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Instance, Job, Rational, validate_instance
 from .impact import arrival_impact, impact_sums
@@ -24,8 +24,7 @@ class NoEligibleMachine(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DispatchDecision:
+class DispatchDecision(NamedTuple):
     job: int
     machine: int
     score: Rational  # impact the job incurs on the chosen machine

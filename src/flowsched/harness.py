@@ -156,15 +156,26 @@ def _poisson_pareto_jobs(model: WorkloadModel) -> list[Job]:
 
 # -- trace file round-trips -------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 _HEADER_RE = re.compile(
     r"^m=(?P<m>\d+)\s+epsilon=(?P<eps>\S+)\s+speedup=(?P<spd>\S+)\s+seed=(?P<seed>\S+)$")
 
 
 def _parse_rational(text: str) -> Rational:
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Rational(text)  # raises ZeroDivisionError on "n/0"
+    num, den = match.groups()
+    return Rational(int(num), int(den or 1))  # raises ZeroDivisionError on "n/0"
+
+
+def _parse_int(text: str) -> int:
+    """An optional minus sign and decimal digits, nothing else: ``int``
+    alone would also take ``+2`` and ``1_0``. A negative value is left for
+    :func:`~flowsched.core.validate_instance` to refuse."""
+    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def serialize_trace(instance: Instance, path: str | Path,
@@ -211,10 +222,10 @@ def parse_trace_text(text: str) -> Instance:
         if len(fields) != 4:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
         try:
-            jid = int(fields[0])
-            release = int(fields[1])
+            jid = _parse_int(fields[0])
+            release = _parse_int(fields[1])
             weight = _parse_rational(fields[2])
-            sizes = tuple(None if tok == "-" else int(tok)
+            sizes = tuple(None if tok == "-" else _parse_int(tok)
                           for tok in fields[3].split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc

@@ -28,9 +28,8 @@ cross-multiplying, building no ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Collection
+from typing import Collection, NamedTuple
 
 # NonPositiveArgument and floor_log are re-exported from here
 from .core import (Job, NonPositiveArgument, Rational, ResidualJob, floor_log,
@@ -41,8 +40,7 @@ class JobInActiveSet(ValueError):
     """The arriving job is already present in the active set."""
 
 
-@dataclass(frozen=True)
-class ArrivalImpact:
+class ArrivalImpact(NamedTuple):
     """Exact decomposition ``total = plus + self_term + minus``.
 
     ``in_plus`` / ``in_minus`` record whether the respective side meets its

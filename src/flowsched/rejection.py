@@ -13,14 +13,19 @@ period ``1/epsilon``:
 Counters advance on every assignment, even when the other table already
 rejected the job, so replaying an arrival sequence is deterministic.
 Buckets are never garbage-collected within a run.
+
+Each class is computed from ``int``s, with no ``Fraction`` division:
+:func:`~flowsched.core.floor_log_ratio` of the numerator and denominator
+of ``plus/weight``, ``weight`` and ``minus``, and ``size.bit_length() - 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import Job, Rational, ZERO
-from .impact import ArrivalImpact, floor_log
+from .core import Job, Rational, ZERO, floor_log_ratio
+from .impact import ArrivalImpact
 
 REASON_NONE = "none"
 REASON_PLUS_FIRST = "plus_first"
@@ -32,14 +37,12 @@ class DuplicateAdmission(ValueError):
     """The same job id was offered to the tables twice."""
 
 
-@dataclass(frozen=True, order=True)
-class PlusKey:
+class PlusKey(NamedTuple):
     impact_class: int  # floor_log(plus / weight)
     weight_class: int  # floor_log(weight)
 
 
-@dataclass(frozen=True, order=True)
-class MinusKey:
+class MinusKey(NamedTuple):
     impact_class: int   # floor_log(minus)
     density_class: int
     size_class: int     # floor_log(size)
@@ -51,15 +54,18 @@ def bucket_keys(impact: ArrivalImpact, job: Job,
     plus_key = None
     minus_key = None
     if impact.in_plus:
-        plus_key = PlusKey(floor_log(impact.plus / job.weight), floor_log(job.weight))
+        wn, wd = job.weight.numerator, job.weight.denominator
+        plus = impact.plus
+        plus_key = PlusKey(floor_log_ratio(plus.numerator * wd, plus.denominator * wn),
+                           floor_log_ratio(wn, wd))
     if impact.in_minus:
-        minus_key = MinusKey(floor_log(impact.minus), impact.density_class,
-                             floor_log(Rational(job.size_on(machine))))
+        minus = impact.minus
+        minus_key = MinusKey(floor_log_ratio(minus.numerator, minus.denominator),
+                             impact.density_class, job.size_on(machine).bit_length() - 1)
     return plus_key, minus_key
 
 
-@dataclass(frozen=True)
-class ImmediateDecision:
+class ImmediateDecision(NamedTuple):
     job: int
     plus_key: PlusKey | None
     minus_key: MinusKey | None
@@ -71,6 +77,7 @@ class ImmediateDecision:
 
 @dataclass(frozen=True)
 class BucketReport:
+    # not a NamedTuple: the field ``count`` would shadow ``tuple.count``
     table: str
     key: tuple[int, ...]
     count: int
@@ -148,7 +155,7 @@ class RejectionTables:
                 first_weight = bucket.assigned[0][1] if 1 in bucket.rejected else ZERO
                 reports.append(BucketReport(
                     table=table,
-                    key=astuple(key),
+                    key=tuple(key),
                     count=len(bucket.assigned),
                     rejected_ordinals=rejected,
                     weight_assigned=sum((w for _, w in bucket.assigned), start=ZERO),

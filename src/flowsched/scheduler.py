@@ -19,13 +19,22 @@ time, so a marking can fire mid-batch and later same-time arrivals see it.
 (3) Between events the plan runs one job: a mid-run unmarked job
 continues, otherwise the densest active job wins (ties: earlier release,
 then smaller id), read from the top of a per-machine heap of HDF keys.
-Keys never change, so each is pushed once, at activation; a completed
-job's key is popped only when it reaches the top (lazy deletion), since a
-non-preemptive run can finish a job that is not the densest. The job
-keeps running until it completes or the next release,
+Keys never change order, so each is pushed once, at activation; a
+completed job's key is popped only when it reaches the top (lazy
+deletion), since a non-preemptive run can finish a job that is not the
+densest. The job keeps running until it completes or the next release,
 whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
 in ``simulate``'s slot lines.
+
+The HDF order and the marking test compare ``int``s over one ``scale`` per
+machine: the lcm of the density denominators of every arrival seen, kept
+or rejected (the rule of :func:`flowsched.analysis.beta_series`), so
+``rho * scale`` and ``w * scale`` are integers. A heap key is
+``(-rho * scale, release, id)``; the marking budget ``run_released`` is
+the released weight times ``scale``, against ``w * scale * (1/epsilon)``.
+An arrival that grows ``scale`` multiplies every key and ``run_released``
+by the same factor, which keeps their order.
 """
 
 from __future__ import annotations
@@ -33,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import groupby
+from math import lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, ResidualJob, ZERO, validate_instance
+from .core import Instance, Job, Rational, ResidualJob, validate_instance
 from .impact import ArrivalImpact, arrival_impact
 from .rejection import BucketReport, ImmediateDecision, RejectionTables
 
@@ -73,8 +83,7 @@ class Run(NamedTuple):
     real: int | None
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: int
     job: int
     kind: str
@@ -140,14 +149,17 @@ class MachineScheduler:
         # on_arrival uses it only for that same job and clears it either way
         self.scored: tuple[Job, ArrivalImpact] | None = None
         self.active: dict[int, ResidualJob] = {}
-        # HDF keys of activated jobs; entries of completed jobs linger
-        # below the top until select_slot pops them
-        self.heap: list[tuple[Rational, int, int]] = []
+        # lcm of the density denominators of every arrival seen here
+        self.scale = 1
+        # HDF keys (-rho * scale, release, id) of activated jobs; entries of
+        # completed jobs linger below the top until select_slot pops them
+        self.heap: list[tuple[int, int, int]] = []
         self.preemptible: set[int] = set()
         self.tables = RejectionTables(epsilon)
-        # current uninterrupted run of an unmarked job
+        # current uninterrupted run of an unmarked job, and the weight
+        # released since it began, times scale
         self.run_job: int | None = None
-        self.run_released: Rational = ZERO
+        self.run_released = 0
         # job processed in [clock-1, clock), None after idling or a completion
         self.last_slot_job: int | None = None
         self._trace = ScheduleTrace(machine=machine, epsilon=epsilon)
@@ -171,6 +183,16 @@ class MachineScheduler:
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
 
+        # scale covers rejected arrivals too: their weight is charged below
+        res = ResidualJob(job, job.size_on(self.machine), self.machine)
+        scale = self.scale
+        if scale % res.den:
+            grown = lcm(scale, res.den)
+            factor = grown // scale
+            self.heap = [(key * factor, release, jid) for key, release, jid in self.heap]
+            self.run_released *= factor
+            self.scale = scale = grown
+
         if self.last_slot_job is not None and self.last_slot_job not in self.preemptible:
             tr.phi[job.id] = self.last_slot_job
 
@@ -178,15 +200,15 @@ class MachineScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            res = ResidualJob(job, job.size_on(self.machine), self.machine)
             self.active[job.id] = res
-            heappush(self.heap, res.key)
+            heappush(self.heap, (-res.num * (scale // res.den), job.release, job.id))
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
         # arrival survived; the marking budget charges all released weight
         if self.run_job is not None:
-            self.run_released += job.weight
+            weight = job.weight
+            self.run_released += weight.numerator * (scale // weight.denominator)
         self.promote_check()
         return outcome
 
@@ -197,8 +219,9 @@ class MachineScheduler:
         released weight (strictly more than weight/epsilon)."""
         if self.run_job is None:
             return None
-        runner = self.active[self.run_job]
-        if self.run_released <= runner.job.weight / self.epsilon:
+        weight = self.active[self.run_job].job.weight
+        limit = weight.numerator * (self.scale // weight.denominator) * self.tables.cadence
+        if self.run_released <= limit:
             return None
         jid = self.run_job
         tr = self._trace
@@ -230,7 +253,7 @@ class MachineScheduler:
             chosen = heap[0][2]
             if chosen not in self.preemptible:
                 self.run_job = chosen
-                self.run_released = ZERO
+                self.run_released = 0
 
         res = self.active[chosen]
         end = t + res.remaining

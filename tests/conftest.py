@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,7 +62,7 @@ def rejecting(forced):
     def flipped(tables, job, impact, machine=0):
         decision = admit(tables, job, impact, machine)
         if job.id in forced and not decision.reject:
-            return replace(decision, reject=True, reason="forced")
+            return decision._replace(reject=True, reason="forced")
         return decision
 
     with pytest.MonkeyPatch.context() as monkeypatch:

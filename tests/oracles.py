@@ -1,7 +1,8 @@
 """Straightforward reference implementations kept as test oracles.
 
 ``arrival_impact`` classifies every active job by its density class and
-prices it on its own, ``fractional_flow_plan`` prices every plan slot,
+prices it on its own, ``bucket_keys`` takes each rejection-table class as
+a ``floor_log`` of a Fraction, ``fractional_flow_plan`` prices every plan slot,
 ``compute_metrics`` sums every metric job by job in Fractions,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
 every (job, time) pair one at a time. They are the definitions the fast
@@ -10,7 +11,8 @@ versions in ``flowsched`` must reproduce exactly.
 The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 ``slot_run_multi``, steps every machine one unit slot at a time in
 lock-step, picks each new run with a ``min`` over the active jobs' HDF
-keys and records each slot as a unit :class:`Run`; the event-driven
+keys (``hdf_key``, in Fractions), tests the marking budget in Fractions
+and records each slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
 machine in full with the ``arrival_impact`` above.
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import networkx as nx
@@ -48,7 +49,7 @@ from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZER
                             validate_instance)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet, floor_log
-from flowsched.rejection import RejectionTables
+from flowsched.rejection import MinusKey, PlusKey, RejectionTables
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
                                  EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_PROMOTED, EVENT_REAL_COMPLETE, ArrivalInPast,
@@ -67,7 +68,7 @@ def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
     for res in active:
         if res.job.id == job.id:
             raise JobInActiveSet(f"job {job.id} is already active")
-        other_rho = res.density
+        other_rho = res.job.density(res.machine)
         if floor_log(other_rho) >= klass:
             if other_rho >= rho:
                 plus += job.weight * res.remaining
@@ -88,6 +89,19 @@ def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
         in_plus=plus >= threshold,
         in_minus=minus > threshold,
     )
+
+
+def bucket_keys(impact: ArrivalImpact, job: Job,
+                machine: int = 0) -> tuple[PlusKey | None, MinusKey | None]:
+    """The rejection-table keys, each class a ``floor_log`` of a Fraction."""
+    plus_key = None
+    minus_key = None
+    if impact.in_plus:
+        plus_key = PlusKey(floor_log(impact.plus / job.weight), floor_log(job.weight))
+    if impact.in_minus:
+        minus_key = MinusKey(floor_log(impact.minus), impact.density_class,
+                             floor_log(Rational(job.size_on(machine))))
+    return plus_key, minus_key
 
 
 def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
@@ -226,7 +240,12 @@ def completion_plan(trace: ScheduleTrace) -> dict[int, int]:
 
 def residual_weight(res: ResidualJob) -> Rational:
     """Weight of an active job's remaining work, ``density * remaining``."""
-    return res.density * res.remaining
+    return res.job.density(res.machine) * res.remaining
+
+
+def hdf_key(res: ResidualJob) -> tuple[Rational, int, int]:
+    """HDF priority of an active job, smallest first: (-density, release, id)."""
+    return (-res.job.density(res.machine), res.job.release, res.job.id)
 
 
 def plan_slots(trace: ScheduleTrace) -> dict[int, list[int]]:
@@ -321,7 +340,7 @@ class SlotScheduler:
                 self.last_slot_job = None
                 self.clock = t + 1
                 return None
-            chosen = min(self.active.values(), key=attrgetter("key")).job.id
+            chosen = min(self.active.values(), key=hdf_key).job.id
             if chosen not in self.preemptible:
                 self.run_job = chosen
                 self.run_released = ZERO

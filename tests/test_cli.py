@@ -223,6 +223,10 @@ def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n",     # zero denominator
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 2\n0 1 1 1\n",  # duplicate id
     "m=1 epsilon=1/2 speedup=1/4 seed=-\n0 0 1 2\n",    # instances carry no speed
+    "m=1 epsilon=1/2 speedup=0 seed=-\n1_0 0 1 2\n",    # integer fields: digits only
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 +2 1 2\n",
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 0_4\n",
+    "m=1 epsilon=1/2 speedup=0 seed=-\n-1 0 1 2\n",     # negative id: validation
 ])
 def test_bad_trace_files_exit_2(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"

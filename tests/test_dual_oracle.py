@@ -35,7 +35,7 @@ ALPHA_MODES = ("recorded", "scaled", "scaled_offset")
 
 def with_alphas(trace: ScheduleTrace, alphas: dict[int, Fraction]) -> ScheduleTrace:
     """A copy of ``trace`` whose arrival impacts total ``alphas``."""
-    impacts = {jid: replace(impact, total=alphas[jid])
+    impacts = {jid: impact._replace(total=alphas[jid])
                for jid, impact in trace.impacts.items()}
     return replace(trace, impacts=impacts)
 

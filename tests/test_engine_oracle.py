@@ -49,6 +49,9 @@ def assert_same_trace(fast, slow):
     assert fast.phi == slow.phi
     assert fast.table_report == slow.table_report
     assert fast.horizon() == slow.horizon()
+    assert all(type(field) is int for decision in fast.decisions.values()
+               for key in (decision.plus_key, decision.minus_key) if key is not None
+               for field in key)
 
 
 def assert_matches_slot_engine(inst: Instance):
@@ -162,3 +165,32 @@ def test_heap_ties_on_release_then_id():
     # release, and job 5 beats job 0 on the earlier release
     runs = runs_of([Job(5, 0, F(2), (2,)), Job(3, 0, F(1), (1,)), Job(0, 1, F(1), (1,))])
     assert runs == [(0, 1, 3, 3), (1, 3, 5, 5), (3, 4, 0, 0)]
+
+
+def test_scale_grows_under_live_and_stale_heap_keys():
+    # A (rho 2) runs 0..5 and finishes below B's key (rho 3), so A's key is
+    # stale while B (running, so it is charged) and C (rho 1/5) are live.
+    # At 6, densities 1/3, 2/7 and 3/11 each bring a new prime denominator.
+    a, c, b = Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 1, F(6), (2,))
+    late = [Job(3, 6, F(1), (3,)), Job(4, 6, F(2), (7,)), Job(5, 6, F(3), (11,))]
+    sched = MachineScheduler(F(1, 10))
+    sched.on_arrival(a)
+    sched.on_arrival(c)
+    sched.stop = 1
+    sched.select_slot()
+    sched.on_arrival(b)
+    for stop in (5, 6):
+        sched.stop = stop
+        sched.select_slot()
+    assert sched.scale == 5 and sched.run_job == b.id and a.id not in sched.active
+    for job in late:
+        sched.on_arrival(job)
+    scale = 5 * 3 * 7 * 11
+    assert sched.scale == scale
+    assert sched.run_released == (1 + 2 + 3) * scale
+    assert sorted(sched.heap) == sorted(
+        (-job.density() * scale, job.release, job.id) for job in [a, b, c, *late])
+    assert all(type(x) is int for key in sched.heap for x in key)
+    assert type(sched.run_released) is int
+    runs = runs_of([a, c, b, *late])
+    assert [r[2] for r in runs] == [0, 0, 2, 2, 3, 4, 5, 1]

@@ -1,9 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flowsched import WorkloadModel, generate, parse_trace, serialize_trace
-from flowsched.harness import KINDS
+from flowsched import (InvalidInstance, Job, WorkloadModel, generate, parse_trace,
+                       serialize_trace)
+from flowsched.harness import KINDS, MalformedLine, _parse_rational, parse_trace_text
 
 
 # the fixed and adversarial_L generators build single-machine instances only
@@ -22,3 +26,49 @@ def test_trace_file_round_trip_is_exact(tmp_path, kind, machines):
 def test_round_trip_covers_machines_that_cannot_run_a_job():
     instance = generate(WorkloadModel(kind="uniform", n=30, seed=0, machines=4))
     assert any(size is None for job in instance.jobs for size in job.sizes)
+
+
+# the weight grammar before it became one fullmatch, followed by Fraction(str)
+OLD_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+
+# tokens over digits, "-", "+", "/", "_" and " ", most of them near a literal
+@given(st.from_regex(r"[-+ ]{0,2}[0-9_ ]{0,4}(/[-+0-9_ ]{0,4})?", fullmatch=True))
+def test_rational_parser_accepts_what_the_old_grammar_accepted(token):
+    if OLD_RATIONAL_RE.match(token) is None:
+        with pytest.raises(ValueError):
+            _parse_rational(token)
+        return
+    try:
+        expected = Fraction(token)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _parse_rational(token)
+        return
+    parsed = _parse_rational(token)
+    assert parsed == expected and type(parsed) is Fraction
+
+
+HEADER = "m=1 epsilon=1/2 speedup=0 seed=-\n"
+
+
+@pytest.mark.parametrize("line", ["1_0 0 1 2", "+1 0 1 2", "0 +2 1 2", "0 0 1 0_4",
+                                  "0 0 1 +4", "0 0 1 2,_3", "0 0 1 2,"])
+def test_integer_fields_take_only_sign_and_digits(line):
+    with pytest.raises(MalformedLine, match="not an integer literal"):
+        parse_trace_text(HEADER + line + "\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("-1 0 1 2", "job id must be a nonnegative integer"),
+    ("0 -2 1 2", "release must be a nonnegative integer"),
+    ("0 0 1 -4", "has a size below 1"),
+])
+def test_negative_integer_fields_reach_instance_validation(line, message):
+    with pytest.raises(InvalidInstance, match=message):
+        parse_trace_text(HEADER + line + "\n")
+
+
+def test_integer_fields_keep_leading_zeros():
+    assert parse_trace_text(HEADER + "007 010 3/04 05\n").jobs == (
+        Job(7, 10, Fraction(3, 4), (5,)),)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched import MinusKey, PlusKey, RejectionTables, bucket_keys
+from flowsched import Job, MinusKey, PlusKey, RejectionTables, bucket_keys
 from flowsched.impact import ArrivalImpact
 from flowsched.rejection import (DuplicateAdmission, REASON_MINUS_CADENCE,
                                  REASON_NONE, REASON_PLUS_CADENCE,
                                  REASON_PLUS_FIRST)
 
+import oracles
 from conftest import job
 
 F = Fraction
@@ -172,3 +173,28 @@ def test_replay_determinism(specs, eps):
             out.append(tables.admit(job(jid, 0, w, 1), imp))
         return out
     assert play() == play()
+
+
+# -- integer classes against the Fraction floor_log oracle --------------------
+
+powers_of_two = st.integers(-12, 12).map(lambda k: F(2) ** k)
+positive = st.fractions(F(1, 10 ** 3), F(10 ** 4), max_denominator=10 ** 3)
+# a power of two, or one off it by less than any representable step here
+near_powers = st.tuples(powers_of_two, st.sampled_from([F(1, 10 ** 9), F(-1, 10 ** 9)])
+                        ).map(sum)
+
+
+@given(st.one_of(powers_of_two, positive),
+       st.one_of(powers_of_two, near_powers, positive),
+       st.one_of(powers_of_two, near_powers, positive),
+       st.one_of(st.integers(0, 20).map(lambda k: 2 ** k), st.integers(1, 10 ** 6)),
+       st.integers(-20, 20), st.booleans(), st.booleans())
+def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, klass,
+                                                   in_plus, in_minus):
+    # ratio is plus / weight, so plus / w = 2^k lands exactly on a boundary
+    j = Job(0, 0, weight, (size,))
+    impact = impact_stub(plus=weight * ratio, minus=minus, density_class=klass,
+                         in_plus=in_plus, in_minus=in_minus)
+    keys = bucket_keys(impact, j)
+    assert keys == oracles.bucket_keys(impact, j)
+    assert all(type(field) is int for key in keys if key is not None for field in key)
