@@ -9,12 +9,12 @@ from .analysis import (DualCertificate, Metrics, RejectionAudit, audit_rejection
 from .baselines import (FractionalSchedule, HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
 from .core import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
-                   Rational, ResidualJob, validate_instance)
+                   Rational, ResidualJob, density_scale, scaled_density, validate_instance)
 from .dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, dispatch, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       format_trace, generate, parse_trace, parse_trace_text,
                       serialize_trace)
-from .impact import ArrivalImpact, arrival_impact, floor_log
+from .impact import ArrivalImpact, arrival_impact
 from .rejection import (BucketReport, ImmediateDecision, MinusKey, PlusKey,
                         RejectionTables, bucket_keys)
 from .scheduler import Event, MachineScheduler, Run, ScheduleTrace, run
@@ -28,8 +28,8 @@ __all__ = [
     "Rational", "RejectionAudit", "RejectionTables", "ResidualJob", "Run",
     "ScheduleTrace", "WorkloadModel", "arrival_impact",
     "audit_rejections", "beta_series", "bucket_keys", "compute_metrics",
-    "default_horizon", "dispatch", "floor_log", "format_trace",
+    "default_horizon", "density_scale", "dispatch", "format_trace",
     "fractional_flow_plan", "generate", "lp_cost", "parse_trace",
-    "parse_trace_text", "preemptive_hdf", "run", "run_multi", "serialize_trace",
-    "transport_opt", "validate_instance", "verify_duals",
+    "parse_trace_text", "preemptive_hdf", "run", "run_multi", "scaled_density",
+    "serialize_trace", "transport_opt", "validate_instance", "verify_duals",
 ]

@@ -21,25 +21,22 @@ past the trace horizon H need no check: beta_H is already zero and stays
 zero, while the right-hand side of the original constraint only grows with
 t, so the pair (j, H) implies every later one.
 
-The arithmetic stays exact but per-time work runs on Python ints: each
-machine's beta series is stored as integer numerators over one common
-denominator ``scale``, the lcm of the density denominators of every job
-that arrived there. Every ``rho_j * scale`` and ``w_j * scale`` is then an
-integer, so the hull and its searches never build a Fraction; only each
+The arithmetic stays exact but per-time work runs on Python ints: every
+weighted quantity is an integer numerator over ``scale``, the instance's
+one :func:`~flowsched.core.density_scale`, the scale the engine ran on.
+Every ``rho_j * scale`` and ``w_j * scale`` is then an integer, so the
+beta series, the hull and its searches never build a Fraction; only each
 job's right-hand side stays rational, compared once per job. The metrics
-follow the same convention: weighted sums are integer numerators over the
-lcm of the instance's weight denominators, and the plan's fractional flow
-over the lcm of the density denominators of the jobs that ran, so each
-metric builds one Fraction.
+follow the same convention, so each metric builds one Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, lcm
+from math import ceil
 
-from .core import Instance, Job, Rational, ZERO
+from .core import Instance, Job, Rational, ZERO, density_scale, scaled_density
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
@@ -72,9 +69,8 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     it waited s - r at full residual and drained linearly within the slot.
     Over a run [a, b) of k = b - a slots that sums to
     ``rho k (a + b - 2 r) / 2``, so each job is priced once, from an
-    integer sum over its runs, as an integer numerator over ``scale``, the
-    lcm of the density denominators of the jobs that ran. Only the total
-    becomes a Fraction.
+    integer sum over its runs, as an integer numerator over the instance's
+    density scale. Only the total becomes a Fraction.
     """
     by_id = _jobs_by_id(instance)
     doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
@@ -82,17 +78,15 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
         release = by_id[run.plan].release
         doubled[run.plan] = doubled.get(run.plan, 0) \
             + (run.end - run.start) * (run.start + run.end - 2 * release)
-    densities = {jid: by_id[jid].density(trace.machine) for jid in doubled}
-    scale = lcm(*(rho.denominator for rho in densities.values()))
-    return Rational(sum(_scaled(rho, scale) * doubled[jid]
-                        for jid, rho in densities.items()), 2 * scale)
+    scale = density_scale(instance.jobs)
+    return Rational(sum(scaled_density(by_id[jid], trace.machine, scale) * total
+                        for jid, total in doubled.items()), 2 * scale)
 
 
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
     """The six metrics of one run. Each weight sum is an integer numerator
-    over ``scale``, the lcm of the instance's weight denominators; only
-    the totals become Fractions."""
-    scale = lcm(*{j.weight.denominator for j in instance.jobs})
+    over the instance's density scale; only the totals become Fractions."""
+    scale = density_scale(instance.jobs)
     release = {j.id: j.release for j in instance.jobs}
     weight = {j.id: _scaled(j.weight, scale) for j in instance.jobs}
     delivered: set[int] = set()
@@ -127,17 +121,16 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
     after arrival processing (new arrivals count at full weight), as
     ``(scale, numerators)``: beta_t is ``numerators[t] / scale``.
 
-    ``scale`` is the lcm of the density denominators of every arrival,
-    kept or rejected, so ``rho_j * scale`` is an integer for each of them;
-    so is ``w_j * scale``, since ``w_j = rho_j p_j``. beta gains w_j at each
+    ``scale`` is the instance's density scale, so ``rho_j * scale`` and
+    ``w_j * scale`` are integers for every job. beta gains w_j at each
     kept job's release and loses the plan job's density after each slot of
     its runs, so its second difference has two nonzero entries per kept
     job and two per run: summing that twice builds it. A job's residual
     weight reaches exactly zero at its plan completion.
     """
     by_id = _jobs_by_id(instance)
-    densities = {jid: by_id[jid].density(trace.machine) for jid in trace.arrivals}
-    scale = lcm(*(rho.denominator for rho in densities.values()))
+    scale = density_scale(instance.jobs)
+    rho = {jid: scaled_density(by_id[jid], trace.machine, scale) for jid in trace.kept}
     horizon = trace.horizon()
     bends = [0] * (horizon + 2)    # second difference of beta, one spare entry
     for jid in trace.kept:
@@ -146,9 +139,8 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
         bends[release] += weight
         bends[release + 1] -= weight
     for run in trace.runs:
-        rho = _scaled(densities[run.plan], scale)
-        bends[run.start + 1] -= rho
-        bends[run.end + 1] += rho
+        bends[run.start + 1] -= rho[run.plan]
+        bends[run.end + 1] += rho[run.plan]
     numerators = list(accumulate(accumulate(bends)))
     numerators.pop()
     return scale, numerators
@@ -239,8 +231,8 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """``betas`` are integer numerators over ``scale``: beta_t is
-    ``betas[t] / scale`` for t = 0..H."""
+    """``betas`` are integer numerators over ``scale``, the instance's
+    density scale: beta_t is ``betas[t] / scale`` for t = 0..H."""
     machine: int
     alphas: dict[int, Rational]
     scale: int

@@ -30,11 +30,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import groupby
-from math import lcm
 
 import networkx as nx
 
-from .core import HALF, Job, ONE, Rational, ZERO
+from .core import HALF, Job, ONE, Rational, ZERO, density_scale, scaled_density
 
 
 class HorizonTooShort(ValueError):
@@ -105,7 +104,8 @@ def default_horizon(jobs) -> int:
 def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
     """For each job j, the end of the busy period that contains ``r_j`` when
     the machine serves only the jobs at least as dense as j
-    (``densities[i]`` is ``jobs[i].density()``).
+    (``densities[i]`` is ``jobs[i].density()``, or that times one positive
+    factor shared by every job).
 
     Jobs go in by decreasing density into a sorted list of disjoint busy
     periods ``[starts[k], ends[k])``. A job released inside a period extends
@@ -141,8 +141,8 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
 
     Demands are job sizes, every slot has capacity 1, and the unit cost of
     giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``. Costs
-    are scaled to integers so the network simplex stays exact; the result
-    is descaled back to a rational.
+    are scaled to integers by twice the jobs' density scale, so the network
+    simplex stays exact; the result is descaled back to a rational.
 
     Job j only gets arcs to the slots ``r_j .. E_j - 1`` (and below
     ``horizon``), where ``E_j`` is the end of the busy period that contains
@@ -164,15 +164,14 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
     if horizon is None:
         horizon = default_horizon(jobs)
 
-    densities = [j.density() for j in jobs]
-    scale = lcm(*(lcm(rho.denominator, (j.weight * HALF).denominator)
-                  for rho, j in zip(densities, jobs)))
+    scale = 2 * density_scale(jobs)
+    slopes = [scaled_density(j, 0, scale) for j in jobs]    # rho_j * scale
 
     graph = nx.DiGraph()
     total_units = 0
     used_slots: set[int] = set()
-    busy_ends = _busy_period_ends(jobs, densities)
-    for job, rho, busy_end in zip(jobs, densities, busy_ends):
+    busy_ends = _busy_period_ends(jobs, slopes)
+    for job, slope, busy_end in zip(jobs, slopes, busy_ends):
         units = job.size_on(0)
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
@@ -181,11 +180,12 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
             raise HorizonTooShort(
                 f"horizon {horizon} leaves no slot for job {job.id}")
         # the arc cost (rho (t - r) + w/2) * scale is integral at every t
-        # when its slope and intercept are, so check those once per job
-        slope, cost = rho * scale, job.weight * HALF * scale
-        if slope.denominator != 1 or cost.denominator != 1:
-            raise NonIntegralCost(f"scaled costs {slope}, {cost} for job {job.id}")
-        slope, cost = slope.numerator, cost.numerator
+        # when its slope and intercept are; scaled_density made the slope
+        # an int, so check the intercept once per job
+        cost = job.weight * HALF * scale
+        if cost.denominator != 1:
+            raise NonIntegralCost(f"scaled cost {cost} for job {job.id}")
+        cost = cost.numerator
         for t in range(job.release, end):
             graph.add_edge(("job", job.id), ("slot", t), capacity=units, weight=cost)
             used_slots.add(t)

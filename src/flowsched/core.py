@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -52,22 +52,16 @@ class NonPositiveArgument(ValueError):
     pass
 
 
-def floor_log(x: Rational) -> int:
-    """Largest integer ``i`` with ``2**i <= x``, computed exactly.
-
-    Works for any positive rational; no floating point is involved, so the
-    answer is correct even when ``x`` sits on a power-of-two boundary.
-    """
-    if x <= 0:
-        raise NonPositiveArgument(f"floor_log needs a positive argument, got {x}")
-    return floor_log_ratio(x.numerator, x.denominator)
+class DensityNotSpanned(ArithmeticError):
+    """A scale misses a job's density denominator: a bug, never bad input."""
 
 
 def floor_log_ratio(n: int, d: int) -> int:
-    """:func:`floor_log` of ``n/d`` for integers ``n`` and ``d > 0``, which
-    need not be in lowest terms."""
+    """Largest integer ``i`` with ``2**i <= n/d``, for integers ``n`` and
+    ``d > 0`` that need not be in lowest terms. Exact: no floating point is
+    involved, so the answer is correct on a power-of-two boundary too."""
     if n <= 0:
-        raise NonPositiveArgument(f"floor_log needs a positive argument, got {n}/{d}")
+        raise NonPositiveArgument(f"floor_log_ratio needs a positive argument, got {n}/{d}")
 
     def at_most(i: int) -> bool:
         # 2**i <= n/d, cross-multiplied
@@ -127,28 +121,45 @@ class Instance:
     epsilon: Rational = Rational(1, 2)
 
 
+def density_scale(jobs) -> int:
+    """The lcm of the denominators of ``w_j / p_ji`` over every job and every
+    machine that can run it. It spans every weight too: for ``w = a/b`` and
+    ``g = gcd(a, p)``, ``w/p`` is ``(a/g) / (b p/g)`` in lowest terms, and
+    ``b`` divides ``b p/g``."""
+    return lcm(*{wd * size // gcd(wn, size) for job in jobs
+                 for wn, wd in [job.weight.as_integer_ratio()]
+                 for size in job.sizes if size is not None})
+
+
+def scaled_density(job: Job, machine: int, scale: int) -> int:
+    """``w / p * scale`` for the job on ``machine``, exactly; raises
+    :class:`DensityNotSpanned` if that is not an integer."""
+    wn, wd = job.weight.as_integer_ratio()
+    rho, rest = divmod(wn * scale, wd * job.size_on(machine))
+    if rest:
+        raise DensityNotSpanned(
+            f"scale {scale} does not span the density of job {job.id} on machine {machine}")
+    return rho
+
+
 class ResidualJob:
     """A job with its remaining processing time on one machine.
 
-    The density ``w/p`` is kept only as ``int``s: ``num``/``den`` in lowest
-    terms, taken from ``gcd(w_num, p)`` (``w_num`` and ``w_den`` are already
-    coprime), with its ``density_class``. Both are constant while the job
-    is active, so they are computed once, here, without a ``Fraction``.
-    ``remaining`` is decremented in place by the engine.
+    The density ``w/p`` is kept only as the ``int`` ``rho``, the density
+    times the machine's ``scale`` (see :func:`density_scale`), with its
+    ``density_class``. Both are constant while the job is active, so they
+    are computed once, here, without a ``Fraction``. ``remaining`` is
+    decremented in place by the engine.
     """
 
-    __slots__ = ("job", "remaining", "machine", "num", "den", "density_class")
+    __slots__ = ("job", "remaining", "machine", "rho", "density_class")
 
-    def __init__(self, job: Job, remaining: int, machine: int = 0):
+    def __init__(self, job: Job, remaining: int, machine: int, scale: int):
         self.job = job
         self.remaining = remaining
         self.machine = machine
-        size = job.size_on(machine)
-        weight = job.weight
-        g = gcd(weight.numerator, size)
-        self.num = weight.numerator // g
-        self.den = weight.denominator * (size // g)
-        self.density_class = floor_log_ratio(self.num, self.den)
+        self.rho = scaled_density(job, machine, scale)
+        self.density_class = floor_log_ratio(self.rho, scale)
 
 
 def validate_instance(raw: Instance) -> Instance:

@@ -4,10 +4,11 @@ Each arriving job is immediately and irrevocably assigned to one machine,
 then the per-machine engines run independently between arrivals. The
 dispatch rule is greedy minimum impact: send the job where it would
 inflate fractional flow time the least right now (the marginal-increase
-principle), breaking ties toward the smaller machine index. Machines are
-ranked by exact integer totals, and each arrival is fully scored once, on
-the machine it goes to; that machine admits or rejects it with this same
-impact. Rejection tables are per machine.
+principle), breaking ties toward the smaller machine index. Every machine
+runs over the instance's one density scale, so machines are ranked by the
+exact integer numerators of their totals, and each arrival is fully scored
+once, on the machine it goes to; that machine admits or rejects it with
+this same impact. Rejection tables are per machine.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, validate_instance
+from .core import Instance, Job, Rational, density_scale, validate_instance
 from .impact import arrival_impact, impact_sums
 from .scheduler import MachineScheduler, ScheduleTrace, drive
 
@@ -49,23 +50,23 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
     full :func:`arrival_impact`, handed to its scheduler as ``scored``.
     """
     wn, wd = job.weight.numerator, job.weight.denominator
-    best: tuple[int, int, int] | None = None  # numerator, denominator, index
+    best: tuple[int, int] | None = None  # numerator, index
     for index, sched in enumerate(machines):
         if not job.runnable_on(index):
             continue
-        size = job.size_on(index)
-        _, denser, same_class, lower_class, den = impact_sums(
-            job, size, sched.active.values())
-        # 2*wd times the total is num/den (see arrival_impact); wd is the
-        # same on every machine, so these fractions rank the totals
-        num = wn * den * (2 * denser + size) + 2 * wd * size * (same_class + lower_class)
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, index)
+        size, scale = job.size_on(index), sched.scale
+        _, denser, same_class, lower_class = impact_sums(
+            job, index, sched.active.values(), scale)
+        # 2*wd*scale times the total (see arrival_impact); wd and scale are
+        # the same on every machine, so these numerators rank the totals
+        num = wn * scale * (2 * denser + size) + 2 * wd * size * (same_class + lower_class)
+        if best is None or num < best[0]:
+            best = (num, index)
     if best is None:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
-    _, _, index = best
+    index = best[1]
     sched = machines[index]
-    impact = arrival_impact(job, sched.active.values(), sched.epsilon, index)
+    impact = arrival_impact(job, sched.active.values(), sched.epsilon, index, sched.scale)
     sched.scored = (job, impact)
     return DispatchDecision(job.id, index, impact.total)
 
@@ -77,7 +78,8 @@ def run_multi(instance: Instance) -> MultiTrace:
     bit for bit; both share :func:`flowsched.scheduler.drive`.
     """
     inst = validate_instance(instance)
-    machines = [MachineScheduler(inst.epsilon, i) for i in range(inst.machines)]
+    scale = density_scale(inst.jobs)
+    machines = [MachineScheduler(inst.epsilon, i, scale) for i in range(inst.machines)]
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[MachineScheduler]) -> int:

@@ -156,9 +156,11 @@ def _poisson_pareto_jobs(model: WorkloadModel) -> list[Job]:
 
 # -- trace file round-trips -------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+# ASCII only: without re.ASCII, \d and \s also match other Unicode digits and spaces
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 _HEADER_RE = re.compile(
-    r"^m=(?P<m>\d+)\s+epsilon=(?P<eps>\S+)\s+speedup=(?P<spd>\S+)\s+seed=(?P<seed>\S+)$")
+    r"^m=(?P<m>\d+)\s+epsilon=(?P<eps>\S+)\s+speedup=(?P<spd>\S+)\s+seed=(?P<seed>\S+)$",
+    re.ASCII)
 
 
 def _parse_rational(text: str) -> Rational:
@@ -170,10 +172,10 @@ def _parse_rational(text: str) -> Rational:
 
 
 def _parse_int(text: str) -> int:
-    """An optional minus sign and decimal digits, nothing else: ``int``
-    alone would also take ``+2`` and ``1_0``. A negative value is left for
-    :func:`~flowsched.core.validate_instance` to refuse."""
-    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+    """An optional minus sign and ASCII digits, nothing else: ``int`` alone
+    would also take ``+2``, ``1_0`` and non-ASCII digits. A negative value
+    is left for :func:`~flowsched.core.validate_instance` to refuse."""
+    if not (text.isascii() and (text[1:] if text[:1] == "-" else text).isdecimal()):
         raise ValueError(f"not an integer literal: {text!r}")
     return int(text)
 

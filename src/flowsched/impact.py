@@ -13,27 +13,26 @@ half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
 tables, and the total is reused as a per-job dual variable by the
 analysis module.
 
-The pass is one integer kernel, :func:`impact_sums`, on the density
-numerator and denominator each ``ResidualJob`` caches at activation. The
-``rho_o >= rho`` test is a cross-multiplication. ``S2`` and ``S3`` are
-integer numerators over one running common denominator, which grows by
-``math.lcm`` only when an active job brings a denominator it does not
-already divide. :func:`arrival_impact` builds each output once from these
-sums as a ``Fraction`` and decides the rejection-table thresholds by
+The pass is one integer kernel, :func:`impact_sums`, on the scaled
+density ``rho`` each ``ResidualJob`` caches at activation: the density
+times the machine's ``scale``, one :func:`~flowsched.core.density_scale`
+for the whole run. The ``rho_o >= rho`` test compares two ``int``s, and
+``S2`` and ``S3`` are integer numerators over ``scale``.
+:func:`arrival_impact` builds each output once from these sums as a
+``Fraction`` and decides the rejection-table thresholds by
 cross-multiplication, so the values are exactly those of ``Fraction``
-sums. Dispatch ranks machines on the same sums: it turns them into the
-total's unreduced numerator and denominator and compares totals by
-cross-multiplying, building no ``Fraction``.
+sums. Dispatch ranks machines on the same sums: every machine shares
+``scale``, so it compares the totals' integer numerators alone, building
+no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Collection, NamedTuple
 
-# NonPositiveArgument and floor_log are re-exported from here
-from .core import (Job, NonPositiveArgument, Rational, ResidualJob, floor_log,
-                   floor_log_ratio)
+# NonPositiveArgument is re-exported from here
+from .core import (Job, NonPositiveArgument, Rational, ResidualJob, floor_log_ratio,
+                   scaled_density)
 
 
 class JobInActiveSet(ValueError):
@@ -58,45 +57,37 @@ class ArrivalImpact(NamedTuple):
     in_minus: bool
 
 
-def impact_sums(job: Job, size: int,
-                active: Collection[ResidualJob]) -> tuple[int, int, int, int, int]:
-    """The one pass over ``active`` for ``job`` with processing time ``size``.
+def impact_sums(job: Job, machine: int, active: Collection[ResidualJob],
+                scale: int) -> tuple[int, int, int, int]:
+    """The one pass over ``active`` for ``job`` on ``machine``, whose active
+    jobs were built over ``scale``.
 
-    Returns ``(density_class, S1, S2 * den, S3 * den, den)``: the arriving
-    job's class, the three aggregates as integers, and the common
-    denominator of ``S2`` and ``S3``.
+    Returns ``(density_class, S1, S2 * scale, S3 * scale)``: the arriving
+    job's class and the three aggregates as integers.
     """
     jid = job.id
-    rn, rd = job.weight.numerator, job.weight.denominator * size  # rho, maybe unreduced
-    klass = floor_log_ratio(rn, rd)
+    rho = scaled_density(job, machine, scale)
+    klass = floor_log_ratio(rho, scale)
 
     denser = 0       # S1
-    den = 1          # common denominator of S2 and S3
-    same_class = 0   # S2 * den
-    lower_class = 0  # S3 * den
+    same_class = 0   # S2 * scale
+    lower_class = 0  # S3 * scale
     for res in active:
         if res.job.id == jid:
             raise JobInActiveSet(f"job {jid} is already active")
-        n, d = res.num, res.den
-        if n * rd >= rn * d:
+        if res.rho >= rho:
             denser += res.remaining
-            continue
-        if den % d:
-            grown = lcm(den, d)
-            same_class *= grown // den
-            lower_class *= grown // den
-            den = grown
-        weighted = n * res.remaining * (den // d)
-        if res.density_class >= klass:
-            same_class += weighted
+        elif res.density_class >= klass:
+            same_class += res.rho * res.remaining
         else:
-            lower_class += weighted
-    return klass, denser, same_class, lower_class, den
+            lower_class += res.rho * res.remaining
+    return klass, denser, same_class, lower_class
 
 
 def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
-                   machine: int = 0) -> ArrivalImpact:
-    """Compute the impact of ``job`` against the current active set.
+                   machine: int, scale: int) -> ArrivalImpact:
+    """Compute the impact of ``job`` against the current active set, whose
+    jobs were built over ``scale``.
 
     ``active`` must reflect the state the arrival actually sees: earlier
     same-time arrivals included, the job itself excluded. It is read once,
@@ -104,20 +95,20 @@ def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
     """
     size = job.size_on(machine)
     wn, wd = job.weight.numerator, job.weight.denominator
-    klass, denser, same_class, lower_class, den = impact_sums(job, size, active)
+    klass, denser, same_class, lower_class = impact_sums(job, machine, active, scale)
 
-    # plus = w*S1 + p*S2 over wd*den; minus = p*S3 over den; w*p/2 over 2*wd
-    plus = wn * denser * den + size * same_class * wd
+    # plus = w*S1 + p*S2 over wd*scale; minus = p*S3 over scale; w*p/2 over 2*wd
+    plus = wn * denser * scale + size * same_class * wd
     minus = size * lower_class
     work = wn * size
     # threshold w*p/epsilon: plus >= it and minus > it, cross-multiplied
     en, ed = epsilon.numerator, epsilon.denominator
     return ArrivalImpact(
-        total=Rational(2 * plus + work * den + 2 * minus * wd, 2 * wd * den),
-        plus=Rational(plus, wd * den),
-        minus=Rational(minus, den),
+        total=Rational(2 * plus + work * scale + 2 * minus * wd, 2 * wd * scale),
+        plus=Rational(plus, wd * scale),
+        minus=Rational(minus, scale),
         self_term=Rational(work, 2 * wd),
         density_class=klass,
-        in_plus=plus * en >= work * ed * den,
-        in_minus=lower_class * wd * en > wn * ed * den,
+        in_plus=plus * en >= work * ed * scale,
+        in_minus=lower_class * wd * en > wn * ed * scale,
     )

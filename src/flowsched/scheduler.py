@@ -27,14 +27,12 @@ whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
 in ``simulate``'s slot lines.
 
-The HDF order and the marking test compare ``int``s over one ``scale`` per
-machine: the lcm of the density denominators of every arrival seen, kept
-or rejected (the rule of :func:`flowsched.analysis.beta_series`), so
-``rho * scale`` and ``w * scale`` are integers. A heap key is
-``(-rho * scale, release, id)``; the marking budget ``run_released`` is
-the released weight times ``scale``, against ``w * scale * (1/epsilon)``.
-An arrival that grows ``scale`` multiplies every key and ``run_released``
-by the same factor, which keeps their order.
+The HDF order and the marking test compare ``int``s over one ``scale``,
+fixed for the whole run: :func:`flowsched.core.density_scale` of every
+job in the instance, so ``rho * scale`` and ``w * scale`` are integers for
+every job on every machine. A heap key is ``(-rho * scale, release, id)``;
+the marking budget ``run_released`` is the released weight times
+``scale``, against ``w * scale * (1/epsilon)``.
 """
 
 from __future__ import annotations
@@ -42,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import groupby
-from math import lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, ResidualJob, validate_instance
+from .core import Instance, Job, Rational, ResidualJob, density_scale, validate_instance
 from .impact import ArrivalImpact, arrival_impact
 from .rejection import BucketReport, ImmediateDecision, RejectionTables
 
@@ -136,11 +133,13 @@ class ScheduleTrace:
 
 
 class MachineScheduler:
-    """Mutable engine state for one machine. Single-threaded use only."""
+    """Mutable engine state for one machine, over a ``scale`` that spans every
+    job's density and never changes. Single-threaded use only."""
 
-    def __init__(self, epsilon: Rational, machine: int = 0):
+    def __init__(self, epsilon: Rational, machine: int, scale: int):
         self.machine = machine
         self.epsilon = epsilon
+        self.scale = scale
         self.clock = 0
         # a segment never runs past this time; the driver sets it to the
         # next release, and None runs the chosen job to completion
@@ -149,8 +148,6 @@ class MachineScheduler:
         # on_arrival uses it only for that same job and clears it either way
         self.scored: tuple[Job, ArrivalImpact] | None = None
         self.active: dict[int, ResidualJob] = {}
-        # lcm of the density denominators of every arrival seen here
-        self.scale = 1
         # HDF keys (-rho * scale, release, id) of activated jobs; entries of
         # completed jobs linger below the top until select_slot pops them
         self.heap: list[tuple[int, int, int]] = []
@@ -178,20 +175,11 @@ class MachineScheduler:
         if scored is not None and scored[0] is job:
             impact = scored[1]
         else:
-            impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
+            impact = arrival_impact(job, self.active.values(), self.epsilon,
+                                    self.machine, self.scale)
         decision = self.tables.admit(job, impact, self.machine)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
-
-        # scale covers rejected arrivals too: their weight is charged below
-        res = ResidualJob(job, job.size_on(self.machine), self.machine)
-        scale = self.scale
-        if scale % res.den:
-            grown = lcm(scale, res.den)
-            factor = grown // scale
-            self.heap = [(key * factor, release, jid) for key, release, jid in self.heap]
-            self.run_released *= factor
-            self.scale = scale = grown
 
         if self.last_slot_job is not None and self.last_slot_job not in self.preemptible:
             tr.phi[job.id] = self.last_slot_job
@@ -200,15 +188,16 @@ class MachineScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
+            res = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
             self.active[job.id] = res
-            heappush(self.heap, (-res.num * (scale // res.den), job.release, job.id))
+            heappush(self.heap, (-res.rho, job.release, job.id))
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
         # arrival survived; the marking budget charges all released weight
         if self.run_job is not None:
             weight = job.weight
-            self.run_released += weight.numerator * (scale // weight.denominator)
+            self.run_released += weight.numerator * (self.scale // weight.denominator)
         self.promote_check()
         return outcome
 
@@ -307,7 +296,7 @@ def run(instance: Instance, machine: int = 0) -> ScheduleTrace:
     inst = validate_instance(instance)
     for job in inst.jobs:
         job.size_on(machine)  # raises JobNotRunnableOnMachine early
-    sched = MachineScheduler(inst.epsilon, machine)
+    sched = MachineScheduler(inst.epsilon, machine, density_scale(inst.jobs))
     return drive(inst.jobs, [sched], lambda job, machines: 0)[0]
 
 

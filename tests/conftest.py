@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from flowsched import Instance, Job, WorkloadModel, generate, validate_instance
+from flowsched import (ArrivalImpact, Instance, Job, ResidualJob, WorkloadModel,
+                       arrival_impact, density_scale, generate, validate_instance)
 from flowsched.rejection import RejectionTables
 
 settings.register_profile(
@@ -23,6 +24,16 @@ def make_instance(jobs, epsilon=Fraction(1, 2), machines=1):
 
 def job(jid, release, weight, size) -> Job:
     return Job(jid, release, Fraction(weight), (size,))
+
+
+def impact_of(arrival: Job, entries, epsilon, machine: int = 0
+              ) -> tuple[ArrivalImpact, list[ResidualJob]]:
+    """The impact of ``arrival`` on ``machine`` against the active set of
+    ``(job, remaining)`` entries, and that active set, both over the density
+    scale of the arrival and those jobs, as a run on them would pick it."""
+    scale = density_scale([arrival, *(j for j, _ in entries)])
+    active = [ResidualJob(j, remaining, machine, scale) for j, remaining in entries]
+    return arrival_impact(arrival, active, epsilon, machine, scale), active
 
 
 def seeded_instance(seed: int, machines: int) -> Instance:

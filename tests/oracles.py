@@ -1,9 +1,11 @@
 """Straightforward reference implementations kept as test oracles.
 
-``arrival_impact`` classifies every active job by its density class and
-prices it on its own, ``bucket_keys`` takes each rejection-table class as
-a ``floor_log`` of a Fraction, ``fractional_flow_plan`` prices every plan slot,
-``compute_metrics`` sums every metric job by job in Fractions,
+``floor_log`` finds a Fraction's power-of-two class by Fraction
+comparisons, ``density_scale`` takes the lcm of the jobs' densities as
+Fractions, ``arrival_impact`` classifies every active job by its density
+class and prices it on its own, ``bucket_keys`` takes each rejection-table
+class as a ``floor_log`` of a Fraction, ``fractional_flow_plan`` prices
+every plan slot, ``compute_metrics`` sums every metric job by job in Fractions,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
 every (job, time) pair one at a time. They are the definitions the fast
 versions in ``flowsched`` must reproduce exactly.
@@ -45,15 +47,35 @@ import networkx as nx
 
 from flowsched.analysis import IncompleteTrace, Metrics, _jobs_by_id
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
-from flowsched.core import (HALF, Instance, Job, ONE, Rational, ResidualJob, ZERO,
-                            validate_instance)
+from flowsched.core import (HALF, Instance, Job, NonPositiveArgument, ONE, Rational,
+                            ResidualJob, ZERO, validate_instance)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
-from flowsched.impact import ArrivalImpact, JobInActiveSet, floor_log
+from flowsched.impact import ArrivalImpact, JobInActiveSet
 from flowsched.rejection import MinusKey, PlusKey, RejectionTables
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
                                  EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_PROMOTED, EVENT_REAL_COMPLETE, ArrivalInPast,
                                  DriverContractError, Event, Run, ScheduleTrace)
+
+
+def floor_log(x: Rational) -> int:
+    """Largest integer ``i`` with ``2**i <= x``, by exact Fraction
+    comparisons from a guess within one of the answer."""
+    if x <= 0:
+        raise NonPositiveArgument(f"floor_log needs a positive argument, got {x}")
+    i = x.numerator.bit_length() - x.denominator.bit_length()
+    while Rational(2) ** i > x:
+        i -= 1
+    while Rational(2) ** (i + 1) <= x:
+        i += 1
+    return i
+
+
+def density_scale(jobs: Iterable[Job]) -> int:
+    """The lcm of the denominators of every job's density, as a Fraction,
+    on every machine that can run it."""
+    return lcm(*(job.density(m).denominator for job in jobs
+                 for m in range(len(job.sizes)) if job.runnable_on(m)))
 
 
 def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
@@ -263,9 +285,11 @@ class SlotScheduler:
     """The per-slot engine: one :meth:`select_slot` call per unit slot.
     It scores arrivals with the per-job ``arrival_impact`` above."""
 
-    def __init__(self, epsilon: Rational, machine: int = 0):
+    def __init__(self, epsilon: Rational, machine: int, scale: int):
         self.machine = machine
         self.epsilon = epsilon
+        # only to build ResidualJobs; this engine reads no scaled density
+        self.scale = scale
         self.clock = 0
         self.active: dict[int, ResidualJob] = {}
         self.preemptible: set[int] = set()
@@ -298,7 +322,8 @@ class SlotScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine)
+            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine,
+                                              self.scale)
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
@@ -392,7 +417,7 @@ def slot_run(instance: Instance, machine: int = 0) -> ScheduleTrace:
     inst = validate_instance(instance)
     for job in inst.jobs:
         job.size_on(machine)  # raises JobNotRunnableOnMachine early
-    sched = SlotScheduler(inst.epsilon, machine)
+    sched = SlotScheduler(inst.epsilon, machine, density_scale(inst.jobs))
     return slot_drive(inst.jobs, [sched], lambda job, machines: 0)[0]
 
 
@@ -439,7 +464,8 @@ def slot_run_multi(instance: Instance) -> MultiTrace:
     both share :func:`slot_drive`.
     """
     inst = validate_instance(instance)
-    machines = [SlotScheduler(inst.epsilon, i) for i in range(inst.machines)]
+    scale = density_scale(inst.jobs)
+    machines = [SlotScheduler(inst.epsilon, i, scale) for i in range(inst.machines)]
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[SlotScheduler]) -> int:

@@ -300,6 +300,19 @@ def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
     assert not err.startswith("error: ")
 
 
+def test_scale_that_misses_a_density_exits_1(capsys, monkeypatch, tmp_path):
+    # run computes the scale from the instance, so a scale that misses a
+    # job's density is an engine bug, not bad input
+    path = tmp_path / "thirds.txt"
+    path.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/3 1\n", encoding="ascii")
+    monkeypatch.setattr(importlib.import_module("flowsched.scheduler"), "density_scale",
+                        lambda jobs: 1)
+    rc, err = run_cli(capsys, ["simulate", "--trace", path])
+    assert rc == cli.VIOLATION
+    assert "DensityNotSpanned: scale 1 does not span the density of job 0" in err
+    assert not err.startswith("error: ")
+
+
 def test_report_rejects_malformed_record_files(capsys, tmp_path, trace_file):
     base = tmp_path / "base.txt"
     sim = tmp_path / "sim.txt"

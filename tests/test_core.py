@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowsched
 from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
-                       ResidualJob, validate_instance)
-from flowsched.core import (DuplicateJobId, EpsilonTooLarge, MachineCountMismatch,
-                            NonIntegralEpsilonReciprocal, NonPositiveSizeOrWeight)
+                       ResidualJob, density_scale, scaled_density, validate_instance)
+from flowsched.core import (DensityNotSpanned, DuplicateJobId, EpsilonTooLarge,
+                            MachineCountMismatch, NonIntegralEpsilonReciprocal,
+                            NonPositiveSizeOrWeight)
 
+import oracles
 from conftest import job, make_instance
 from oracles import residual_weight
 
@@ -84,8 +86,51 @@ def test_negative_release_rejected():
 def test_density_and_residual_weight():
     j = job(0, 0, Fraction(6), 3)
     assert j.density() == 2
-    res = ResidualJob(j, Fraction(2))
+    res = ResidualJob(j, Fraction(2), 0, density_scale([j]))
     assert residual_weight(res) == 4  # density stays 2 as remaining shrinks
+
+
+# -- the density scale against the Fraction lcm oracle ------------------------
+
+
+@st.composite
+def multi_machine_jobs(draw) -> list[Job]:
+    """Up to 10 jobs on 1, 2 or 4 machines, some sizes missing, with
+    weights whose numerators share factors with the sizes."""
+    machines = draw(st.sampled_from([1, 2, 4]))
+    jobs = []
+    for jid in range(draw(st.integers(0, 10))):
+        sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 60)),
+                              min_size=machines, max_size=machines)
+                     .filter(lambda sizes: any(s is not None for s in sizes)))
+        weight = Fraction(draw(st.integers(1, 120)), draw(st.integers(1, 30)))
+        jobs.append(Job(jid, 0, weight, tuple(sizes)))
+    return jobs
+
+
+@settings(max_examples=300)
+@given(multi_machine_jobs())
+def test_density_scale_is_the_fraction_lcm(jobs):
+    scale = density_scale(jobs)
+    assert type(scale) is int and scale == oracles.density_scale(jobs)
+    for j in jobs:
+        assert (j.weight * scale).denominator == 1
+        for m, size in enumerate(j.sizes):
+            if size is None:
+                continue
+            rho = scaled_density(j, m, scale)
+            assert type(rho) is int and Fraction(rho, scale) == j.density(m)
+
+
+def test_scaled_density_refuses_a_scale_that_misses_a_factor():
+    j = Job(0, 0, Fraction(2, 3), (None, 7))
+    assert density_scale([j]) == 21
+    assert scaled_density(j, 1, 42) == 4
+    for scale in (1, 3, 7, 2 * 7):
+        with pytest.raises(DensityNotSpanned):
+            scaled_density(j, 1, scale)
+    with pytest.raises(JobNotRunnableOnMachine):
+        scaled_density(j, 0, 21)
 
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),

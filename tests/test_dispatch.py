@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
-                       WorkloadModel, arrival_impact, dispatch, generate, run, run_multi,
-                       validate_instance)
+                       WorkloadModel, arrival_impact, density_scale, dispatch, generate,
+                       run, run_multi, validate_instance)
 
 import oracles
 
@@ -18,31 +18,32 @@ def mjob(jid, release, weight, sizes):
     return Job(jid, release, F(weight), tuple(sizes))
 
 
-def empty_machines(count, eps=F(1, 2)):
-    return [MachineScheduler(eps, i) for i in range(count)]
+def empty_machines(count, job, eps=F(1, 2)):
+    """``count`` empty machines over the density scale of ``job``."""
+    return [MachineScheduler(eps, i, density_scale([job])) for i in range(count)]
 
 
 def test_dispatch_prefers_smaller_impact():
-    machines = empty_machines(2)
-    decision = dispatch(mjob(0, 0, 2, (1, 10)), machines)
+    job = mjob(0, 0, 2, (1, 10))
+    decision = dispatch(job, empty_machines(2, job))
     assert decision.machine == 0
     assert decision.score == 1  # w p / 2 on the fast machine
 
 
 def test_dispatch_respects_runnability():
-    machines = empty_machines(2)
-    decision = dispatch(mjob(0, 0, 2, (None, 3)), machines)
+    job = mjob(0, 0, 2, (None, 3))
+    decision = dispatch(job, empty_machines(2, job))
     assert decision.machine == 1
 
 
 def test_dispatch_tie_breaks_to_smaller_index():
-    machines = empty_machines(3)
-    decision = dispatch(mjob(0, 0, 2, (4, 4, 4)), machines)
+    job = mjob(0, 0, 2, (4, 4, 4))
+    decision = dispatch(job, empty_machines(3, job))
     assert decision.machine == 0
 
 
 def test_dispatch_no_eligible_machine():
-    machines = empty_machines(2)
+    machines = empty_machines(2, mjob(0, 0, 1, (1, 1)))
     with pytest.raises(NoEligibleMachine):
         dispatch(mjob(0, 0, 1, (None, None)), machines)
     assert all(s.scored is None for s in machines)
@@ -119,15 +120,20 @@ def test_per_machine_traces_keep_scheduler_invariants(seed, machines):
 # -- integer ranking against the oracle's full scoring ----------------------------
 
 
-def machine_with(index, active, eps=F(1, 2)):
-    """A scheduler for machine ``index`` whose active set is ``active``, a
-    list of (weight, size, remaining) triples."""
-    sched = MachineScheduler(eps, index)
-    for k, (weight, size, remaining) in enumerate(active):
-        jid = 100 + k
-        other = Job(jid, 0, F(weight), (size,) * (index + 1))
-        sched.active[jid] = ResidualJob(other, remaining, index)
-    return sched
+def machines_with(arrivals, states, eps=F(1, 2)):
+    """One scheduler per entry of ``states``, machine i's active set built
+    from ``states[i]``, a list of (weight, size, remaining) triples, all
+    over the density scale of the ``arrivals`` and every active job."""
+    actives = [{100 + k: (Job(100 + k, 0, F(weight), (size,) * (index + 1)), remaining)
+                for k, (weight, size, remaining) in enumerate(active)}
+               for index, active in enumerate(states)]
+    scale = density_scale([*arrivals, *(other for active in actives
+                                        for other, _ in active.values())])
+    machines = [MachineScheduler(eps, index, scale) for index in range(len(states))]
+    for index, (sched, active) in enumerate(zip(machines, actives)):
+        for jid, (other, remaining) in active.items():
+            sched.active[jid] = ResidualJob(other, remaining, index, scale)
+    return machines
 
 
 def assert_matches_oracle(job, machines):
@@ -159,7 +165,7 @@ active_jobs = st.lists(
        st.sampled_from((F(1, 2), F(1, 4))))
 def test_dispatch_matches_full_scoring_oracle(weight, states, eps):
     job = Job(0, 0, weight, tuple(size for size, _ in states))
-    machines = [machine_with(i, active, eps) for i, (_, active) in enumerate(states)]
+    machines = machines_with([job], [active for _, active in states], eps)
     assert_matches_oracle(job, machines)
 
 
@@ -171,12 +177,12 @@ def test_equal_totals_over_different_denominators_tie_to_smaller_index(
         weight, size, active, stretched_first):
     # halving a less dense job's density and doubling its remaining time
     # keeps its residual weight, so the total is unchanged while the
-    # common denominator of S2 and S3 changes
+    # machines' integer sums come from different densities
     job = Job(0, 0, weight, (size, size))
     stretched = [(w, 2 * p, 2 * r) if F(w) / p < weight / size else (w, p, r)
                  for w, p, r in active]
     states = [stretched, active] if stretched_first else [active, stretched]
-    machines = [machine_with(i, state) for i, state in enumerate(states)]
+    machines = machines_with([job], states)
     totals = {oracles.arrival_impact(job, m.active.values(), m.epsilon, i).total
               for i, m in enumerate(machines)}
     assert len(totals) == 1
@@ -205,15 +211,17 @@ def test_run_multi_scores_each_arrival_once(monkeypatch):
 
 def test_handed_over_impact_is_never_used_for_another_job():
     job_a, job_b = mjob(0, 0, 3, (2, 2)), mjob(1, 0, 1, (5, 5))
-    machines = [machine_with(i, [(1, 4, 3)]) for i in range(2)]
+    machines = machines_with([job_a, job_b], [[(1, 4, 3)]] * 2)
     chosen = machines[dispatch(job_a, machines).machine]
     stale = chosen.scored[1]
-    fresh_b = arrival_impact(job_b, chosen.active.values(), chosen.epsilon, chosen.machine)
+    fresh_b = arrival_impact(job_b, chosen.active.values(), chosen.epsilon, chosen.machine,
+                             chosen.scale)
     assert fresh_b != stale
     chosen.on_arrival(job_b)
     assert chosen.scored is None
     # job A arrives after B: its handed-over score is gone and B is active
-    fresh_a = arrival_impact(job_a, chosen.active.values(), chosen.epsilon, chosen.machine)
+    fresh_a = arrival_impact(job_a, chosen.active.values(), chosen.epsilon, chosen.machine,
+                             chosen.scale)
     chosen.on_arrival(job_a)
     trace = chosen.finish_trace()
     assert trace.impacts[job_b.id] == fresh_b

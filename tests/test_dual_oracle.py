@@ -5,9 +5,9 @@ No real trace violates its dual constraints, so most cases scale the
 recorded alphas to force violations: that is the only way to reach the
 rescan that lists a failing job's violating times.
 
-The fast verifier keeps each beta_t as an integer numerator over one
-per-machine ``scale``; every comparison with the oracle's Fractions goes
-through ``Fraction(numerator, scale)``.
+The fast verifier keeps each beta_t as an integer numerator over the
+instance's density ``scale``; every comparison with the oracle's Fractions
+goes through ``Fraction(numerator, scale)``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (Instance, Job, MachineScheduler, WorkloadModel, generate, run,
-                       run_multi)
+import pytest
+
+from flowsched import (Instance, Job, MachineScheduler, WorkloadModel, density_scale,
+                       generate, run, run_multi, scaled_density)
+from flowsched.core import DensityNotSpanned
 from flowsched.scheduler import EVENT_PROMOTED
 
 import oracles
@@ -137,7 +140,7 @@ def test_heap_skips_a_job_that_finished_below_the_top():
     # A (rho 2) and C (rho 1/5) arrive at 0 and A starts; B (rho 3) arrives
     # at 1 but A runs on to 5 unmarked, so A's key is stale but not on top
     a, c, b = (Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 1, F(3), (1,)))
-    sched = MachineScheduler(F(1, 10))
+    sched = MachineScheduler(F(1, 10), 0, density_scale([a, c, b]))
     sched.on_arrival(a)
     sched.on_arrival(c)
     sched.stop = 1
@@ -167,13 +170,17 @@ def test_heap_ties_on_release_then_id():
     assert runs == [(0, 1, 3, 3), (1, 3, 5, 5), (3, 4, 0, 0)]
 
 
-def test_scale_grows_under_live_and_stale_heap_keys():
+def test_scale_is_fixed_under_live_and_stale_heap_keys():
     # A (rho 2) runs 0..5 and finishes below B's key (rho 3), so A's key is
     # stale while B (running, so it is charged) and C (rho 1/5) are live.
-    # At 6, densities 1/3, 2/7 and 3/11 each bring a new prime denominator.
+    # At 6, densities 1/3, 2/7 and 3/11 each bring a new prime denominator,
+    # which the scale spans from the start.
     a, c, b = Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 1, F(6), (2,))
     late = [Job(3, 6, F(1), (3,)), Job(4, 6, F(2), (7,)), Job(5, 6, F(3), (11,))]
-    sched = MachineScheduler(F(1, 10))
+    jobs = [a, c, b, *late]
+    scale = density_scale(jobs)
+    assert scale == 5 * 3 * 7 * 11
+    sched = MachineScheduler(F(1, 10), 0, scale)
     sched.on_arrival(a)
     sched.on_arrival(c)
     sched.stop = 1
@@ -182,15 +189,32 @@ def test_scale_grows_under_live_and_stale_heap_keys():
     for stop in (5, 6):
         sched.stop = stop
         sched.select_slot()
-    assert sched.scale == 5 and sched.run_job == b.id and a.id not in sched.active
+    assert sched.run_job == b.id and a.id not in sched.active
     for job in late:
         sched.on_arrival(job)
-    scale = 5 * 3 * 7 * 11
     assert sched.scale == scale
     assert sched.run_released == (1 + 2 + 3) * scale
-    assert sorted(sched.heap) == sorted(
-        (-job.density() * scale, job.release, job.id) for job in [a, b, c, *late])
+    keys = {jid: (key, release) for key, release, jid in sched.heap}
+    assert len(keys) == len(sched.heap) == len(jobs)
+    for job in jobs:
+        assert keys[job.id] == (-scaled_density(job, 0, scale), job.release)
+        assert keys[job.id][0] == -job.density() * scale
     assert all(type(x) is int for key in sched.heap for x in key)
     assert type(sched.run_released) is int
-    runs = runs_of([a, c, b, *late])
+    runs = runs_of(jobs)
     assert [r[2] for r in runs] == [0, 0, 2, 2, 3, 4, 5, 1]
+
+
+def test_an_arrival_outside_the_scale_raises():
+    # the scale 5 spans A (rho 2) and C (rho 1/5) but not rho 1/3, whether
+    # the arrival would be kept or not; the machine is left unchanged
+    a, c, late = Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 0, F(1), (3,))
+    for active in ([], [a, c]):
+        sched = MachineScheduler(F(1, 10), 0, density_scale([a, c]))
+        for job in active:
+            sched.on_arrival(job)
+        heap = list(sched.heap)
+        with pytest.raises(DensityNotSpanned):
+            sched.on_arrival(late)
+        assert sched.heap == heap and late.id not in sched.active
+        assert late.id not in sched.finish_trace().decisions

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from flowsched import (InvalidInstance, Job, WorkloadModel, generate, parse_trace,
                        serialize_trace)
-from flowsched.harness import KINDS, MalformedLine, _parse_rational, parse_trace_text
+from flowsched.harness import (KINDS, MalformedLine, MissingHeader, _parse_rational,
+                               parse_trace_text)
 
 
 # the fixed and adversarial_L generators build single-machine instances only
@@ -72,3 +73,23 @@ def test_negative_integer_fields_reach_instance_validation(line, message):
 def test_integer_fields_keep_leading_zeros():
     assert parse_trace_text(HEADER + "007 010 3/04 05\n").jobs == (
         Job(7, 10, Fraction(3, 4), (5,)),)
+
+
+# Arabic-Indic one, three and four, and an em space: digits and spaces that
+# str.isdecimal, int and the default \d and \s accept
+ONE, THREE, FOUR, EM_SPACE = "\u0661", "\u0663", "\u0664", "\u2003"
+
+
+@pytest.mark.parametrize("line", [f"{ONE} 0 {THREE}/2 {FOUR}", f"1 {ONE} 1 2",
+                                  f"1 0 {THREE} 2", f"1 0 3/{FOUR} 2", f"1 0 1 2,{FOUR}"])
+def test_job_lines_take_only_ascii_digits(line):
+    with pytest.raises(MalformedLine):
+        parse_trace_text(HEADER + line + "\n")
+
+
+@pytest.mark.parametrize("header", [f"m={ONE} epsilon=1/2 speedup=0 seed=-",
+                                    f"m=1 epsilon=1/{FOUR} speedup=0 seed=-",
+                                    f"m=1{EM_SPACE}epsilon=1/2 speedup=0 seed=-"])
+def test_header_takes_only_ascii_digits_and_spaces(header):
+    with pytest.raises(MissingHeader):
+        parse_trace_text(header + "\n0 0 1 2\n")

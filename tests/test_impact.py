@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import Job, ResidualJob, arrival_impact, floor_log
+from flowsched import Job, ResidualJob, density_scale
 from flowsched.core import floor_log_ratio
 from flowsched.impact import JobInActiveSet, NonPositiveArgument
 
 import oracles
-from conftest import job
+from conftest import impact_of, job
+from oracles import floor_log
 
 F = Fraction
 
@@ -64,19 +65,18 @@ def test_floor_log_ratio_rejects_nonpositive():
 
 def test_density_class_examples():
     for j, klass in ((job(0, 0, 6, 3), 1), (job(0, 0, 1, 4), -2), (job(0, 0, 3, 3), 0)):
-        assert ResidualJob(j, j.size_on(0)).density_class == klass
-        assert arrival_impact(j, [], F(1, 2)).density_class == klass
+        assert ResidualJob(j, j.size_on(0), 0, density_scale([j])).density_class == klass
+        assert impact_of(j, [], F(1, 2))[0].density_class == klass
 
 
 def test_empty_active_only_self_term():
-    impact = arrival_impact(job(0, 0, 2, 4), [], F(1, 2))
+    impact, _ = impact_of(job(0, 0, 2, 4), [], F(1, 2))
     assert (impact.plus, impact.minus, impact.total) == (0, 0, 4)
     assert impact.self_term == 4
 
 
 def test_denser_active_job_contributes_to_plus():
-    active = [ResidualJob(job(1, 0, 6, 3), F(3))]
-    impact = arrival_impact(job(9, 0, 2, 4), active, F(1, 2))
+    impact, _ = impact_of(job(9, 0, 2, 4), [(job(1, 0, 6, 3), F(3))], F(1, 2))
     assert (impact.plus, impact.minus, impact.total) == (6, 0, 10)
     # oracle cross-check: HDF difference with and without the arrival
     with_job = hdf_fractional_flow([(6, 3), (2, 4)])
@@ -85,8 +85,7 @@ def test_denser_active_job_contributes_to_plus():
 
 
 def test_sparser_active_job_contributes_to_minus():
-    active = [ResidualJob(job(1, 0, 1, 2), F(2))]
-    impact = arrival_impact(job(9, 0, 4, 2), active, F(1, 2))
+    impact, _ = impact_of(job(9, 0, 4, 2), [(job(1, 0, 1, 2), F(2))], F(1, 2))
     assert (impact.plus, impact.minus, impact.total) == (0, 2, 6)
     with_job = hdf_fractional_flow([(1, 2), (4, 2)])
     without = hdf_fractional_flow([(1, 2)])
@@ -95,23 +94,22 @@ def test_sparser_active_job_contributes_to_minus():
 
 def test_same_class_lower_density_goes_to_plus_delay_branch():
     # class 0 both, but the active job is strictly less dense
-    active = [ResidualJob(job(1, 0, 5, 4), F(4))]  # rho 5/4
-    impact = arrival_impact(job(9, 0, 3, 2), active, F(1, 2))  # rho 3/2
+    active = [(job(1, 0, 5, 4), F(4))]  # rho 5/4
+    impact, _ = impact_of(job(9, 0, 3, 2), active, F(1, 2))  # rho 3/2
     assert impact.plus == 2 * 5  # p_new * residual weight
     assert impact.minus == 0
 
 
 def test_rejects_job_already_active():
-    active = [ResidualJob(job(7, 0, 1, 2), F(2))]
     with pytest.raises(JobInActiveSet):
-        arrival_impact(job(7, 0, 1, 2), active, F(1, 2))
+        impact_of(job(7, 0, 1, 2), [(job(7, 0, 1, 2), F(2))], F(1, 2))
 
 
 def test_plus_threshold_is_inclusive():
     # new job (w=1, p=4), eps=1/2: threshold w p / eps = 8; a denser job
     # with residual 8 yields plus = w_new * 8 = 8, an exact tie, which counts
-    active = [ResidualJob(job(1, 0, 16, 8), F(8))]  # rho 2
-    impact = arrival_impact(job(9, 0, 1, 4), active, F(1, 2))
+    active = [(job(1, 0, 16, 8), F(8))]  # rho 2
+    impact, _ = impact_of(job(9, 0, 1, 4), active, F(1, 2))
     assert impact.plus == 8
     assert impact.in_plus
 
@@ -119,13 +117,13 @@ def test_plus_threshold_is_inclusive():
 def test_minus_threshold_is_strict():
     # new job (w=1, p=2), eps=1/2: threshold 4; sparser residual weight 2
     # gives minus = p * 2 = 4, an exact tie, which must NOT qualify
-    active = [ResidualJob(job(1, 0, 2, 16), F(16))]  # rho 1/8, class -3
-    impact = arrival_impact(job(9, 0, 1, 2), active, F(1, 2))  # class -1
+    active = [(job(1, 0, 2, 16), F(16))]  # rho 1/8, class -3
+    impact, _ = impact_of(job(9, 0, 1, 2), active, F(1, 2))  # class -1
     assert impact.minus == 4
     assert not impact.in_minus
     # one extra sparser unit of weight tips it over
-    active.append(ResidualJob(job(2, 0, 1, 8), F(1)))  # residual weight 1/8
-    impact = arrival_impact(job(9, 0, 1, 2), active, F(1, 2))
+    active.append((job(2, 0, 1, 8), F(1)))  # residual weight 1/8
+    impact, _ = impact_of(job(9, 0, 1, 2), active, F(1, 2))
     assert impact.minus == F(17, 4)
     assert impact.in_minus
 
@@ -138,11 +136,11 @@ active_entries = st.lists(
 @given(active_entries, st.integers(1, 12), st.integers(1, 8),
        st.sampled_from([F(1, 2), F(1, 3), F(1, 4)]))
 def test_decomposition_and_oracle_equivalence(entries, w, p, eps):
-    active = [ResidualJob(job(i + 1, 0, F(wi), pi), F(ri), 0)
-              for i, (wi, pi, ri) in enumerate((w0, p0, min(r0, p0))
-                                               for w0, p0, r0 in entries)]
     new = job(0, 0, F(w), p)
-    impact = arrival_impact(new, active, eps)
+    impact, active = impact_of(new, [(job(i + 1, 0, F(wi), pi), F(ri))
+                                     for i, (wi, pi, ri) in enumerate(
+                                         (w0, p0, min(r0, p0)) for w0, p0, r0 in entries)],
+                               eps)
     assert impact.total == impact.plus + impact.self_term + impact.minus
     assert impact.plus >= 0 and impact.minus >= 0
     base = [(oracles.residual_weight(res), res.remaining) for res in active]
@@ -153,12 +151,12 @@ def test_decomposition_and_oracle_equivalence(entries, w, p, eps):
 @given(active_entries, st.integers(1, 12), st.integers(1, 8),
        st.integers(1, 12), st.integers(1, 8))
 def test_impact_monotone_in_active_set(entries, w, p, we, pe):
-    active = [ResidualJob(job(i + 1, 0, F(wi), pi), F(min(ri, pi)), 0)
+    active = [(job(i + 1, 0, F(wi), pi), F(min(ri, pi)))
               for i, (wi, pi, ri) in enumerate(entries)]
-    extra = ResidualJob(job(99, 0, F(we), pe), F(pe), 0)
+    extra = (job(99, 0, F(we), pe), F(pe))
     new = job(0, 0, F(w), p)
-    before = arrival_impact(new, active, F(1, 2)).total
-    after = arrival_impact(new, active + [extra], F(1, 2)).total
+    before = impact_of(new, active, F(1, 2))[0].total
+    after = impact_of(new, active + [extra], F(1, 2))[0].total
     assert after >= before
 
 
@@ -192,25 +190,25 @@ def arrival_and_active(draw):
         remaining = draw(st.integers(1, size))
         if draw(st.booleans()):
             remaining = F(remaining)
-        active.append(ResidualJob(sized(jid, other, size), remaining, machine))
+        active.append((sized(jid, other, size), remaining))
     return arrival, active, machine
 
 
 @settings(max_examples=200)
 @given(arrival_and_active(), st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(1, 10)]))
 def test_one_pass_impact_matches_per_job_oracle(case, eps):
-    arrival, active, machine = case
-    assert arrival_impact(arrival, active, eps, machine) == \
-        oracles.arrival_impact(arrival, active, eps, machine)
+    arrival, entries, machine = case
+    impact, active = impact_of(arrival, entries, eps, machine)
+    assert impact == oracles.arrival_impact(arrival, active, eps, machine)
 
 
 def test_a_density_tie_prices_the_same_in_either_sum():
     # w * rem == p * rho * rem when rho_o == rho_j, so the ">=" that sends a
     # tie to S1 is a convention: no test can tell it from ">"
     new = job(0, 0, 4, 2)  # rho 2
-    tied = [ResidualJob(job(1, 0, 2, 1), 1)]
-    assert arrival_impact(new, tied, F(1, 4)).plus == 4 * 1 == 2 * 2 * 1
-    assert arrival_impact(new, tied, F(1, 4)) == oracles.arrival_impact(new, tied, F(1, 4))
+    impact, tied = impact_of(new, [(job(1, 0, 2, 1), 1)], F(1, 4))
+    assert impact.plus == 4 * 1 == 2 * 2 * 1
+    assert impact == oracles.arrival_impact(new, tied, F(1, 4))
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(1, 9)), min_size=1, max_size=4),
@@ -222,8 +220,9 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
     for m, size in enumerate(sizes):
         if size is None:
             continue
-        res = ResidualJob(j, size, m)
-        assert (res.num, res.den) == j.density(m).as_integer_ratio()
+        scale = density_scale([j])
+        res = ResidualJob(j, size, m, scale)
+        assert type(res.rho) is int and F(res.rho, scale) == j.density(m)
         assert res.density_class == floor_log(j.density(m))
         res.remaining -= 1
         assert oracles.residual_weight(res) == j.density(m) * (size - 1)
@@ -235,8 +234,8 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
 @st.composite
 def arrival_and_crowd(draw):
     """An arrival and up to 25 active jobs whose weight denominators come
-    from {1, 2, 3, 4, 7, 97}, so the running common denominator of S2 and
-    S3 grows several times within one call."""
+    from {1, 2, 3, 4, 7, 97}, so the density scale has many prime factors
+    and each job spans only part of it."""
     def weighted(jid, size):
         weight = F(draw(st.integers(1, 200)), draw(st.sampled_from([1, 2, 3, 4, 7, 97])))
         return Job(jid, 0, weight, (size,))
@@ -248,22 +247,24 @@ def arrival_and_crowd(draw):
         remaining = draw(st.integers(1, size))
         if draw(st.booleans()):
             remaining = F(remaining)
-        active.append(ResidualJob(weighted(jid, size), remaining))
+        active.append((weighted(jid, size), remaining))
     return arrival, active
 
 
 @settings(max_examples=300)
 @given(arrival_and_crowd(), st.sampled_from([F(1, 2), F(1, 4), F(1, 10)]))
 def test_integer_sums_match_oracle_on_many_denominators(case, eps):
-    arrival, active = case
-    assert arrival_impact(arrival, active, eps) == oracles.arrival_impact(arrival, active, eps)
+    arrival, entries = case
+    impact, active = impact_of(arrival, entries, eps)
+    assert impact == oracles.arrival_impact(arrival, active, eps)
 
 
 @settings(max_examples=50)
 @given(arrival_and_crowd())
 def test_impact_reads_only_the_cached_integer_densities(case):
-    arrival, active = case
-    expected = oracles.arrival_impact(arrival, active, F(1, 10))
+    arrival, entries = case
+    expected = oracles.arrival_impact(arrival, impact_of(arrival, entries, F(1, 10))[1],
+                                      F(1, 10))
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.delattr(Job, "density")
-        assert arrival_impact(arrival, active, F(1, 10)) == expected
+        assert impact_of(arrival, entries, F(1, 10))[0] == expected

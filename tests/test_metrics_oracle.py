@@ -1,10 +1,9 @@
 """``compute_metrics``, which sums integer numerators over one ``scale``,
 against the oracle that sums every metric job by job in Fractions.
 
-``scale`` is the lcm of the instance's weight denominators, so it must
-span jobs rejected on arrival too: ``rational_instances`` forces such a
-rejection in every example, with weight denominators the generator never
-makes.
+``scale`` is the instance's density scale, so it must span jobs
+rejected on arrival too: ``rational_instances`` forces such a rejection
+in every example, with weight denominators the generator never makes.
 """
 
 from __future__ import annotations

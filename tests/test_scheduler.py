@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowsched
-from flowsched import MachineScheduler, WorkloadModel, generate, run
+from flowsched import MachineScheduler, WorkloadModel, density_scale, generate, run
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, DriverContractError,
                                  EVENT_DELAYED_REJECT, EVENT_PROMOTED, EVENT_REAL_COMPLETE,
                                  TERMINAL_EVENTS)
@@ -71,42 +71,44 @@ def test_hdf_tiebreak_earlier_release_first():
 
 
 def test_promotion_threshold_is_strict():
-    sched = MachineScheduler(F(1, 2))
-    sched.on_arrival(job(0, 0, 1, 10))
+    jobs = [job(0, 0, 1, 10), job(1, 1, 2, 1), job(2, 2, F(1, 1000), 1)]
+    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched.on_arrival(jobs[0])
     sched.stop = 1
     sched.select_slot()
     # exactly w/eps = 2 released: no marking
-    assert sched.on_arrival(job(1, 1, 2, 1)) == ARRIVAL_ACTIVATED
+    assert sched.on_arrival(jobs[1]) == ARRIVAL_ACTIVATED
     assert sched.promote_check() is None
     assert not sched.preemptible
     sched.stop = 2
     sched.select_slot()
     # one more sliver tips it
-    sched.on_arrival(job(2, 2, F(1, 1000), 1))
+    sched.on_arrival(jobs[2])
     assert 0 in sched.preemptible
     assert sched._trace.promoted_at == {0: 2}
 
 
 def test_promote_check_noop_without_runner():
-    sched = MachineScheduler(F(1, 2))
+    sched = MachineScheduler(F(1, 2), 0, 1)
     assert sched.promote_check() is None
 
 
 def test_running_l_job_yields_to_densest_with_smaller_id():
     # the preemptible job keeps losing HDF to the denser pair, id order
-    sched = MachineScheduler(F(1, 2))
-    sched.on_arrival(job(0, 0, 1, 4))          # rho 1/4
+    jobs = [job(0, 0, 1, 4), job(1, 1, F(3, 2), 1), job(2, 1, F(3, 2), 1)]
+    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched.on_arrival(jobs[0])                  # rho 1/4
     sched.stop = 1
     sched.select_slot()
-    sched.on_arrival(job(1, 1, F(3, 2), 1))    # rho 3/2
-    sched.on_arrival(job(2, 1, F(3, 2), 1))    # rho 3/2, tips marking
+    sched.on_arrival(jobs[1])                  # rho 3/2
+    sched.on_arrival(jobs[2])                  # rho 3/2, tips marking
     assert 0 in sched.preemptible
     sched.stop = 2
     assert sched.select_slot() == 1
 
 
 def test_arrival_in_past_raises():
-    sched = MachineScheduler(F(1, 2))
+    sched = MachineScheduler(F(1, 2), 0, 2)
     sched.on_arrival(job(0, 0, 1, 2))
     sched.stop = 1
     sched.select_slot()
@@ -116,7 +118,7 @@ def test_arrival_in_past_raises():
 
 
 def test_segment_runs_to_completion_or_stop():
-    sched = MachineScheduler(F(1, 2))
+    sched = MachineScheduler(F(1, 2), 0, 10)
     sched.on_arrival(job(0, 0, 1, 10))
     sched.stop = 4
     assert sched.select_slot() == 0
@@ -146,11 +148,11 @@ def test_driver_contracts_hold_under_optimize_flag():
                 return "raised"
             return "accepted"
 
-        sched = MachineScheduler(Fraction(1, 2))
+        sched = MachineScheduler(Fraction(1, 2), 0, 2)
         outcomes = [attempt(sched.on_arrival, Job(0, 5, Fraction(1), (1,)))]
         sched.on_arrival(Job(1, 0, Fraction(1), (2,)))
         outcomes.append(attempt(sched.skip_to, 0))  # machine still has a job
-        idle = MachineScheduler(Fraction(1, 2))
+        idle = MachineScheduler(Fraction(1, 2), 0, 1)
         idle.skip_to(4)
         outcomes.append(attempt(idle.skip_to, 2))  # back in time
         print(__debug__, *outcomes)
@@ -175,14 +177,15 @@ def test_immediate_rejection_departs_at_release():
 
 
 def test_rejected_arrivals_still_count_toward_marking():
-    sched = MachineScheduler(F(1, 2))
-    sched.on_arrival(job(0, 0, 1, 10))
+    jobs = [job(0, 0, 1, 10), job(1, 1, F(3, 2), 1), job(2, 1, F(3, 2), 1)]
+    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched.on_arrival(jobs[0])
     sched.stop = 1
     sched.select_slot()
     # hand the tables a qualifying stream so one of them rejects, while the
     # runner's budget (2) is crossed by total released weight anyway
-    sched.on_arrival(job(1, 1, F(3, 2), 1))
-    sched.on_arrival(job(2, 1, F(3, 2), 1))
+    sched.on_arrival(jobs[1])
+    sched.on_arrival(jobs[2])
     assert 0 in sched.preemptible
 
 
