@@ -36,17 +36,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import ceil
 
-from .core import Instance, Job, Rational, ZERO, density_scale, scaled_density
+from .core import Instance, Rational, ZERO, scaled_density
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
 
 class IncompleteTrace(ValueError):
     pass
-
-
-def _jobs_by_id(instance: Instance) -> dict[int, Job]:
-    return {j.id: j for j in instance.jobs}
 
 
 # -- metrics -----------------------------------------------------------------
@@ -72,13 +68,12 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     integer sum over its runs, as an integer numerator over the instance's
     density scale. Only the total becomes a Fraction.
     """
-    by_id = _jobs_by_id(instance)
+    by_id, scale = instance.by_id, instance.scale
     doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
     for run in trace.runs:
         release = by_id[run.plan].release
         doubled[run.plan] = doubled.get(run.plan, 0) \
             + (run.end - run.start) * (run.start + run.end - 2 * release)
-    scale = density_scale(instance.jobs)
     return Rational(sum(scaled_density(by_id[jid], trace.machine, scale) * total
                         for jid, total in doubled.items()), 2 * scale)
 
@@ -86,7 +81,7 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
     """The six metrics of one run. Each weight sum is an integer numerator
     over the instance's density scale; only the totals become Fractions."""
-    scale = density_scale(instance.jobs)
+    scale = instance.scale
     release = {j.id: j.release for j in instance.jobs}
     weight = {j.id: _scaled(j.weight, scale) for j in instance.jobs}
     delivered: set[int] = set()
@@ -128,8 +123,7 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
     job and two per run: summing that twice builds it. A job's residual
     weight reaches exactly zero at its plan completion.
     """
-    by_id = _jobs_by_id(instance)
-    scale = density_scale(instance.jobs)
+    by_id, scale = instance.by_id, instance.scale
     rho = {jid: scaled_density(by_id[jid], trace.machine, scale) for jid in trace.kept}
     horizon = trace.horizon()
     bends = [0] * (horizon + 2)    # second difference of beta, one spare entry
@@ -184,7 +178,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     (d) weight of first-in-bucket plus jobs <= 8 eps * W;
     (e) total rejected weight <= 15 eps * W.
     """
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     eps = instance.epsilon
     total_weight = sum((j.weight for j in instance.jobs), start=ZERO)
 
@@ -259,7 +253,7 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
     that fails is rescanned over [r_j, H] to list its violating times, in
     arrival order, then by t. Infeasibility is reported, not raised.
     """
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     scale, betas = beta_series(trace, instance)
     horizon = len(betas) - 1
     alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 Rational = Fraction
@@ -108,17 +109,32 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """A validated workload plus the run parameters.
+    """A workload plus the run parameters, validated once where it is built
+    (the parser, the generators, the CLI's overrides); every consumer takes
+    it as validated and does not validate it again.
 
     Invariants (enforced by :func:`validate_instance`):
       * ``1/epsilon`` is a positive integer and ``epsilon**2 <= 1/2``;
       * job ids are unique, jobs are sorted stably by release time;
       * every job is runnable somewhere, all sizes are >= 1, weights > 0.
+
+    ``scale`` and ``by_id`` are cached on first use. They derive from the
+    frozen fields, so they are neither constructor arguments nor compared.
     """
 
     jobs: tuple[Job, ...]
     machines: int = 1
     epsilon: Rational = Rational(1, 2)
+
+    @cached_property
+    def scale(self) -> int:
+        """The :func:`density_scale` of the jobs, shared by every machine."""
+        return density_scale(self.jobs)
+
+    @cached_property
+    def by_id(self) -> dict[int, Job]:
+        """Each job by id; one dict shared by every reader, never mutated."""
+        return {job.id: job for job in self.jobs}
 
 
 def density_scale(jobs) -> int:
@@ -167,10 +183,8 @@ def validate_instance(raw: Instance) -> Instance:
 
     Jobs are re-sorted stably by release time (input order breaks ties),
     weights are coerced to ``Rational`` and size lists to tuples, so two
-    validated instances with equal content compare equal. A job whose
-    weight is already a ``Rational`` and whose sizes are already a tuple is
-    canonical and kept as the same object, so validating a validated
-    instance again builds no job.
+    validated instances with equal content compare equal. A job that is
+    already canonical is kept as the same object.
     """
     eps = Rational(raw.epsilon)
     if eps <= 0 or eps.numerator != 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, density_scale, validate_instance
+from .core import Instance, Job, Rational
 from .impact import arrival_impact, impact_sums
 from .scheduler import MachineScheduler, ScheduleTrace, drive
 
@@ -72,14 +72,15 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
 
 
 def run_multi(instance: Instance) -> MultiTrace:
-    """Dispatch every arrival, and run each machine up to every release.
+    """Dispatch every arrival of a validated instance, which it does not
+    validate again, and run each machine up to every release, all machines
+    on the instance's ``scale``.
 
     With a single machine this reduces to :func:`flowsched.scheduler.run`
     bit for bit; both share :func:`flowsched.scheduler.drive`.
     """
-    inst = validate_instance(instance)
-    scale = density_scale(inst.jobs)
-    machines = [MachineScheduler(inst.epsilon, i, scale) for i in range(inst.machines)]
+    machines = [MachineScheduler(instance.epsilon, i, instance.scale)
+                for i in range(instance.machines)]
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[MachineScheduler]) -> int:
@@ -87,4 +88,4 @@ def run_multi(instance: Instance) -> MultiTrace:
         decisions.append(decision)
         return decision.machine
 
-    return MultiTrace(drive(inst.jobs, machines, route), decisions)
+    return MultiTrace(drive(instance.jobs, machines, route), decisions)

@@ -9,8 +9,9 @@ The workload trace file is line oriented and purely textual:
 Header: machine count, epsilon, a ``speedup`` field fixed at 0, generator
 seed ("-" when not applicable). One job per line: id, release, weight
 ("num" or "num/den"), sizes as comma-separated integers with "-" for a
-machine that cannot run the job. ``parse_trace(serialize_trace(x)) == x``
-bit-exactly.
+machine that cannot run the job. ``parse_trace_text(format_trace(x)) == x``
+bit-exactly for a validated instance ``x``. The parser and the generators
+are where instances are built, so each ends in ``validate_instance``.
 
 The paper's only relaxation is rejection: its offline optimum runs at the
 algorithm's speed, so every schedule runs at unit speed and an instance

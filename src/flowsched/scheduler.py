@@ -28,11 +28,12 @@ stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
 in ``simulate``'s slot lines.
 
 The HDF order and the marking test compare ``int``s over one ``scale``,
-fixed for the whole run: :func:`flowsched.core.density_scale` of every
-job in the instance, so ``rho * scale`` and ``w * scale`` are integers for
-every job on every machine. A heap key is ``(-rho * scale, release, id)``;
-the marking budget ``run_released`` is the released weight times
-``scale``, against ``w * scale * (1/epsilon)``.
+fixed for the whole run: the instance's ``scale``, the
+:func:`flowsched.core.density_scale` of all its jobs, so ``rho * scale``
+and ``w * scale`` are integers for every job on every machine. A heap
+key is ``(-rho * scale, release, id)``; the marking budget
+``run_released`` is the released weight times ``scale``, against
+``w * scale * (1/epsilon)``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, ResidualJob, density_scale, validate_instance
+from .core import Instance, Job, Rational, ResidualJob
 from .impact import ArrivalImpact, arrival_impact
 from .rejection import BucketReport, ImmediateDecision, RejectionTables
 
@@ -94,20 +95,18 @@ class ScheduleTrace:
     segment between events, in time order. ``events`` is the only record
     of each job's fate, and ``decisions`` (kept in arrival order) of which
     jobs arrived. ``arrivals``, ``departure``, ``completion_real`` and
-    ``promoted_at`` are read-only views rebuilt from them on every access, so bind one to a
-    local before a loop. ``departure[j]`` is the completion time for jobs
-    the real schedule finishes, the release time for immediate
-    rejections, and the marking time for delayed rejections. Every
-    delivered job has exactly one terminal event.
+    ``promoted_at`` are read-only views rebuilt from them on every
+    access, so bind one to a local before a loop. ``departure[j]`` is the
+    completion time for jobs the real schedule finishes, the release time
+    for immediate rejections, and the marking time for delayed
+    rejections. Every delivered job has exactly one terminal event.
     """
 
     machine: int
-    epsilon: Rational
     runs: list[Run] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     impacts: dict[int, ArrivalImpact] = field(default_factory=dict)
     decisions: dict[int, ImmediateDecision] = field(default_factory=dict)
-    phi: dict[int, int] = field(default_factory=dict)
     table_report: list[BucketReport] = field(default_factory=list)
 
     def _times(self, *kinds: str) -> dict[int, int]:
@@ -157,9 +156,7 @@ class MachineScheduler:
         # released since it began, times scale
         self.run_job: int | None = None
         self.run_released = 0
-        # job processed in [clock-1, clock), None after idling or a completion
-        self.last_slot_job: int | None = None
-        self._trace = ScheduleTrace(machine=machine, epsilon=epsilon)
+        self._trace = ScheduleTrace(machine=machine)
 
     # -- step 1: arrivals ------------------------------------------------
 
@@ -180,9 +177,6 @@ class MachineScheduler:
         decision = self.tables.admit(job, impact, self.machine)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
-
-        if self.last_slot_job is not None and self.last_slot_job not in self.preemptible:
-            tr.phi[job.id] = self.last_slot_job
 
         if decision.reject:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
@@ -261,11 +255,7 @@ class MachineScheduler:
             if mirrored:
                 tr.events.append(Event(end, chosen, EVENT_REAL_COMPLETE))
             if self.run_job == chosen:
-                self.run_job = None
-            # a finished job can no longer be marked or charged against
-            self.last_slot_job = None
-        else:
-            self.last_slot_job = chosen
+                self.run_job = None  # a finished job can no longer be marked
         self.clock = end
         return chosen
 
@@ -277,7 +267,6 @@ class MachineScheduler:
             raise DriverContractError(
                 f"cannot skip from {self.clock} to {t} with {len(self.active)} active jobs")
         self.clock = t
-        self.last_slot_job = None
 
     def finish_trace(self) -> ScheduleTrace:
         tr = self._trace
@@ -286,18 +275,18 @@ class MachineScheduler:
 
 
 def run(instance: Instance, machine: int = 0) -> ScheduleTrace:
-    """Drive the online engine over a (single-machine view of an) instance.
+    """Drive the online engine over a (single-machine view of a) validated
+    instance, which it does not validate again, on the instance's ``scale``.
 
     Every job must be runnable on ``machine``. Deterministic for a fixed
     input order; the returned trace satisfies all structural invariants
     (mirror property, one terminal event per job, non-preemptive real
     schedule).
     """
-    inst = validate_instance(instance)
-    for job in inst.jobs:
+    for job in instance.jobs:
         job.size_on(machine)  # raises JobNotRunnableOnMachine early
-    sched = MachineScheduler(inst.epsilon, machine, density_scale(inst.jobs))
-    return drive(inst.jobs, [sched], lambda job, machines: 0)[0]
+    sched = MachineScheduler(instance.epsilon, machine, instance.scale)
+    return drive(instance.jobs, [sched], lambda job, machines: 0)[0]
 
 
 def drive(jobs: Sequence[Job], machines: Sequence[MachineScheduler],

@@ -19,7 +19,8 @@ settings.load_profile("default")
 
 
 def make_instance(jobs, epsilon=Fraction(1, 2), machines=1):
-    return Instance(tuple(jobs), machines, epsilon)
+    """A validated instance, as the engine and the analysis take it."""
+    return validate_instance(Instance(tuple(jobs), machines, epsilon))
 
 
 def job(jid, release, weight, size) -> Job:

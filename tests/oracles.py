@@ -15,7 +15,9 @@ The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 lock-step, picks each new run with a ``min`` over the active jobs' HDF
 keys (``hdf_key``, in Fractions), tests the marking budget in Fractions
 and records each slot as a unit :class:`Run`; the event-driven
-engine must produce the same slots, events, impacts and decisions.
+engine must produce the same slots, events, impacts and decisions. Its
+traces are :class:`SlotTrace`s, which also record the charging map phi of
+the paper's dual-fitting proof; the engine keeps no phi.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
 machine in full with the ``arrival_impact`` above.
 
@@ -38,17 +40,17 @@ transport optimum on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from flowsched.analysis import IncompleteTrace, Metrics, _jobs_by_id
+from flowsched.analysis import IncompleteTrace, Metrics
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.core import (HALF, Instance, Job, NonPositiveArgument, ONE, Rational,
-                            ResidualJob, ZERO, validate_instance)
+                            ResidualJob, ZERO)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet
 from flowsched.rejection import MinusKey, PlusKey, RejectionTables
@@ -129,7 +131,7 @@ def bucket_keys(impact: ArrivalImpact, job: Job,
 def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     """Continuous fractional weighted flow of the plan, priced slot by slot:
     a unit processed in [s, s+1) contributes ``rho (s - r + 1/2)``."""
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     total = ZERO
     for jid, slots in plan_slots(trace).items():
         job = by_id[jid]
@@ -142,7 +144,7 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
     """The six metrics summed job by job in Fractions; the plan's
     fractional flow is the per-slot ``fractional_flow_plan`` above."""
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     delivered: set[int] = set()
     weighted_flow = ZERO
     fractional = ZERO
@@ -176,7 +178,7 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
 def beta_series(trace: ScheduleTrace, instance: Instance) -> list[Rational]:
     """Total residual weight at each integer time 0..horizon, sampled just
     after arrival processing (new arrivals count at full weight)."""
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     horizon = trace.horizon()
     betas = [ZERO] * (horizon + 1)
     slots = plan_slots(trace)
@@ -214,7 +216,7 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> PairCertificate:
     The constraint is ``alpha_j / p_j - beta_t <= w_j (t - r_j)/p_j + w_j/2``
     for all t >= r_j. Infeasibility is reported, not raised.
     """
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     betas = beta_series(trace, instance)
     horizon = len(betas) - 1
     alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}
@@ -281,6 +283,14 @@ def plan_slots(trace: ScheduleTrace) -> dict[int, list[int]]:
 # -- the per-slot engine ---------------------------------------------------------
 
 
+@dataclass
+class SlotTrace(ScheduleTrace):
+    """A trace with the charging map of the dual-fitting proof: ``phi[j]``
+    is the unmarked job that ran in the slot just before j arrived, if it
+    is still active. Only the tests read it."""
+    phi: dict[int, int] = field(default_factory=dict)
+
+
 class SlotScheduler:
     """The per-slot engine: one :meth:`select_slot` call per unit slot.
     It scores arrivals with the per-job ``arrival_impact`` above."""
@@ -299,7 +309,7 @@ class SlotScheduler:
         self.run_released: Rational = ZERO
         # job processed in [clock-1, clock), None after idling or a completion
         self.last_slot_job: int | None = None
-        self._trace = ScheduleTrace(machine=machine, epsilon=epsilon)
+        self._trace = SlotTrace(machine=machine)
 
     # -- step 1: arrivals ------------------------------------------------
 
@@ -400,29 +410,29 @@ class SlotScheduler:
         self.clock = t
         self.last_slot_job = None
 
-    def finish_trace(self) -> ScheduleTrace:
+    def finish_trace(self) -> SlotTrace:
         tr = self._trace
         tr.table_report = self.tables.audit()
         return tr
 
 
-def slot_run(instance: Instance, machine: int = 0) -> ScheduleTrace:
-    """Drive the online engine over a (single-machine view of an) instance.
+def slot_run(instance: Instance, machine: int = 0) -> SlotTrace:
+    """Drive the online engine over a (single-machine view of a) validated
+    instance.
 
     Every job must be runnable on ``machine``. Deterministic for a fixed
     input order; the returned trace satisfies all structural invariants
     (mirror property, one terminal event per job, non-preemptive real
     schedule).
     """
-    inst = validate_instance(instance)
-    for job in inst.jobs:
+    for job in instance.jobs:
         job.size_on(machine)  # raises JobNotRunnableOnMachine early
-    sched = SlotScheduler(inst.epsilon, machine, density_scale(inst.jobs))
-    return slot_drive(inst.jobs, [sched], lambda job, machines: 0)[0]
+    sched = SlotScheduler(instance.epsilon, machine, density_scale(instance.jobs))
+    return slot_drive(instance.jobs, [sched], lambda job, machines: 0)[0]
 
 
 def slot_drive(jobs: Sequence[Job], machines: Sequence[SlotScheduler],
-               route: Callable[[Job, Sequence[SlotScheduler]], int]) -> list[ScheduleTrace]:
+               route: Callable[[Job, Sequence[SlotScheduler]], int]) -> list[SlotTrace]:
     """Deliver each job at its release to ``machines[route(job, machines)]``,
     one arrival at a time in input order (sorted by release), and run all
     machines in lock-step slots until every one is empty. The shared clock
@@ -458,14 +468,14 @@ def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
 
 
 def slot_run_multi(instance: Instance) -> MultiTrace:
-    """Dispatch every arrival, then drive all machines in lock-step slots.
+    """Dispatch every arrival of a validated instance, then drive all
+    machines in lock-step slots.
 
     With a single machine this reduces to :func:`slot_run` bit for bit;
     both share :func:`slot_drive`.
     """
-    inst = validate_instance(instance)
-    scale = density_scale(inst.jobs)
-    machines = [SlotScheduler(inst.epsilon, i, scale) for i in range(inst.machines)]
+    scale = density_scale(instance.jobs)
+    machines = [SlotScheduler(instance.epsilon, i, scale) for i in range(instance.machines)]
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[SlotScheduler]) -> int:
@@ -473,7 +483,7 @@ def slot_run_multi(instance: Instance) -> MultiTrace:
         decisions.append(decision)
         return decision.machine
 
-    return MultiTrace(slot_drive(inst.jobs, machines, route), decisions)
+    return MultiTrace(slot_drive(instance.jobs, machines, route), decisions)
 
 
 # -- offline references ---------------------------------------------------------
@@ -635,7 +645,7 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
     if len(instance.jobs) > limit:
         raise TooLargeForOracle(
             f"instance has {len(instance.jobs)} jobs, limit is {limit}")
-    by_id = _jobs_by_id(instance)
+    by_id = instance.by_id
     oracle = ZERO
     immediate = kept = ZERO
     slack = ZERO

@@ -195,6 +195,32 @@ def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, fl
     assert instance.epsilon == (Fraction(1, 4) if "--epsilon" in flags else Fraction(1, 2))
 
 
+@pytest.mark.parametrize("machines", [1, 4])
+@pytest.mark.parametrize("command", ["simulate", "verify", "audit"])
+def test_each_command_prepares_its_instance_once(monkeypatch, tmp_path, command, machines):
+    # the parser validates the instance and the instance caches its density
+    # scale; the engine and the analysis validate nothing and reuse the scale
+    path = tmp_path / "trace.txt"
+    serialize_trace(generate(WorkloadModel(kind="uniform", n=30, seed=6,
+                                           machines=machines)), path)
+    calls = {"validate_instance": 0, "density_scale": 0}
+    core = importlib.import_module("flowsched.core")
+    modules = [module for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "flowsched"]
+    for name in calls:
+        original = getattr(core, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        # every module that imported the function by name calls its own binding
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main([command, "--trace", str(path), "--out", str(tmp_path / "out.txt")]) == 0
+    assert calls == {"validate_instance": 1, "density_scale": 1}
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -301,11 +327,11 @@ def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
 
 
 def test_scale_that_misses_a_density_exits_1(capsys, monkeypatch, tmp_path):
-    # run computes the scale from the instance, so a scale that misses a
-    # job's density is an engine bug, not bad input
+    # the instance computes its own scale, so a scale that misses a job's
+    # density is an engine bug, not bad input
     path = tmp_path / "thirds.txt"
     path.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/3 1\n", encoding="ascii")
-    monkeypatch.setattr(importlib.import_module("flowsched.scheduler"), "density_scale",
+    monkeypatch.setattr(importlib.import_module("flowsched.core"), "density_scale",
                         lambda jobs: 1)
     rc, err = run_cli(capsys, ["simulate", "--trace", path])
     assert rc == cli.VIOLATION

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,16 @@ def test_jobs_resorted_stably_by_release():
 def test_negative_release_rejected():
     with pytest.raises(InvalidInstance):
         validate_instance(make_instance([job(0, -1, 1, 2)]))
+
+
+def test_scale_and_index_are_cached_not_compared():
+    jobs = [job(0, 0, Fraction(1, 3), 2), job(1, 1, 1, 5)]
+    inst, fresh = make_instance(jobs), make_instance(jobs)
+    assert inst.scale == density_scale(inst.jobs) == 30
+    assert inst.by_id == {0: inst.jobs[0], 1: inst.jobs[1]}
+    assert inst.by_id is inst.by_id
+    assert inst == fresh and "scale" not in vars(fresh)  # the cache is not compared
+    assert [f.name for f in fields(Instance)] == ["jobs", "machines", "epsilon"]
 
 
 def test_density_and_residual_weight():

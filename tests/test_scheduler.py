@@ -43,8 +43,9 @@ def test_worked_run_slots_and_events():
 def test_worked_run_promotion_fires_mid_batch():
     # after j1 (weight 3/2) the accumulated weight is 3/2 <= 2: no marking;
     # after j2 it is 3 > 2: the runner is marked, phi still points at it
-    trace = run(worked_instance())
-    assert trace.phi == {1: 0, 2: 0}
+    inst = worked_instance()
+    assert oracles.slot_run(inst).phi == {1: 0, 2: 0}
+    trace = run(inst)
     promoted = [e for e in trace.events if e.kind == EVENT_PROMOTED]
     assert [(e.time, e.job) for e in promoted] == [(1, 0)]
 
@@ -266,7 +267,8 @@ def test_delayed_rejection_budget_exact(inst):
 @settings(max_examples=60)
 @given(instances)
 def test_phi_load_bounded_excluding_last_arrival(inst):
-    trace = run(inst)
+    # phi is the dual-fitting proof's charging map, which only the oracle keeps
+    trace = oracles.slot_run(inst)
     weights = {j.id: j.weight for j in inst.jobs}
     order = {jid: i for i, jid in enumerate(trace.arrivals)}
     inverse = {}
