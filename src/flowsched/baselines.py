@@ -22,6 +22,11 @@ to the slots of that busy period, which keeps the HDF optimum feasible.
 
 Jobs are read through their size on machine 0, since ``baseline`` refuses
 multi-machine instances. Everything returns exact rationals.
+
+networkx is imported by :func:`transport_opt` on its first non-empty solve,
+not with this module, so of all the commands only ``baseline`` loads it.
+``baselines.nx`` still names networkx, imported on first access, so a
+caller can wrap ``baselines.nx.network_simplex`` before a solve.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import groupby
-
-import networkx as nx
 
 from .core import HALF, Job, ONE, Rational, ZERO, density_scale, scaled_density
 
@@ -161,6 +164,8 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
     jobs = list(jobs)
     if not jobs:
         return ZERO
+    import networkx as nx
+
     if horizon is None:
         horizon = default_horizon(jobs)
 
@@ -200,3 +205,11 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
         raise HorizonTooShort(
             f"horizon {horizon} cannot fit {total_units} units of work") from exc
     return Rational(cost, scale)
+
+
+def __getattr__(name: str):
+    """``nx``: networkx, imported on first access (PEP 562)."""
+    if name == "nx":
+        import networkx
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

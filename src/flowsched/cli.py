@@ -7,7 +7,8 @@ identical inputs produce byte-identical outputs.
 
 The argument parser is built once per process, on the first ``main``
 call, and ``main`` finds each ``cmd_<name>`` function by name only when it
-runs that command.
+runs that command. Only ``baseline`` loads networkx, in its first solve of
+the transport LP; every other command runs without it.
 
 Exit codes: 0 success (verify: feasible, audit: all budgets hold);
 1 a violated invariant, including any exception the engine or analysis
@@ -46,6 +47,13 @@ def _rat(text: str) -> Rational:
         return Rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _horizon(text: str) -> int:
+    """A slot count: ASCII digits only, so never negative."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
 
 
 def _fmt(value) -> str:
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
     base.add_argument("--trace", required=True)
-    base.add_argument("--horizon", type=int, default=None)
+    base.add_argument("--horizon", type=_horizon, default=None)
     base.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")

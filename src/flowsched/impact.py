@@ -23,7 +23,9 @@ for the whole run. The ``rho_o >= rho`` test compares two ``int``s, and
 cross-multiplication, so the values are exactly those of ``Fraction``
 sums. Dispatch ranks machines on the same sums: every machine shares
 ``scale``, so it compares the totals' integer numerators alone, building
-no ``Fraction``.
+no ``Fraction``, and hands the chosen machine's sums to
+:func:`arrival_impact`, so each (arrival, machine) pair is passed over
+once.
 """
 
 from __future__ import annotations
@@ -57,18 +59,16 @@ class ArrivalImpact(NamedTuple):
     in_minus: bool
 
 
-def impact_sums(job: Job, machine: int, active: Collection[ResidualJob],
-                scale: int) -> tuple[int, int, int, int]:
-    """The one pass over ``active`` for ``job`` on ``machine``, whose active
-    jobs were built over ``scale``.
+def impact_sums(job: Job, active: Collection[ResidualJob], rho: int,
+                klass: int) -> tuple[int, int, int]:
+    """The one pass over ``active`` for ``job``, whose scaled density on this
+    machine is ``rho``, of density class ``klass``; the active jobs were
+    built over the same scale.
 
-    Returns ``(density_class, S1, S2 * scale, S3 * scale)``: the arriving
-    job's class and the three aggregates as integers.
+    Returns ``(S1, S2 * scale, S3 * scale)``: the three aggregates as
+    integers.
     """
     jid = job.id
-    rho = scaled_density(job, machine, scale)
-    klass = floor_log_ratio(rho, scale)
-
     denser = 0       # S1
     same_class = 0   # S2 * scale
     lower_class = 0  # S3 * scale
@@ -81,21 +81,28 @@ def impact_sums(job: Job, machine: int, active: Collection[ResidualJob],
             same_class += res.rho * res.remaining
         else:
             lower_class += res.rho * res.remaining
-    return klass, denser, same_class, lower_class
+    return denser, same_class, lower_class
 
 
 def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
-                   machine: int, scale: int) -> ArrivalImpact:
+                   machine: int, scale: int,
+                   sums: tuple[int, int, int, int] | None = None) -> ArrivalImpact:
     """Compute the impact of ``job`` against the current active set, whose
     jobs were built over ``scale``.
 
     ``active`` must reflect the state the arrival actually sees: earlier
     same-time arrivals included, the job itself excluded. It is read once,
-    by :func:`impact_sums`.
+    by :func:`impact_sums`, unless the caller already made that pass and
+    hands over ``sums``: the job's ``(density_class, S1, S2 * scale,
+    S3 * scale)`` on this machine.
     """
     size = job.size_on(machine)
     wn, wd = job.weight.numerator, job.weight.denominator
-    klass, denser, same_class, lower_class = impact_sums(job, machine, active, scale)
+    if sums is None:
+        rho = scaled_density(job, machine, scale)
+        klass = floor_log_ratio(rho, scale)
+        sums = (klass, *impact_sums(job, active, rho, klass))
+    klass, denser, same_class, lower_class = sums
 
     # plus = w*S1 + p*S2 over wd*scale; minus = p*S3 over scale; w*p/2 over 2*wd
     plus = wn * denser * scale + size * same_class * wd

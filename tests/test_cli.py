@@ -13,7 +13,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ import pytest
 
 from flowsched import (DispatchDecision, WorkloadModel, generate, parse_trace, preemptive_hdf,
                        serialize_trace)
+import flowsched
 from flowsched import cli
 from flowsched.cli import main
 from flowsched.scheduler import ArrivalInPast
@@ -178,6 +181,61 @@ def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file):
     rc, err = run_cli(capsys, argv + [makespan - 1])
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_horizon_exits_2_without_jobs(capsys, tmp_path):
+    # with no job, no window can be too short, so only the option type refuses it
+    path, out = tmp_path / "empty.txt", tmp_path / "base.txt"
+    path.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n", encoding="ascii")
+    argv = ["baseline", "--trace", path, "--out", out, "--horizon"]
+    rc, err = run_cli(capsys, argv + [-3])
+    assert rc == cli.USAGE_ERROR and "Traceback" not in err
+    assert not out.exists()
+    assert run_cli(capsys, argv + [0]) == (0, "")
+    assert out.read_text(encoding="ascii") == \
+        "baseline speed=1 horizon=0 transport_opt=0 hdf_cost=0\n"
+
+
+# Runs each argv in order in one fresh interpreter and prints, after each,
+# its exit code and whether networkx is loaded; the commands' own output
+# is discarded.
+_NETWORKX_PROBE = """
+import contextlib, io, json, sys
+from flowsched import baselines
+from flowsched.cli import main
+print(json.dumps(["import", 0, "networkx" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    print(json.dumps([argv[0], rc, "networkx" in sys.modules]))
+import networkx
+print(json.dumps(["nx", baselines.nx is networkx, hasattr(baselines, "no_such_name")]))
+"""
+
+
+def test_only_baseline_loads_networkx(tmp_path, trace_file):
+    # in a subprocess: the test oracles import networkx into this one
+    base = tmp_path / "base.txt"
+    assert main(["baseline", "--trace", str(trace_file), "--out", str(base)]) == 0
+    outs = {name: str(tmp_path / f"{name}.txt")
+            for name in ("gen", "simulate", "verify", "audit", "report", "baseline")}
+    commands = [["gen", "--model", "uniform", "--n", "8", "--out", outs["gen"]]]
+    commands += [[name, "--trace", str(trace_file), "--out", outs[name]]
+                 for name in ("simulate", "verify", "audit")]
+    commands += [["report", "--sim", outs["simulate"], "--baseline", str(base),
+                  "--out", outs["report"]],
+                 ["baseline", "--trace", str(trace_file), "--out", outs["baseline"]]]
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NETWORKX_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        ["import", 0, False], ["gen", 0, False], ["simulate", 0, False],
+        ["verify", 0, False], ["audit", 0, False], ["report", 0, False],
+        ["baseline", 0, True], ["nx", True, False]]
+    assert Path(outs["baseline"]).read_bytes() == base.read_bytes()
 
 
 @pytest.mark.parametrize("flags, validations", [

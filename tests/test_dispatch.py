@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
                        WorkloadModel, arrival_impact, density_scale, dispatch, generate,
                        run, run_multi, validate_instance)
+from flowsched.core import DensityNotSpanned
 
 import oracles
 
@@ -46,6 +48,15 @@ def test_dispatch_no_eligible_machine():
     machines = empty_machines(2, mjob(0, 0, 1, (1, 1)))
     with pytest.raises(NoEligibleMachine):
         dispatch(mjob(0, 0, 1, (None, None)), machines)
+    assert all(s.scored is None for s in machines)
+
+
+def test_dispatch_refuses_a_scale_that_misses_a_density():
+    # scale 2 spans the density 1/2 on machine 1 but not 1/3 on machine 0
+    job = mjob(0, 0, 1, (3, 2))
+    machines = [MachineScheduler(F(1, 2), i, 2) for i in range(2)]
+    with pytest.raises(DensityNotSpanned, match="job 0 on machine 0"):
+        dispatch(job, machines)
     assert all(s.scored is None for s in machines)
 
 
@@ -206,6 +217,21 @@ def test_run_multi_scores_each_arrival_once(monkeypatch):
         monkeypatch.setattr(module, "arrival_impact", counted)
     result = run_multi(inst)
     assert sorted(calls) == sorted(j.id for j in inst.jobs)
+    assert result.decisions == oracles.slot_run_multi(inst).decisions
+
+
+def test_run_multi_passes_once_per_arrival_and_eligible_machine(monkeypatch):
+    # the chosen machine's pass in dispatch is the one its admission uses
+    inst = generate(WorkloadModel(kind="poisson_pareto", n=150, seed=11, rate=1.2,
+                                  shape=1.6, size_cap=20, machines=4))
+    passes = Counter()
+    for module in map(importlib.import_module, ("flowsched.dispatch", "flowsched.impact")):
+        def counted(job, *rest, _sums=module.impact_sums):
+            passes[job.id] += 1
+            return _sums(job, *rest)
+        monkeypatch.setattr(module, "impact_sums", counted)
+    result = run_multi(inst)
+    assert passes == Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})
     assert result.decisions == oracles.slot_run_multi(inst).decisions
 
 
