@@ -21,20 +21,19 @@ past the trace horizon H need no check: beta_H is already zero and stays
 zero, while the right-hand side of the original constraint only grows with
 t, so the pair (j, H) implies every later one.
 
-The arithmetic stays exact but per-time work runs on Python ints: every
-weighted quantity is an integer numerator over ``scale``, the instance's
-one :func:`~flowsched.core.density_scale`, the scale the engine ran on.
-Every ``rho_j * scale`` and ``w_j * scale`` is then an integer, so the
-beta series, the hull and its searches never build a Fraction; only each
-job's right-hand side stays rational, compared once per job. The metrics
-follow the same convention, so each metric builds one Fraction.
+The arithmetic stays exact but runs on Python ints: every weighted
+quantity is an integer numerator over ``scale``, the instance's one
+:func:`~flowsched.core.density_scale` (the scale the engine ran on), or
+over a fixed multiple of it. So the beta series, the hull and its searches,
+each job's ceiling step, the budgets and the certificate build no Fraction;
+``cli`` prints them as rationals. Each metric builds one Fraction, as do
+the audit's two rejected fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil
 
 from .core import Instance, Rational, ZERO, scaled_density
 from .dispatch import MultiTrace, each_trace
@@ -150,18 +149,20 @@ def _scaled(value: Rational, scale: int) -> int:
 
 @dataclass(frozen=True)
 class BudgetCheck:
+    """``value <= bound``: integer numerators over the audit's denominator."""
     name: str
-    value: Rational
-    bound: Rational
+    value: int
+    bound: int
     ok: bool
 
 
 @dataclass(frozen=True)
 class RejectionAudit:
+    """``denominator`` is ``scale / epsilon`` for the instance's density scale."""
     checks: tuple[BudgetCheck, ...]
     delayed_fraction: Rational
     immediate_fraction: Rational
-    total_weight: Rational
+    denominator: int
 
     @property
     def ok(self) -> bool:
@@ -178,20 +179,16 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     (d) weight of first-in-bucket plus jobs <= 8 eps * W;
     (e) total rejected weight <= 15 eps * W.
     """
-    by_id = instance.by_id
-    eps = instance.epsilon
-    total_weight = sum((j.weight for j in instance.jobs), start=ZERO)
+    scale = instance.scale
+    weight = {job.id: _scaled(job.weight, scale) for job in instance.jobs}
+    total_weight = sum(weight.values())
 
-    delayed = ZERO
-    immediate = ZERO
-    plus_assigned = minus_assigned = ZERO
-    plus_rejected_first = plus_rejected_rest = ZERO
-    minus_rejected = ZERO
+    delayed = immediate = 0
+    plus_assigned = minus_assigned = 0
+    plus_rejected_first = plus_rejected_rest = minus_rejected = 0
     for trace in each_trace(run):
-        for jid in trace.promoted_at:
-            delayed += by_id[jid].weight
-        for jid in trace.immediate_rejected:
-            immediate += by_id[jid].weight
+        delayed += sum(weight[jid] for jid in trace.promoted_at)
+        immediate += sum(weight[jid] for jid in trace.immediate_rejected)
         for bucket in trace.table_report:
             if bucket.table == "plus":
                 plus_assigned += bucket.weight_assigned
@@ -201,23 +198,23 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
                 minus_assigned += bucket.weight_assigned
                 minus_rejected += bucket.weight_rejected
 
+    en, ed = instance.epsilon.as_integer_ratio()
+
+    def check(name: str, value: int, factor: int, base: int) -> BudgetCheck:
+        # value <= factor * eps * base, both sides times ed
+        bound = factor * en * base
+        return BudgetCheck(name, value * ed, bound, value * ed <= bound)
+
     checks = (
-        BudgetCheck("delayed_weight", delayed, eps * total_weight,
-                    delayed <= eps * total_weight),
-        BudgetCheck("minus_rejected", minus_rejected, 4 * eps * minus_assigned,
-                    minus_rejected <= 4 * eps * minus_assigned),
-        BudgetCheck("plus_rejected_nonfirst", plus_rejected_rest,
-                    2 * eps * plus_assigned,
-                    plus_rejected_rest <= 2 * eps * plus_assigned),
-        BudgetCheck("plus_first_in_bucket", plus_rejected_first,
-                    8 * eps * total_weight,
-                    plus_rejected_first <= 8 * eps * total_weight),
-        BudgetCheck("grand_total", immediate + delayed, 15 * eps * total_weight,
-                    immediate + delayed <= 15 * eps * total_weight),
+        check("delayed_weight", delayed, 1, total_weight),
+        check("minus_rejected", minus_rejected, 4, minus_assigned),
+        check("plus_rejected_nonfirst", plus_rejected_rest, 2, plus_assigned),
+        check("plus_first_in_bucket", plus_rejected_first, 8, total_weight),
+        check("grand_total", immediate + delayed, 15, total_weight),
     )
-    delayed_fraction = delayed / total_weight if total_weight else ZERO
-    immediate_fraction = immediate / total_weight if total_weight else ZERO
-    return RejectionAudit(checks, delayed_fraction, immediate_fraction, total_weight)
+    shares = ((Rational(delayed, total_weight), Rational(immediate, total_weight))
+              if total_weight else (ZERO, ZERO))
+    return RejectionAudit(checks, *shares, ed * scale)
 
 
 # -- dual certificate ----------------------------------------------------------
@@ -226,15 +223,16 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
 @dataclass(frozen=True)
 class DualCertificate:
     """``betas`` are integer numerators over ``scale``, the instance's
-    density scale: beta_t is ``betas[t] / scale`` for t = 0..H."""
+    density scale: beta_t is ``betas[t] / scale`` for t = 0..H. ``alphas``
+    and the three totals are integer numerators over ``2 * scale``."""
     machine: int
-    alphas: dict[int, Rational]
+    alphas: dict[int, int]
     scale: int
     betas: tuple[int, ...]
-    alpha_total: Rational
-    beta_total: Rational
+    alpha_total: int
+    beta_total: int
     feasible: bool
-    objective: Rational
+    objective: int
     violations: tuple[tuple[int, int], ...] = ()
 
 
@@ -247,11 +245,11 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
     the points (t, beta_t * scale) for t = H down to r_j are pushed onto a
     lower hull (Andrew's monotone chain, growing at the left end); one
     binary search for the minimum of ``(beta_t + rho_j t) * scale`` on that
-    hull decides the job. All of that is integer arithmetic. The minimum is
-    an integer, so it falls below the rational ``bound * scale`` iff it
-    falls below that value's ceiling: one rational step per job. Only a job
-    that fails is rescanned over [r_j, H] to list its violating times, in
-    arrival order, then by t. Infeasibility is reported, not raised.
+    hull decides the job. The minimum is an integer, so it falls below the
+    rational ``bound * scale`` iff it falls below that value's ceiling, one
+    floor division per job. Only a job that fails is rescanned over [r_j, H]
+    to list its violating times, in arrival order, then by t. Infeasibility
+    is reported, not raised.
     """
     by_id = instance.by_id
     scale, betas = beta_series(trace, instance)
@@ -278,8 +276,9 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
         size = job.size_on(trace.machine)
         weight = _scaled(job.weight, scale)
         rho = weight // size    # exact: scale spans this job's density denominator
-        # the ceiling of (alpha_j / p_j - w_j / 2 + rho_j r_j) * scale
-        least = ceil(alphas[job.id] * scale / size - Rational(weight, 2)) + rho * job.release
+        # the ceiling of (alpha_j / p_j - w_j / 2 + rho_j r_j) * scale, where
+        # alpha_j * scale is alphas[j] / 2
+        least = rho * job.release - (weight * size - alphas[job.id]) // (2 * size)
         if hull_t and _hull_minimum(hull_t, hull_beta, rho) < least:
             failing[job.id] = (rho, least)
     violations: list[tuple[int, int]] = []
@@ -288,8 +287,8 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
             rho, least = failing[jid]
             violations.extend((jid, t) for t in range(by_id[jid].release, horizon + 1)
                               if betas[t] + rho * t < least)
-    alpha_total = sum(alphas.values(), start=ZERO)
-    beta_total = Rational(sum(betas), scale)
+    alpha_total = sum(alphas.values())
+    beta_total = 2 * sum(betas)
     return DualCertificate(trace.machine, alphas, scale, tuple(betas),
                            alpha_total, beta_total, not violations,
                            alpha_total - beta_total, tuple(violations))

@@ -3,7 +3,10 @@
 Subcommands: gen, simulate, baseline, verify, audit, report. All outputs
 are line-delimited ``record key=value ...`` text with rationals rendered
 as ``num`` or ``num/den``; no floating point and no timestamps, so
-identical inputs produce byte-identical outputs.
+identical inputs produce byte-identical outputs. Weighted values arrive
+as integer numerators over a multiple of the density scale and become
+rationals only here, as text (:func:`_ratio`). Only ``audit`` builds the
+bucket report.
 
 The argument parser is built once per process, on the first ``main``
 call, and ``main`` finds each ``cmd_<name>`` function by name only when it
@@ -23,7 +26,8 @@ import argparse
 import functools
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
+from math import gcd
 from pathlib import Path
 
 from .analysis import audit_rejections, compute_metrics, verify_duals
@@ -54,6 +58,12 @@ def _horizon(text: str) -> int:
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
     return int(text)
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _fmt(value) -> str:
@@ -127,10 +137,12 @@ def cmd_simulate(args) -> int:
     writer = _Writer(args.out)
     # instances carry no speed; the fixed field keeps the record's bytes
     writer.emit("header", m=instance.machines, epsilon=instance.epsilon, speedup=0)
+    double = 2 * instance.scale    # the impacts' denominator
+    totals: dict[int, str] = {}    # a score's text, reused as its impact's total
     if isinstance(result, MultiTrace):
         for decision in result.decisions:
-            writer.emit("dispatch", job=decision.job, machine=decision.machine,
-                        score=decision.score)
+            totals[decision.job] = score = _ratio(decision.score, double)
+            writer.emit("dispatch", job=decision.job, machine=decision.machine, score=score)
     for trace in each_trace(result):
         writer.emit("machine", index=trace.machine,
                     arrivals=",".join(map(str, trace.arrivals)) or "-")
@@ -150,8 +162,10 @@ def cmd_simulate(args) -> int:
         for jid in trace.arrivals:
             impact = trace.impacts[jid]
             writer.emit("impact", machine=trace.machine, job=jid,
-                        total=impact.total, plus=impact.plus, minus=impact.minus,
-                        self_term=impact.self_term,
+                        total=totals.pop(jid, None) or _ratio(impact.total, double),
+                        plus=_ratio(impact.plus, double),
+                        minus=_ratio(impact.minus, double),
+                        self_term=_ratio(impact.self_term, double),
                         density_class=impact.density_class,
                         in_plus=impact.in_plus, in_minus=impact.in_minus)
         for jid in trace.arrivals:
@@ -160,16 +174,8 @@ def cmd_simulate(args) -> int:
                         reject=decision.reject, reason=decision.reason,
                         plus_ordinal=decision.plus_ordinal,
                         minus_ordinal=decision.minus_ordinal)
-    writer.emit("metric", name="weighted_flow", value=metrics.weighted_flow)
-    writer.emit("metric", name="fractional_flow_plan",
-                value=metrics.fractional_flow_plan)
-    writer.emit("metric", name="departure_objective",
-                value=metrics.departure_objective)
-    writer.emit("metric", name="rejected_weight_immediate",
-                value=metrics.rejected_weight_immediate)
-    writer.emit("metric", name="rejected_weight_delayed",
-                value=metrics.rejected_weight_delayed)
-    writer.emit("metric", name="total_weight", value=metrics.total_weight)
+    for field in fields(metrics):    # one line per metric, in field order
+        writer.emit("metric", name=field.name, value=getattr(metrics, field.name))
     writer.flush()
     return 0
 
@@ -197,10 +203,12 @@ def cmd_verify(args) -> int:
     for trace in each_trace(result):
         cert = verify_duals(trace, instance)
         all_feasible &= cert.feasible
+        double = 2 * cert.scale
         # schedules run at unit speed; the fixed field keeps the record's bytes
         writer.emit("certificate", machine=trace.machine, feasible=cert.feasible,
-                    objective=cert.objective, speedup=0,
-                    alpha_total=cert.alpha_total, beta_total=cert.beta_total,
+                    objective=_ratio(cert.objective, double), speedup=0,
+                    alpha_total=_ratio(cert.alpha_total, double),
+                    beta_total=_ratio(cert.beta_total, double),
                     violations=len(cert.violations))
         for jid, t in cert.violations:
             writer.emit("violation", machine=trace.machine, job=jid, t=t)
@@ -214,8 +222,8 @@ def cmd_audit(args) -> int:
     audit = audit_rejections(result, instance)
     writer = _Writer(args.out)
     for check in audit.checks:
-        writer.emit("budget", name=check.name, value=check.value,
-                    bound=check.bound, ok=check.ok)
+        writer.emit("budget", name=check.name, value=_ratio(check.value, audit.denominator),
+                    bound=_ratio(check.bound, audit.denominator), ok=check.ok)
     writer.emit("fraction", name="delayed", value=audit.delayed_fraction)
     writer.emit("fraction", name="immediate", value=audit.immediate_fraction)
     for trace in each_trace(result):
@@ -223,18 +231,22 @@ def cmd_audit(args) -> int:
             writer.emit("bucket", machine=trace.machine, table=bucket.table,
                         key=",".join(map(str, bucket.key)), count=bucket.count,
                         rejected=",".join(map(str, bucket.rejected_ordinals)) or "-",
-                        weight_assigned=bucket.weight_assigned,
-                        weight_rejected=bucket.weight_rejected)
+                        weight_assigned=_ratio(bucket.weight_assigned, instance.scale),
+                        weight_rejected=_ratio(bucket.weight_rejected, instance.scale))
     writer.flush()
     return 0 if audit.ok else VIOLATION
 
 
-def _read_records(path: str) -> list[dict[str, str]]:
+def _read_records(path: str, name: str) -> list[dict[str, str]]:
+    """The pairs of each ``name`` record; a line without ``name`` (most are
+    ``simulate``'s slot lines) is never split."""
     records = []
     for line in Path(path).read_text(encoding="ascii").splitlines():
-        if not line.strip():
+        if name not in line:
             continue
         head, *pairs = line.split()
+        if head != name:
+            continue
         record = {"_record": head}
         for pair in pairs:
             key, _, value = pair.partition("=")
@@ -253,15 +265,14 @@ def _rational(record: dict[str, str], key: str, path: str) -> Rational:
 
 def cmd_report(args) -> int:
     metrics = {record.get("name"): _rational(record, "value", args.sim)
-               for record in _read_records(args.sim) if record["_record"] == "metric"}
+               for record in _read_records(args.sim, "metric")}
     needed = ("weighted_flow", "departure_objective", "rejected_weight_delayed",
               "rejected_weight_immediate", "total_weight")
     if any(name not in metrics for name in needed):
         raise BadParameters(f"no metric records in {args.sim} for {', '.join(needed)}")
     opt = None
-    for record in _read_records(args.baseline):
-        if record["_record"] == "baseline":
-            opt = _rational(record, "transport_opt", args.baseline)
+    for record in _read_records(args.baseline, "baseline"):
+        opt = _rational(record, "transport_opt", args.baseline)
     if opt is None:
         raise BadParameters(f"no baseline record in {args.baseline}")
     total = metrics["total_weight"]
@@ -276,11 +287,10 @@ def cmd_report(args) -> int:
         immediate_fraction=metrics["rejected_weight_immediate"] / total if total else None,
     )
     if args.audit:
-        for record in _read_records(args.audit):
-            if record["_record"] == "budget":
-                if not {"name", "ok"} <= record.keys():
-                    raise BadParameters(f"budget record in {args.audit} lacks name= or ok=")
-                writer.emit("report_budget", name=record["name"], ok=record["ok"])
+        for record in _read_records(args.audit, "budget"):
+            if not {"name", "ok"} <= record.keys():
+                raise BadParameters(f"budget record in {args.audit} lacks name= or ok=")
+            writer.emit("report_budget", name=record["name"], ok=record["ok"])
     writer.flush()
     return 0
 

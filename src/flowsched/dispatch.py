@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import DensityNotSpanned, Instance, Job, Rational, floor_log_ratio
+from .core import DensityNotSpanned, Instance, Job, floor_log_ratio
 from .impact import arrival_impact, impact_sums
 from .scheduler import MachineScheduler, ScheduleTrace, drive
 
@@ -29,7 +29,7 @@ class NoEligibleMachine(ValueError):
 class DispatchDecision(NamedTuple):
     job: int
     machine: int
-    score: Rational  # impact the job incurs on the chosen machine
+    score: int  # the chosen machine's impact total, over twice the density scale
 
 
 @dataclass

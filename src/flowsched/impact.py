@@ -16,14 +16,15 @@ analysis module.
 The pass is one integer kernel, :func:`impact_sums`, on the scaled
 density ``rho`` each ``ResidualJob`` caches at activation: the density
 times the machine's ``scale``, one :func:`~flowsched.core.density_scale`
-for the whole run. The ``rho_o >= rho`` test compares two ``int``s, and
-``S2`` and ``S3`` are integer numerators over ``scale``.
-:func:`arrival_impact` builds each output once from these sums as a
-``Fraction`` and decides the rejection-table thresholds by
-cross-multiplication, so the values are exactly those of ``Fraction``
-sums. Dispatch ranks machines on the same sums: every machine shares
-``scale``, so it compares the totals' integer numerators alone, building
-no ``Fraction``, and hands the chosen machine's sums to
+for the whole run, which spans every weight too. The ``rho_o >= rho``
+test compares two ``int``s, and ``S2`` and ``S3`` are integer numerators
+over ``scale``. :func:`arrival_impact` keeps each output an integer
+numerator over ``2 * scale`` and decides the rejection-table thresholds by
+cross-multiplication, so it builds no ``Fraction``; the values are exactly
+those of ``Fraction`` sums, and only ``simulate`` renders them as
+rationals when it prints them. Dispatch ranks machines on the same sums:
+every machine shares ``scale``, so it compares the totals' integer
+numerators alone, and hands the chosen machine's sums to
 :func:`arrival_impact`, so each (arrival, machine) pair is passed over
 once.
 """
@@ -42,7 +43,8 @@ class JobInActiveSet(ValueError):
 
 
 class ArrivalImpact(NamedTuple):
-    """Exact decomposition ``total = plus + self_term + minus``.
+    """Exact decomposition ``total = plus + self_term + minus``, each an
+    integer numerator over ``2 * scale`` for the run's density ``scale``.
 
     ``in_plus`` / ``in_minus`` record whether the respective side meets its
     rejection-table threshold: ``plus >= weight*size/epsilon`` (inclusive)
@@ -50,10 +52,10 @@ class ArrivalImpact(NamedTuple):
     deliberate and load-bearing for the rejection cadence.
     """
 
-    total: Rational
-    plus: Rational
-    minus: Rational
-    self_term: Rational
+    total: int
+    plus: int
+    minus: int
+    self_term: int
     density_class: int
     in_plus: bool
     in_minus: bool
@@ -97,25 +99,26 @@ def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
     S3 * scale)`` on this machine.
     """
     size = job.size_on(machine)
-    wn, wd = job.weight.numerator, job.weight.denominator
+    wn, wd = job.weight.as_integer_ratio()
+    weight = wn * (scale // wd)    # w * scale: the scale spans every weight
     if sums is None:
         rho = scaled_density(job, machine, scale)
         klass = floor_log_ratio(rho, scale)
         sums = (klass, *impact_sums(job, active, rho, klass))
     klass, denser, same_class, lower_class = sums
 
-    # plus = w*S1 + p*S2 over wd*scale; minus = p*S3 over scale; w*p/2 over 2*wd
-    plus = wn * denser * scale + size * same_class * wd
+    # plus = w*S1 + p*S2, minus = p*S3 and w*p, each times scale
+    plus = weight * denser + size * same_class
     minus = size * lower_class
-    work = wn * size
+    work = weight * size
     # threshold w*p/epsilon: plus >= it and minus > it, cross-multiplied
     en, ed = epsilon.numerator, epsilon.denominator
     return ArrivalImpact(
-        total=Rational(2 * plus + work * scale + 2 * minus * wd, 2 * wd * scale),
-        plus=Rational(plus, wd * scale),
-        minus=Rational(minus, scale),
-        self_term=Rational(work, 2 * wd),
+        total=2 * (plus + minus) + work,
+        plus=2 * plus,
+        minus=2 * minus,
+        self_term=work,
         density_class=klass,
-        in_plus=plus * en >= work * ed * scale,
-        in_minus=lower_class * wd * en > wn * ed * scale,
+        in_plus=plus * en >= work * ed,
+        in_minus=lower_class * en > weight * ed,
     )

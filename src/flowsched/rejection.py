@@ -14,9 +14,11 @@ Counters advance on every assignment, even when the other table already
 rejected the job, so replaying an arrival sequence is deterministic.
 Buckets are never garbage-collected within a run.
 
-Each class is computed from ``int``s, with no ``Fraction`` division:
-:func:`~flowsched.core.floor_log_ratio` of the numerator and denominator
-of ``plus/weight``, ``weight`` and ``minus``, and ``size.bit_length() - 1``.
+Each class is computed from ``int``s, with no ``Fraction``:
+:func:`~flowsched.core.floor_log_ratio` of the integer numerators of
+``plus/weight``, ``weight`` and ``minus``, and ``size.bit_length() - 1``.
+Bucket weights are numerators over the run's density ``scale``; the
+report of :meth:`RejectionTables.audit` is built only when first read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import Job, Rational, ZERO, floor_log_ratio
+from .core import Job, Rational, floor_log_ratio
 from .impact import ArrivalImpact
 
 REASON_NONE = "none"
@@ -48,19 +50,19 @@ class MinusKey(NamedTuple):
     size_class: int     # floor_log(size)
 
 
-def bucket_keys(impact: ArrivalImpact, job: Job,
+def bucket_keys(impact: ArrivalImpact, job: Job, scale: int,
                 machine: int = 0) -> tuple[PlusKey | None, MinusKey | None]:
-    """Keys for whichever tables the arrival qualifies for (possibly both)."""
+    """Keys for whichever tables the arrival qualifies for (possibly both),
+    from an impact whose values are numerators over ``2 * scale``."""
     plus_key = None
     minus_key = None
     if impact.in_plus:
-        wn, wd = job.weight.numerator, job.weight.denominator
-        plus = impact.plus
-        plus_key = PlusKey(floor_log_ratio(plus.numerator * wd, plus.denominator * wn),
+        wn, wd = job.weight.as_integer_ratio()
+        # plus / w = (plus / (2 scale)) / (wn / wd)
+        plus_key = PlusKey(floor_log_ratio(impact.plus * wd, 2 * scale * wn),
                            floor_log_ratio(wn, wd))
     if impact.in_minus:
-        minus = impact.minus
-        minus_key = MinusKey(floor_log_ratio(minus.numerator, minus.denominator),
+        minus_key = MinusKey(floor_log_ratio(impact.minus, 2 * scale),
                              impact.density_class, job.size_on(machine).bit_length() - 1)
     return plus_key, minus_key
 
@@ -77,33 +79,34 @@ class ImmediateDecision(NamedTuple):
 
 @dataclass(frozen=True)
 class BucketReport:
+    """One bucket; its weights are numerators over the density scale."""
     # not a NamedTuple: the field ``count`` would shadow ``tuple.count``
     table: str
     key: tuple[int, ...]
     count: int
     rejected_ordinals: tuple[int, ...]
-    weight_assigned: Rational
-    weight_rejected: Rational
-    weight_rejected_first: Rational  # weight of ordinal 1 when it was rejected
+    weight_assigned: int
+    weight_rejected: int
+    weight_rejected_first: int  # weight of ordinal 1 when it was rejected
 
 
 @dataclass
 class _Bucket:
-    assigned: list[tuple[int, Rational]] = field(default_factory=list)
+    weights: list[int] = field(default_factory=list)  # w * scale, by ordinal
     rejected: list[int] = field(default_factory=list)
 
-    def assign(self, job: Job) -> int:
-        self.assigned.append((job.id, job.weight))
-        return len(self.assigned)
+    def assign(self, weight: int) -> int:
+        self.weights.append(weight)
+        return len(self.weights)
 
 
 class RejectionTables:
-    """Mutable bucket state for one machine (single-writer)."""
+    """Mutable bucket state for one machine (single-writer), over the run's
+    density ``scale``; ``1/epsilon`` (validated) is the cadence."""
 
-    def __init__(self, epsilon: Rational):
-        if epsilon <= 0 or epsilon.numerator != 1:
-            raise ValueError(f"1/epsilon must be a positive integer, got {epsilon}")
+    def __init__(self, epsilon: Rational, scale: int):
         self.cadence: int = epsilon.denominator
+        self.scale = scale
         self._plus: dict[PlusKey, _Bucket] = {}
         self._minus: dict[MinusKey, _Bucket] = {}
         self._seen: set[int] = set()
@@ -119,21 +122,22 @@ class RejectionTables:
             raise DuplicateAdmission(f"job {job.id} admitted twice")
         self._seen.add(job.id)
 
-        plus_key, minus_key = bucket_keys(impact, job, machine)
+        plus_key, minus_key = bucket_keys(impact, job, self.scale, machine)
+        weight = job.weight.numerator * (self.scale // job.weight.denominator)
         reject = False
         reason = REASON_NONE
         plus_ordinal = minus_ordinal = None
 
         if plus_key is not None:
             bucket = self._plus.setdefault(plus_key, _Bucket())
-            plus_ordinal = bucket.assign(job)
+            plus_ordinal = bucket.assign(weight)
             if plus_ordinal % self.cadence == 1:
                 bucket.rejected.append(plus_ordinal)
                 reject = True
                 reason = REASON_PLUS_FIRST if plus_ordinal == 1 else REASON_PLUS_CADENCE
         if minus_key is not None:
             bucket = self._minus.setdefault(minus_key, _Bucket())
-            minus_ordinal = bucket.assign(job)
+            minus_ordinal = bucket.assign(weight)
             if minus_ordinal % self.cadence == 0:
                 bucket.rejected.append(minus_ordinal)
                 if not reject:
@@ -149,17 +153,14 @@ class RejectionTables:
         for table, buckets in (("plus", self._plus), ("minus", self._minus)):
             for key in sorted(buckets):
                 bucket = buckets[key]
-                rejected = tuple(bucket.rejected)
-                rejected_weight = sum(
-                    (bucket.assigned[o - 1][1] for o in rejected), start=ZERO)
-                first_weight = bucket.assigned[0][1] if 1 in bucket.rejected else ZERO
+                weights, rejected = bucket.weights, tuple(bucket.rejected)
                 reports.append(BucketReport(
                     table=table,
                     key=tuple(key),
-                    count=len(bucket.assigned),
+                    count=len(weights),
                     rejected_ordinals=rejected,
-                    weight_assigned=sum((w for _, w in bucket.assigned), start=ZERO),
-                    weight_rejected=rejected_weight,
-                    weight_rejected_first=first_weight,
+                    weight_assigned=sum(weights),
+                    weight_rejected=sum(weights[o - 1] for o in rejected),
+                    weight_rejected_first=weights[0] if 1 in rejected else 0,
                 ))
         return reports

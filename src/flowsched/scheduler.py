@@ -39,6 +39,7 @@ key is ``(-rho * scale, release, id)``; the marking budget
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import attrgetter
@@ -100,14 +101,22 @@ class ScheduleTrace:
     completion time for jobs the real schedule finishes, the release time
     for immediate rejections, and the marking time for delayed
     rejections. Every delivered job has exactly one terminal event.
+
+    ``impacts`` are numerators over twice the density scale. The bucket
+    report ``table_report`` is built from ``tables`` when first read, so
+    read it after the run; only ``audit`` does.
     """
 
     machine: int
+    tables: RejectionTables = field(repr=False, compare=False)
     runs: list[Run] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     impacts: dict[int, ArrivalImpact] = field(default_factory=dict)
     decisions: dict[int, ImmediateDecision] = field(default_factory=dict)
-    table_report: list[BucketReport] = field(default_factory=list)
+
+    @cached_property
+    def table_report(self) -> list[BucketReport]:
+        return self.tables.audit()
 
     def _times(self, *kinds: str) -> dict[int, int]:
         return {e.job: e.time for e in self.events if e.kind in kinds}
@@ -151,12 +160,12 @@ class MachineScheduler:
         # completed jobs linger below the top until select_slot pops them
         self.heap: list[tuple[int, int, int]] = []
         self.preemptible: set[int] = set()
-        self.tables = RejectionTables(epsilon)
+        self.tables = RejectionTables(epsilon, scale)
         # current uninterrupted run of an unmarked job, and the weight
         # released since it began, times scale
         self.run_job: int | None = None
         self.run_released = 0
-        self._trace = ScheduleTrace(machine=machine)
+        self._trace = ScheduleTrace(machine, self.tables)
 
     # -- step 1: arrivals ------------------------------------------------
 
@@ -269,9 +278,7 @@ class MachineScheduler:
         self.clock = t
 
     def finish_trace(self) -> ScheduleTrace:
-        tr = self._trace
-        tr.table_report = self.tables.audit()
-        return tr
+        return self._trace
 
 
 def run(instance: Instance, machine: int = 0) -> ScheduleTrace:

@@ -13,6 +13,8 @@ from flowsched import (ArrivalImpact, Instance, Job, ResidualJob, WorkloadModel,
                        arrival_impact, density_scale, generate, validate_instance)
 from flowsched.rejection import RejectionTables
 
+from oracles import impact_values
+
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("default")
@@ -30,11 +32,12 @@ def job(jid, release, weight, size) -> Job:
 def impact_of(arrival: Job, entries, epsilon, machine: int = 0
               ) -> tuple[ArrivalImpact, list[ResidualJob]]:
     """The impact of ``arrival`` on ``machine`` against the active set of
-    ``(job, remaining)`` entries, and that active set, both over the density
-    scale of the arrival and those jobs, as a run on them would pick it."""
+    ``(job, remaining)`` entries, with its values as Fractions, and that
+    active set, both over the density scale of the arrival and those jobs,
+    as a run on them would pick it."""
     scale = density_scale([arrival, *(j for j, _ in entries)])
     active = [ResidualJob(j, remaining, machine, scale) for j, remaining in entries]
-    return arrival_impact(arrival, active, epsilon, machine, scale), active
+    return impact_values(arrival_impact(arrival, active, epsilon, machine, scale), scale), active
 
 
 def seeded_instance(seed: int, machines: int) -> Instance:

@@ -7,14 +7,29 @@ class and prices it on its own, ``bucket_keys`` takes each rejection-table
 class as a ``floor_log`` of a Fraction, ``fractional_flow_plan`` prices
 every plan slot, ``compute_metrics`` sums every metric job by job in Fractions,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
-every (job, time) pair one at a time. They are the definitions the fast
-versions in ``flowsched`` must reproduce exactly.
+every (job, time) pair one at a time, ``buckets`` re-derives each
+rejection-table bucket from the ``floor_log`` keys and the cadence rules,
+and ``bucket_report`` and ``audit_rejections`` sum its weights and compare
+every rejection budget in Fractions. They are the definitions the fast versions in ``flowsched``
+must reproduce exactly.
+
+The engine keeps each weighted value as an integer numerator over a fixed
+multiple of the run's density scale: ``2 * scale`` for impacts, dispatch
+scores and certificate alphas, ``scale`` for bucket weights and
+``scale / epsilon`` for budgets. ``impact_values`` turns an engine impact
+into the Fractions that ``arrival_impact`` gives, and ``whole`` turns a
+Fraction back into such a numerator, asserting that it is one. Records
+the oracles build for the engine's own types (the per-slot engine's
+impacts and dispatch scores, ``bucket_report``, ``audit_rejections``) are
+computed in Fractions and stored as those numerators, so they compare
+with ``==``.
 
 The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 ``slot_run_multi``, steps every machine one unit slot at a time in
 lock-step, picks each new run with a ``min`` over the active jobs' HDF
-keys (``hdf_key``, in Fractions), tests the marking budget in Fractions
-and records each slot as a unit :class:`Run`; the event-driven
+keys (``hdf_key``, in Fractions), tests the marking budget in Fractions,
+scores each arrival with the ``arrival_impact`` below and records each
+slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions. Its
 traces are :class:`SlotTrace`s, which also record the charging map phi of
 the paper's dual-fitting proof; the engine keeps no phi.
@@ -47,13 +62,13 @@ from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from flowsched.analysis import IncompleteTrace, Metrics
+from flowsched.analysis import BudgetCheck, IncompleteTrace, Metrics, RejectionAudit
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.core import (HALF, Instance, Job, NonPositiveArgument, ONE, Rational,
                             ResidualJob, ZERO)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet
-from flowsched.rejection import MinusKey, PlusKey, RejectionTables
+from flowsched.rejection import BucketReport, MinusKey, PlusKey, RejectionTables
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
                                  EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_PROMOTED, EVENT_REAL_COMPLETE, ArrivalInPast,
@@ -78,6 +93,29 @@ def density_scale(jobs: Iterable[Job]) -> int:
     on every machine that can run it."""
     return lcm(*(job.density(m).denominator for job in jobs
                  for m in range(len(job.sizes)) if job.runnable_on(m)))
+
+
+def whole(value: Rational) -> int:
+    """An engine numerator: ``value`` after scaling, which must be an integer."""
+    assert value.denominator == 1, f"{value} is not a whole numerator"
+    return value.numerator
+
+
+def impact_values(impact: ArrivalImpact, scale: int) -> ArrivalImpact:
+    """An engine impact, whose four values are numerators over ``2 * scale``,
+    with those values as Fractions."""
+    den = 2 * scale
+    return impact._replace(total=Rational(impact.total, den), plus=Rational(impact.plus, den),
+                           minus=Rational(impact.minus, den),
+                           self_term=Rational(impact.self_term, den))
+
+
+def impact_numerators(impact: ArrivalImpact, scale: int) -> ArrivalImpact:
+    """The inverse of :func:`impact_values`."""
+    den = 2 * scale
+    return impact._replace(total=whole(impact.total * den), plus=whole(impact.plus * den),
+                           minus=whole(impact.minus * den),
+                           self_term=whole(impact.self_term * den))
 
 
 def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
@@ -126,6 +164,76 @@ def bucket_keys(impact: ArrivalImpact, job: Job,
         minus_key = MinusKey(floor_log(impact.minus), impact.density_class,
                              floor_log(Rational(job.size_on(machine))))
     return plus_key, minus_key
+
+
+def buckets(trace: ScheduleTrace, instance: Instance):
+    """Each rejection-table bucket as ``(table, key, weights, rejected)``,
+    in the tables' report order, rebuilt from the trace's impacts: each
+    arrival goes to the buckets of :func:`bucket_keys` above, in arrival
+    order, and a bucket rejects the ordinals ``1 mod 1/epsilon`` (plus) or
+    ``0 mod 1/epsilon`` (minus). ``weights`` are the Fraction weights by
+    ordinal."""
+    by_id, cadence = instance.by_id, instance.epsilon.denominator
+    assigned: dict[tuple[str, tuple[int, ...]], list[Rational]] = {}
+    for jid in trace.arrivals:
+        job = by_id[jid]
+        impact = impact_values(trace.impacts[jid], instance.scale)
+        for table, key in zip(("plus", "minus"), bucket_keys(impact, job, trace.machine)):
+            if key is not None:
+                assigned.setdefault((table, tuple(key)), []).append(job.weight)
+    for (table, key), weights in sorted(assigned.items(),
+                                        key=lambda item: (item[0][0] == "minus", item[0])):
+        first = 1 if table == "plus" else 0
+        yield table, key, weights, tuple(o for o in range(1, len(weights) + 1)
+                                         if o % cadence == first)
+
+
+def bucket_report(trace: ScheduleTrace, instance: Instance) -> list[BucketReport]:
+    """The tables' report of :func:`buckets`, its weights summed in
+    Fractions and stored over ``scale``."""
+    scale = instance.scale
+    return [BucketReport(table, key, len(weights), rejected,
+                         whole(sum(weights, start=ZERO) * scale),
+                         whole(sum((weights[o - 1] for o in rejected), start=ZERO) * scale),
+                         whole(weights[0] * scale) if 1 in rejected else 0)
+            for table, key, weights, rejected in buckets(trace, instance)]
+
+
+def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> RejectionAudit:
+    """Every rejection budget summed and compared in Fractions, over the
+    :func:`buckets` above; the values and bounds are stored over
+    ``scale / epsilon``."""
+    by_id, eps = instance.by_id, instance.epsilon
+    total = sum((j.weight for j in instance.jobs), start=ZERO)
+    delayed = immediate = ZERO
+    plus_assigned = minus_assigned = ZERO
+    plus_first = plus_rest = minus_rejected = ZERO
+    for trace in each_trace(run):
+        delayed += sum((by_id[jid].weight for jid in trace.promoted_at), start=ZERO)
+        immediate += sum((by_id[jid].weight for jid in trace.immediate_rejected), start=ZERO)
+        for table, _, weights, rejected in buckets(trace, instance):
+            assigned = sum(weights, start=ZERO)
+            dropped = sum((weights[o - 1] for o in rejected), start=ZERO)
+            if table == "plus":
+                first = weights[0] if 1 in rejected else ZERO
+                plus_assigned += assigned
+                plus_first += first
+                plus_rest += dropped - first
+            else:
+                minus_assigned += assigned
+                minus_rejected += dropped
+    denominator = instance.scale * eps.denominator
+    checks = tuple(
+        BudgetCheck(name, whole(value * denominator), whole(bound * denominator),
+                    value <= bound)
+        for name, value, bound in (
+            ("delayed_weight", delayed, eps * total),
+            ("minus_rejected", minus_rejected, 4 * eps * minus_assigned),
+            ("plus_rejected_nonfirst", plus_rest, 2 * eps * plus_assigned),
+            ("plus_first_in_bucket", plus_first, 8 * eps * total),
+            ("grand_total", immediate + delayed, 15 * eps * total)))
+    return RejectionAudit(checks, delayed / total if total else ZERO,
+                          immediate / total if total else ZERO, denominator)
 
 
 def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
@@ -219,7 +327,8 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> PairCertificate:
     by_id = instance.by_id
     betas = beta_series(trace, instance)
     horizon = len(betas) - 1
-    alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}
+    alphas = {jid: Rational(trace.impacts[jid].total, 2 * instance.scale)
+              for jid in trace.arrivals}
     violations: list[tuple[int, int]] = []
     for jid in trace.arrivals:
         job = by_id[jid]
@@ -298,18 +407,19 @@ class SlotScheduler:
     def __init__(self, epsilon: Rational, machine: int, scale: int):
         self.machine = machine
         self.epsilon = epsilon
-        # only to build ResidualJobs; this engine reads no scaled density
+        # to build ResidualJobs and to record impacts as the engine does;
+        # this engine reads no scaled density
         self.scale = scale
         self.clock = 0
         self.active: dict[int, ResidualJob] = {}
         self.preemptible: set[int] = set()
-        self.tables = RejectionTables(epsilon)
+        self.tables = RejectionTables(epsilon, scale)
         # current uninterrupted run of an unmarked job
         self.run_job: int | None = None
         self.run_released: Rational = ZERO
         # job processed in [clock-1, clock), None after idling or a completion
         self.last_slot_job: int | None = None
-        self._trace = SlotTrace(machine=machine)
+        self._trace = SlotTrace(machine, self.tables)
 
     # -- step 1: arrivals ------------------------------------------------
 
@@ -320,7 +430,8 @@ class SlotScheduler:
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
         tr = self._trace
 
-        impact = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
+        impact = impact_numerators(
+            arrival_impact(job, self.active.values(), self.epsilon, self.machine), self.scale)
         decision = self.tables.admit(job, impact, self.machine)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
@@ -411,9 +522,7 @@ class SlotScheduler:
         self.last_slot_job = None
 
     def finish_trace(self) -> SlotTrace:
-        tr = self._trace
-        tr.table_report = self.tables.audit()
-        return tr
+        return self._trace
 
 
 def slot_run(instance: Instance, machine: int = 0) -> SlotTrace:
@@ -454,7 +563,8 @@ def slot_drive(jobs: Sequence[Job], machines: Sequence[SlotScheduler],
 
 def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
     """Pick the machine where the job's arrival impact is smallest, scoring
-    every eligible machine in full; ties go to the smaller index."""
+    every eligible machine in full; ties go to the smaller index. The score
+    is recorded over twice the machines' shared density scale."""
     best: tuple[Rational, int] | None = None
     for index, sched in enumerate(machines):
         if not job.runnable_on(index):
@@ -464,7 +574,7 @@ def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
             best = (score, index)
     if best is None:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
-    return DispatchDecision(job.id, best[1], best[0])
+    return DispatchDecision(job.id, best[1], whole(best[0] * 2 * machines[0].scale))
 
 
 def slot_run_multi(instance: Instance) -> MultiTrace:
@@ -657,7 +767,7 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
         oracle += transport_opt(projected)
         rejected = trace.immediate_rejected
         for jid in trace.arrivals:
-            total = trace.impacts[jid].total
+            total = Rational(trace.impacts[jid].total, 2 * instance.scale)
             if jid in rejected:
                 immediate += total
             else:

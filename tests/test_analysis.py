@@ -48,16 +48,21 @@ def test_worked_run_metrics():
     assert metrics.total_weight == 4
 
 
+def value(cert, numerator):
+    """A certificate's alpha or total: a numerator over twice its scale."""
+    return F(numerator, 2 * cert.scale)
+
+
 def test_single_job_certificate():
     inst = make_instance([job(0, 0, 1, 2)])
     trace = run(inst)
     cert = verify_duals(trace, inst)
-    assert cert.alphas == {0: F(1)}
+    assert {jid: value(cert, a) for jid, a in cert.alphas.items()} == {0: F(1)}
     assert tuple(F(b, cert.scale) for b in cert.betas) == (F(1), F(1, 2), F(0))
-    assert (cert.alpha_total, cert.beta_total) == (F(1), F(3, 2))
+    assert (value(cert, cert.alpha_total), value(cert, cert.beta_total)) == (F(1), F(3, 2))
     assert cert.feasible
-    assert cert.objective == F(-1, 2)
-    assert cert.objective <= transport_opt(inst.jobs)
+    assert value(cert, cert.objective) == F(-1, 2)
+    assert value(cert, cert.objective) <= transport_opt(inst.jobs)
 
 
 def test_empty_instance_certificate():
@@ -72,7 +77,7 @@ def test_worked_run_certificate_and_audit():
     trace = run(inst)
     cert = verify_duals(trace, inst)
     assert cert.feasible and not cert.violations
-    assert cert.objective <= transport_opt(inst.jobs)
+    assert value(cert, cert.objective) <= transport_opt(inst.jobs)
     audit = audit_rejections(trace, inst)
     assert audit.ok
     assert audit.delayed_fraction == F(1, 4)

@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowsched import (DispatchDecision, WorkloadModel, generate, parse_trace, preemptive_hdf,
                        serialize_trace)
@@ -422,6 +424,63 @@ def test_report_rejects_malformed_record_files(capsys, tmp_path, trace_file):
     assert rc == cli.USAGE_ERROR
     assert err == f"error: budget record in {audit} lacks name= or ok=\n"
 
+
+
+# blank and indented lines, records whose names start with a joined one,
+# and lines that hold a joined record's name elsewhere than first
+REPORT_SIM = ("header m=1 epsilon=1/2 speedup=0\n\n"
+              "slot machine=0 t=0 plan=0 real=0 idled=0\n"
+              "   metric name=weighted_flow value=9/2\n"
+              "event machine=0 t=1 job=0 kind=metric\n"
+              "metrics name=weighted_flow value=100\n"
+              "metric name=departure_objective value=11/2\n"
+              "\tmetric name=rejected_weight_delayed value=1\n"
+              "  \n"
+              "metric name=rejected_weight_immediate value=0 note=metric\n"
+              "metric name=total_weight value=4\n"
+              "notes: a metric line\n")
+REPORT_BASELINE = ("\n  baseline speed=1 horizon=9 transport_opt=3 hdf_cost=3\n"
+                   "baselines transport_opt=1\n"
+                   "note baseline transport_opt=2\n")
+REPORT_AUDIT = ("fraction name=delayed value=1/4\n"
+                "  budget name=delayed_weight value=1 bound=1 ok=1\n"
+                "budgets name=x ok=0\n\n"
+                "bucket machine=0 table=plus key=1,0 count=1 note=budget\n"
+                "budget name=grand_total value=2 bound=15/2 ok=0\n")
+
+
+def test_report_joins_only_its_records_among_other_lines(capsys, tmp_path):
+    # output and errors as recorded when report split every line of its inputs
+    files = {}
+    for name, text in (("sim", REPORT_SIM), ("baseline", REPORT_BASELINE),
+                       ("audit", REPORT_AUDIT), ("bad_sim", REPORT_SIM.replace(
+                           "value=4", "value=x")),
+                       ("bad_baseline", REPORT_BASELINE.replace("  baseline ", "  baseline- ")),
+                       ("bad_audit", REPORT_AUDIT.replace("name=grand_total ", ""))):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text, encoding="ascii")
+    out = tmp_path / "report.txt"
+    assert main(["report", "--sim", str(files["sim"]), "--baseline", str(files["baseline"]),
+                 "--audit", str(files["audit"]), "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == (
+        "report weighted_flow=9/2 transport_opt=3 ratio=3/2 departure_objective=11/2 "
+        "delayed_fraction=1/4 immediate_fraction=0\n"
+        "report_budget name=delayed_weight ok=1\n"
+        "report_budget name=grand_total ok=0\n")
+    for argv, message in (
+            (["--sim", files["bad_sim"], "--baseline", files["baseline"]],
+             f"metric record in {files['bad_sim']} has no rational value="),
+            (["--sim", files["sim"], "--baseline", files["bad_baseline"]],
+             f"no baseline record in {files['bad_baseline']}"),
+            (["--sim", files["sim"], "--baseline", files["baseline"],
+              "--audit", files["bad_audit"]],
+             f"budget record in {files['bad_audit']} lacks name= or ok=")):
+        assert run_cli(capsys, ["report", *argv]) == (cli.USAGE_ERROR, f"error: {message}\n")
+
+
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+def test_ratio_text_is_the_fractions_text(num, den):
+    assert cli._ratio(num, den) == str(Fraction(num, den))
 
 if __name__ == "__main__":
     import tempfile

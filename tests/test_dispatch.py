@@ -27,9 +27,11 @@ def empty_machines(count, job, eps=F(1, 2)):
 
 def test_dispatch_prefers_smaller_impact():
     job = mjob(0, 0, 2, (1, 10))
-    decision = dispatch(job, empty_machines(2, job))
+    machines = empty_machines(2, job)
+    decision = dispatch(job, machines)
     assert decision.machine == 0
-    assert decision.score == 1  # w p / 2 on the fast machine
+    # w p / 2 on the fast machine, a numerator over twice the scale
+    assert F(decision.score, 2 * machines[0].scale) == 1
 
 
 def test_dispatch_respects_runnability():
@@ -101,6 +103,12 @@ def test_single_machine_reduction_is_bit_identical(seed):
     assert run_multi(inst).traces[0] == run(inst)
 
 
+def score_values(result, inst):
+    """Each dispatch decision with its score, a numerator over twice the
+    instance's density scale, as a Fraction."""
+    return [d._replace(score=F(d.score, 2 * inst.scale)) for d in result.decisions]
+
+
 @settings(max_examples=15)
 @given(st.integers(0, 10 ** 6), st.integers(2, 3))
 def test_dispatch_depends_only_on_prefix_state(seed, machines):
@@ -110,7 +118,8 @@ def test_dispatch_depends_only_on_prefix_state(seed, machines):
         prefix = validate_instance(Instance(inst.jobs[:stop], inst.machines,
                                             inst.epsilon))
         partial = run_multi(prefix)
-        assert partial.decisions == full.decisions[:stop]
+        # the prefix has its own density scale, so compare the scores' values
+        assert score_values(partial, prefix) == score_values(full, inst)[:stop]
 
 
 @settings(max_examples=30)
@@ -159,8 +168,8 @@ def assert_matches_oracle(job, machines):
     chosen = machines[expected.machine]
     scored_job, impact = chosen.scored
     assert scored_job is job
-    assert impact == oracles.arrival_impact(job, chosen.active.values(), chosen.epsilon,
-                                            expected.machine)
+    assert oracles.impact_values(impact, chosen.scale) == oracles.arrival_impact(
+        job, chosen.active.values(), chosen.epsilon, expected.machine)
 
 
 weights = st.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 4)))

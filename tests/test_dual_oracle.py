@@ -6,8 +6,9 @@ recorded alphas to force violations: that is the only way to reach the
 rescan that lists a failing job's violating times.
 
 The fast verifier keeps each beta_t as an integer numerator over the
-instance's density ``scale``; every comparison with the oracle's Fractions
-goes through ``Fraction(numerator, scale)``.
+instance's density ``scale``, and each alpha and total over ``2 * scale``;
+every comparison with the oracle's Fractions goes through
+``Fraction(numerator, scale)`` or ``Fraction(numerator, 2 * scale)``.
 """
 
 from __future__ import annotations
@@ -33,25 +34,29 @@ F = Fraction
 ALPHA_MODES = ("recorded", "scaled", "scaled_offset")
 
 
-def with_alphas(trace: ScheduleTrace, alphas: dict[int, Fraction]) -> ScheduleTrace:
-    """A copy of ``trace`` whose arrival impacts total ``alphas``."""
-    impacts = {jid: impact._replace(total=alphas[jid])
+def with_alphas(trace: ScheduleTrace, alphas: dict[int, Fraction],
+                scale: int) -> ScheduleTrace:
+    """A copy of ``trace`` whose arrival impacts total ``alphas``, each
+    stored as the engine stores it, over ``2 * scale``. An alpha that this
+    denominator does not clear stays a Fraction numerator: the verifier's
+    ceiling step is a floor division, exact on it too."""
+    impacts = {jid: impact._replace(total=alphas[jid] * 2 * scale)
                for jid, impact in trace.impacts.items()}
     return replace(trace, impacts=impacts)
 
 
-def perturbed(trace: ScheduleTrace, mode: str, rng: random.Random) -> ScheduleTrace:
+def perturbed(trace: ScheduleTrace, inst, mode: str, rng: random.Random) -> ScheduleTrace:
     """``scaled``: each alpha times a rational in [1/2, 4];
     ``scaled_offset``: that plus a rational in [-1/2, 1/2]."""
     if mode == "recorded":
         return trace
     alphas = {}
     for jid, impact in trace.impacts.items():
-        alpha = impact.total * F(rng.randint(8, 64), 16)
+        alpha = F(impact.total, 2 * inst.scale) * F(rng.randint(8, 64), 16)
         if mode == "scaled_offset":
             alpha += F(rng.randint(-4, 4), 8)
         alphas[jid] = alpha
-    return with_alphas(trace, alphas)
+    return with_alphas(trace, alphas, inst.scale)
 
 
 def exact(scale: int, numerators) -> tuple[Fraction, ...]:
@@ -67,9 +72,11 @@ def assert_matches_oracle(trace, inst):
     slow = oracles.verify_duals(trace, inst)
     assert len(fast.betas) == trace.horizon() + 1
     assert exact(fast.scale, fast.betas) == slow.betas
-    assert fast.alpha_total == sum(slow.alphas.values(), start=F(0))
-    assert fast.beta_total == sum(slow.betas, start=F(0))
-    assert (fast.machine, fast.alphas, fast.feasible, fast.objective, fast.violations) \
+    half = 2 * fast.scale
+    assert F(fast.alpha_total, half) == sum(slow.alphas.values(), start=F(0))
+    assert F(fast.beta_total, half) == sum(slow.betas, start=F(0))
+    alphas = {jid: F(alpha, half) for jid, alpha in fast.alphas.items()}
+    assert (fast.machine, alphas, fast.feasible, F(fast.objective, half), fast.violations) \
         == (slow.machine, slow.alphas, slow.feasible, slow.objective, slow.violations)
     return fast
 
@@ -80,7 +87,7 @@ def test_fast_verifier_matches_pair_oracle(seed, machines, mode):
     inst = seeded_instance(seed, machines)
     rng = random.Random(seed)
     for trace in each_trace(run_multi(inst)):
-        assert_matches_oracle(perturbed(trace, mode, rng), inst)
+        assert_matches_oracle(perturbed(trace, inst, mode, rng), inst)
 
 
 @settings(max_examples=60)
@@ -94,7 +101,7 @@ def test_fast_verifier_matches_pair_oracle_on_rational_weights(case, mode, seed)
     assert any(trace.immediate_rejected for trace in traces)
     rng = random.Random(seed)
     for trace in traces:
-        assert_matches_oracle(perturbed(trace, mode, rng), inst)
+        assert_matches_oracle(perturbed(trace, inst, mode, rng), inst)
 
 
 def test_fractional_flow_plan_matches_slot_oracle_on_the_pileup():
@@ -111,7 +118,7 @@ def test_scaled_alphas_reach_the_rescan():
         rng = random.Random(seed)
         for trace in each_trace(run_multi(inst)):
             for mode in ALPHA_MODES:
-                cert = assert_matches_oracle(perturbed(trace, mode, rng), inst)
+                cert = assert_matches_oracle(perturbed(trace, inst, mode, rng), inst)
                 violations[mode] += len(cert.violations)
     assert violations["recorded"] == 0
     assert violations["scaled"] > 0 and violations["scaled_offset"] > 0
@@ -137,7 +144,7 @@ def hand_built(alphas, s_size=2):
               Event(2, 1, EVENT_PLAN_COMPLETE), Event(2, 1, EVENT_REAL_COMPLETE)]
     built = replace(trace, runs=[Run(0, 2, 1, 1)], events=events,
                     decisions=decisions)
-    return with_alphas(built, alphas), inst
+    return with_alphas(built, alphas, inst.scale), inst
 
 
 def test_hand_built_hull_ties_are_feasible():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -14,30 +15,37 @@ import oracles
 from conftest import job
 
 F = Fraction
+SCALE = 4  # the density scale of the stubs below; it spans every weight they use
 
 
-def impact_stub(plus=F(0), minus=F(0), self_term=F(1), density_class=0,
-                in_plus=False, in_minus=False):
+def fraction_stub(plus=F(0), minus=F(0), self_term=F(1), density_class=0,
+                  in_plus=False, in_minus=False):
+    """An impact with these values as Fractions, as ``oracles`` gives one."""
     return ArrivalImpact(plus + self_term + minus, plus, minus, self_term,
                          density_class, in_plus, in_minus)
+
+
+def impact_stub(*values, scale=SCALE, **fields):
+    """The same impact as the engine stores it: numerators over ``2 * scale``."""
+    return oracles.impact_numerators(fraction_stub(*values, **fields), scale)
 
 
 def test_bucket_key_examples():
     j = job(0, 0, 3, 1)
     impact = impact_stub(plus=F(30), in_plus=True)  # plus / w = 10
-    plus_key, minus_key = bucket_keys(impact, j)
+    plus_key, minus_key = bucket_keys(impact, j, SCALE)
     assert plus_key == PlusKey(impact_class=3, weight_class=1)
     assert minus_key is None
 
     j = job(1, 0, 2, 8)
     impact = impact_stub(minus=F(12), density_class=-2, in_minus=True)
-    plus_key, minus_key = bucket_keys(impact, j)
+    plus_key, minus_key = bucket_keys(impact, j, SCALE)
     assert plus_key is None
     assert minus_key == MinusKey(impact_class=3, density_class=-2, size_class=3)
 
 
 def test_no_threshold_no_keys():
-    plus_key, minus_key = bucket_keys(impact_stub(), job(0, 0, 1, 1))
+    plus_key, minus_key = bucket_keys(impact_stub(), job(0, 0, 1, 1), SCALE)
     assert plus_key is None and minus_key is None
 
 
@@ -52,7 +60,7 @@ def minus_qualifier(jid, weight=F(4)):
 
 
 def test_plus_cadence_rejects_first_then_every_kth():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     rejected = []
     for jid in range(1, 7):
         j, imp = plus_qualifier(jid)
@@ -63,7 +71,7 @@ def test_plus_cadence_rejects_first_then_every_kth():
 
 
 def test_minus_cadence_waits_for_the_kth():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     rejected = []
     for jid in range(1, 7):
         j, imp = minus_qualifier(jid)
@@ -74,14 +82,14 @@ def test_minus_cadence_waits_for_the_kth():
 
 
 def test_nonqualifying_job_never_rejected():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     for jid in range(10):
         d = tables.admit(job(jid, 0, 1, 1), impact_stub())
         assert not d.reject and d.reason == REASON_NONE
 
 
 def test_reasons():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     j, imp = plus_qualifier(1)
     assert tables.admit(j, imp).reason == REASON_PLUS_FIRST
     j, imp = plus_qualifier(2)
@@ -92,7 +100,7 @@ def test_reasons():
 
 def test_both_tables_minus_fires_while_plus_keeps():
     # plus ordinal 2 (keep), minus ordinal 2 (reject) at eps = 1/2
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     j1, imp1 = plus_qualifier(1)
     tables.admit(j1, imp1)
     j2, imp2 = minus_qualifier(2)
@@ -105,7 +113,7 @@ def test_both_tables_minus_fires_while_plus_keeps():
 
 
 def test_counters_advance_despite_other_table_verdict():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     both = impact_stub(plus=F(36), minus=F(40), density_class=2,
                        in_plus=True, in_minus=True)
     d1 = tables.admit(job(1, 0, 4, 1), both)
@@ -116,7 +124,7 @@ def test_counters_advance_despite_other_table_verdict():
 
 
 def test_duplicate_admission_raises():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     j, imp = plus_qualifier(5)
     tables.admit(j, imp)
     with pytest.raises(DuplicateAdmission):
@@ -124,11 +132,11 @@ def test_duplicate_admission_raises():
 
 
 def test_audit_fresh_tables_empty():
-    assert RejectionTables(F(1, 2)).audit() == []
+    assert RejectionTables(F(1, 2), SCALE).audit() == []
 
 
 def test_audit_counts_and_weights():
-    tables = RejectionTables(F(1, 2))
+    tables = RejectionTables(F(1, 2), SCALE)
     for jid, w in ((1, F(4)), (2, F(5)), (3, F(6))):
         j, imp = plus_qualifier(jid, weight=w)
         tables.admit(j, imp)
@@ -136,15 +144,16 @@ def test_audit_counts_and_weights():
     assert report.table == "plus"
     assert report.count == 3
     assert report.rejected_ordinals == (1, 3)
-    assert report.weight_assigned == 15
-    assert report.weight_rejected == 10
-    assert report.weight_rejected_first == 4
+    # weights are numerators over the tables' scale
+    assert F(report.weight_assigned, SCALE) == 15
+    assert F(report.weight_rejected, SCALE) == 10
+    assert F(report.weight_rejected_first, SCALE) == 4
 
 
 @given(st.integers(2, 10), st.integers(0, 40))
 def test_cadence_ordinal_rule(k, n):
     eps = F(1, k)
-    tables = RejectionTables(eps)
+    tables = RejectionTables(eps, SCALE)
     plus_rejected, minus_rejected = [], []
     for jid in range(1, n + 1):
         j = job(jid, 0, 4, 1)
@@ -164,7 +173,7 @@ def test_cadence_ordinal_rule(k, n):
        st.sampled_from([F(1, 2), F(1, 4)]))
 def test_replay_determinism(specs, eps):
     def play():
-        tables = RejectionTables(eps)
+        tables = RejectionTables(eps, SCALE)
         out = []
         for jid, (w, in_plus, in_minus) in enumerate(specs):
             imp = impact_stub(plus=F(w * 9) if in_plus else F(0),
@@ -193,8 +202,10 @@ def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, k
                                                    in_plus, in_minus):
     # ratio is plus / weight, so plus / w = 2^k lands exactly on a boundary
     j = Job(0, 0, weight, (size,))
-    impact = impact_stub(plus=weight * ratio, minus=minus, density_class=klass,
-                         in_plus=in_plus, in_minus=in_minus)
-    keys = bucket_keys(impact, j)
-    assert keys == oracles.bucket_keys(impact, j)
+    values = dict(plus=weight * ratio, minus=minus, density_class=klass,
+                  in_plus=in_plus, in_minus=in_minus)
+    # the least scale that spans the weight and both sides
+    scale = lcm(weight.denominator, (weight * ratio).denominator, minus.denominator)
+    keys = bucket_keys(impact_stub(scale=scale, **values), j, scale)
+    assert keys == oracles.bucket_keys(fraction_stub(**values), j)
     assert all(type(field) is int for key in keys if key is not None for field in key)
