@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Instance, Rational, ZERO, scaled_density
+from .core import Instance, Rational, ZERO, scaled_density, scaled_weight
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
@@ -82,7 +82,7 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
     over the instance's density scale; only the totals become Fractions."""
     scale = instance.scale
     release = {j.id: j.release for j in instance.jobs}
-    weight = {j.id: _scaled(j.weight, scale) for j in instance.jobs}
+    weight = {j.id: scaled_weight(j, scale) for j in instance.jobs}
     delivered: set[int] = set()
     weighted_flow = departure_objective = rejected_immediate = rejected_delayed = 0
     fractional = ZERO
@@ -128,7 +128,7 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
     bends = [0] * (horizon + 2)    # second difference of beta, one spare entry
     for jid in trace.kept:
         release = by_id[jid].release
-        weight = _scaled(by_id[jid].weight, scale)
+        weight = scaled_weight(by_id[jid], scale)
         bends[release] += weight
         bends[release + 1] -= weight
     for run in trace.runs:
@@ -137,11 +137,6 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
     numerators = list(accumulate(accumulate(bends)))
     numerators.pop()
     return scale, numerators
-
-
-def _scaled(value: Rational, scale: int) -> int:
-    """``value * scale`` for a ``scale`` that its denominator divides."""
-    return value.numerator * (scale // value.denominator)
 
 
 # -- rejection budgets ---------------------------------------------------------
@@ -180,7 +175,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     (e) total rejected weight <= 15 eps * W.
     """
     scale = instance.scale
-    weight = {job.id: _scaled(job.weight, scale) for job in instance.jobs}
+    weight = {job.id: scaled_weight(job, scale) for job in instance.jobs}
     total_weight = sum(weight.values())
 
     delayed = immediate = 0
@@ -274,7 +269,7 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
             hull_beta.append(beta)
             t -= 1
         size = job.size_on(trace.machine)
-        weight = _scaled(job.weight, scale)
+        weight = scaled_weight(job, scale)
         rho = weight // size    # exact: scale spans this job's density denominator
         # the ceiling of (alpha_j / p_j - w_j / 2 + rho_j r_j) * scale, where
         # alpha_j * scale is alphas[j] / 2

@@ -5,6 +5,10 @@ all weights are rationals, so every invariant downstream is checkable with
 zero tolerance. ``Rational`` is ``fractions.Fraction``: stored in lowest
 terms with a positive denominator, and compared exactly via
 cross-multiplication. No floating point enters any persisted quantity.
+
+Only this module turns a weight or a density into an integer over the
+instance's one :func:`density_scale`: :func:`scaled_weight`,
+:func:`scaled_density` and the :class:`ResidualJob` that holds both.
 """
 
 from __future__ import annotations
@@ -63,17 +67,10 @@ def floor_log_ratio(n: int, d: int) -> int:
     involved, so the answer is correct on a power-of-two boundary too."""
     if n <= 0:
         raise NonPositiveArgument(f"floor_log_ratio needs a positive argument, got {n}/{d}")
-
-    def at_most(i: int) -> bool:
-        # 2**i <= n/d, cross-multiplied
-        return (d << i) <= n if i >= 0 else d <= (n << -i)
-
-    i = n.bit_length() - d.bit_length()  # within one of the true value
-    while not at_most(i):
-        i -= 1
-    while at_most(i + 1):
-        i += 1
-    return i
+    # n has a bits and d has b, so 2**(a-b-1) < n/d < 2**(a-b+1): the answer
+    # is a-b when 2**(a-b) <= n/d (cross-multiplied), and a-b-1 otherwise
+    i = n.bit_length() - d.bit_length()
+    return i if ((d << i) <= n if i >= 0 else d <= (n << -i)) else i - 1
 
 
 @dataclass(frozen=True)
@@ -95,11 +92,10 @@ class Job:
         return 0 <= machine < len(self.sizes) and self.sizes[machine] is not None
 
     def size_on(self, machine: int) -> int:
-        if not self.runnable_on(machine):
+        size = self.sizes[machine] if 0 <= machine < len(self.sizes) else None
+        if size is None:
             raise JobNotRunnableOnMachine(
                 f"job {self.id} has no size on machine {machine}")
-        size = self.sizes[machine]
-        assert size is not None
         return size
 
     def density(self, machine: int = 0) -> Rational:
@@ -158,22 +154,33 @@ def scaled_density(job: Job, machine: int, scale: int) -> int:
     return rho
 
 
-class ResidualJob:
-    """A job with its remaining processing time on one machine.
+def scaled_weight(job: Job, scale: int) -> int:
+    """``w * scale`` for a ``scale`` that spans the job's weight, as every
+    :func:`density_scale` of the job does."""
+    weight = job.weight
+    return weight.numerator * (scale // weight.denominator)
 
-    The density ``w/p`` is kept only as the ``int`` ``rho``, the density
-    times the machine's ``scale`` (see :func:`density_scale`), with its
-    ``density_class``. Both are constant while the job is active, so they
-    are computed once, here, without a ``Fraction``. ``remaining`` is
+
+class ResidualJob:
+    """A job on one machine, as integers over the run's ``scale`` (see
+    :func:`density_scale`), with its remaining processing time.
+
+    ``weight`` is ``w * scale``, ``rho`` the density ``w/p`` times
+    ``scale`` and ``density_class`` the power-of-two class of ``w/p``.
+    This is the only place an arrival is converted to integers: dispatch
+    and the engine build one per (arrival, machine) before scoring it, and
+    the same object is scored, offered to the rejection tables and, if
+    kept, activated. ``remaining`` starts at the job's size and is
     decremented in place by the engine.
     """
 
-    __slots__ = ("job", "remaining", "machine", "rho", "density_class")
+    __slots__ = ("job", "remaining", "machine", "weight", "rho", "density_class")
 
     def __init__(self, job: Job, remaining: int, machine: int, scale: int):
         self.job = job
         self.remaining = remaining
         self.machine = machine
+        self.weight = scaled_weight(job, scale)
         self.rho = scaled_density(job, machine, scale)
         self.density_class = floor_log_ratio(self.rho, scale)
 

@@ -6,10 +6,12 @@ dispatch rule is greedy minimum impact: send the job where it would
 inflate fractional flow time the least right now (the marginal-increase
 principle), breaking ties toward the smaller machine index. Every machine
 runs over the instance's one density scale, so machines are ranked by the
-exact integer numerators of their totals. Each (arrival, machine) pair is
-passed over once, and the arrival is fully scored from that pass on the
-machine it goes to; that machine admits or rejects it with this same
-impact. Rejection tables are per machine.
+exact integer numerators of their totals. For each machine that can run
+the job, ``core`` converts it to integers once, as a
+:class:`~flowsched.core.ResidualJob`, and that view is passed over the
+machine's active set once. The arrival is fully scored from that pass on
+the machine it goes to, which admits or rejects it with this same impact
+and activates this same view. Rejection tables are per machine.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import DensityNotSpanned, Instance, Job, floor_log_ratio
+from .core import Instance, Job, ResidualJob
 from .impact import arrival_impact, impact_sums
 from .scheduler import MachineScheduler, ScheduleTrace, drive
 
@@ -48,35 +50,29 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
 
     Reads only the machines' current active sets, so the decision depends
     solely on state at the release time. Each machine that can run the job
-    gets one :func:`impact_sums` pass; the chosen machine's sums become its
+    gets one :class:`~flowsched.core.ResidualJob` of it and one
+    :func:`impact_sums` pass; the chosen machine's view and sums become its
     full :func:`arrival_impact`, handed to its scheduler as ``scored``.
     """
-    wn, wd = job.weight.as_integer_ratio()
-    best: tuple[int, int, tuple[int, int, int, int]] | None = None  # numerator, index, sums
+    best: tuple[int, ResidualJob, tuple[int, int, int]] | None = None  # total, view, sums
     for index, (size, sched) in enumerate(zip(job.sizes, machines)):
         if size is None:
             continue
-        scale = sched.scale
-        rho, rest = divmod(wn * scale, wd * size)
-        if rest:
-            raise DensityNotSpanned(f"scale {scale} does not span the density "
-                                    f"of job {job.id} on machine {index}")
-        klass = floor_log_ratio(rho, scale)
-        denser, same_class, lower_class = impact_sums(
-            job, sched.active.values(), rho, klass)
-        # 2*wd*scale times the total (see arrival_impact); wd and scale are
-        # the same on every machine, so these numerators rank the totals
-        num = wn * scale * (2 * denser + size) + 2 * wd * size * (same_class + lower_class)
-        if best is None or num < best[0]:
-            best = (num, index, (klass, denser, same_class, lower_class))
+        arrival = ResidualJob(job, size, index, sched.scale)
+        denser, same_class, lower_class = sums = impact_sums(arrival, sched.active.values())
+        # the impact total (see arrival_impact): every machine shares the
+        # scale, so these numerators rank the totals
+        weight = arrival.weight
+        total = 2 * (weight * denser + size * (same_class + lower_class)) + weight * size
+        if best is None or total < best[0]:
+            best = (total, arrival, sums)
     if best is None:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
-    _, index, sums = best
-    sched = machines[index]
-    impact = arrival_impact(job, sched.active.values(), sched.epsilon, index, sched.scale,
-                            sums)
-    sched.scored = (job, impact)
-    return DispatchDecision(job.id, index, impact.total)
+    _, arrival, sums = best
+    sched = machines[arrival.machine]
+    impact = arrival_impact(arrival, sched.active.values(), sched.epsilon, sums)
+    sched.scored = (arrival, impact)
+    return DispatchDecision(job.id, arrival.machine, impact.total)
 
 
 def run_multi(instance: Instance) -> MultiTrace:

@@ -13,20 +13,21 @@ half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
 tables, and the total is reused as a per-job dual variable by the
 analysis module.
 
-The pass is one integer kernel, :func:`impact_sums`, on the scaled
-density ``rho`` each ``ResidualJob`` caches at activation: the density
-times the machine's ``scale``, one :func:`~flowsched.core.density_scale`
-for the whole run, which spans every weight too. The ``rho_o >= rho``
-test compares two ``int``s, and ``S2`` and ``S3`` are integer numerators
-over ``scale``. :func:`arrival_impact` keeps each output an integer
-numerator over ``2 * scale`` and decides the rejection-table thresholds by
-cross-multiplication, so it builds no ``Fraction``; the values are exactly
-those of ``Fraction`` sums, and only ``simulate`` renders them as
-rationals when it prints them. Dispatch ranks machines on the same sums:
-every machine shares ``scale``, so it compares the totals' integer
-numerators alone, and hands the chosen machine's sums to
-:func:`arrival_impact`, so each (arrival, machine) pair is passed over
-once.
+The pass is one integer kernel, :func:`impact_sums`. The arrival is a
+:class:`~flowsched.core.ResidualJob`, the job's integer view on one machine
+that ``core`` builds over the instance's one
+:func:`~flowsched.core.density_scale`: ``weight`` is ``w * scale``, ``rho``
+the density times ``scale``, with its ``density_class``, and ``remaining``
+the size. The active jobs are views over the same scale, so the
+``rho_o >= rho`` test compares two ``int``s, and ``S2`` and ``S3`` are
+integer numerators over ``scale``. :func:`arrival_impact` converts nothing;
+it keeps each output an integer numerator over ``2 * scale`` and decides
+the rejection-table thresholds by cross-multiplication, so the values are
+exactly those of ``Fraction`` sums, and only ``simulate`` renders them as
+rationals. Dispatch ranks machines on the same sums (every machine shares
+``scale``) and hands the chosen machine's ``(S1, S2 * scale, S3 * scale)``
+to :func:`arrival_impact` as ``sums``, so each (arrival, machine) pair is
+passed over once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 from typing import Collection, NamedTuple
 
 # NonPositiveArgument is re-exported from here
-from .core import (Job, NonPositiveArgument, Rational, ResidualJob, floor_log_ratio,
-                   scaled_density)
+from .core import NonPositiveArgument, Rational, ResidualJob
 
 
 class JobInActiveSet(ValueError):
@@ -61,16 +61,17 @@ class ArrivalImpact(NamedTuple):
     in_minus: bool
 
 
-def impact_sums(job: Job, active: Collection[ResidualJob], rho: int,
-                klass: int) -> tuple[int, int, int]:
-    """The one pass over ``active`` for ``job``, whose scaled density on this
-    machine is ``rho``, of density class ``klass``; the active jobs were
+def impact_sums(arrival: ResidualJob,
+                active: Collection[ResidualJob]) -> tuple[int, int, int]:
+    """The one pass over ``active`` for ``arrival``; the active jobs were
     built over the same scale.
 
     Returns ``(S1, S2 * scale, S3 * scale)``: the three aggregates as
     integers.
     """
-    jid = job.id
+    jid = arrival.job.id
+    rho = arrival.rho
+    klass = arrival.density_class
     denser = 0       # S1
     same_class = 0   # S2 * scale
     lower_class = 0  # S3 * scale
@@ -86,26 +87,19 @@ def impact_sums(job: Job, active: Collection[ResidualJob], rho: int,
     return denser, same_class, lower_class
 
 
-def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
-                   machine: int, scale: int,
-                   sums: tuple[int, int, int, int] | None = None) -> ArrivalImpact:
-    """Compute the impact of ``job`` against the current active set, whose
-    jobs were built over ``scale``.
+def arrival_impact(arrival: ResidualJob, active: Collection[ResidualJob], epsilon: Rational,
+                   sums: tuple[int, int, int] | None = None) -> ArrivalImpact:
+    """Compute the impact of ``arrival``, not yet processed, against the
+    current active set, whose jobs were built over the same scale.
 
     ``active`` must reflect the state the arrival actually sees: earlier
     same-time arrivals included, the job itself excluded. It is read once,
     by :func:`impact_sums`, unless the caller already made that pass and
-    hands over ``sums``: the job's ``(density_class, S1, S2 * scale,
-    S3 * scale)`` on this machine.
+    hands over its ``sums``.
     """
-    size = job.size_on(machine)
-    wn, wd = job.weight.as_integer_ratio()
-    weight = wn * (scale // wd)    # w * scale: the scale spans every weight
-    if sums is None:
-        rho = scaled_density(job, machine, scale)
-        klass = floor_log_ratio(rho, scale)
-        sums = (klass, *impact_sums(job, active, rho, klass))
-    klass, denser, same_class, lower_class = sums
+    denser, same_class, lower_class = impact_sums(arrival, active) if sums is None else sums
+    size = arrival.remaining
+    weight = arrival.weight
 
     # plus = w*S1 + p*S2, minus = p*S3 and w*p, each times scale
     plus = weight * denser + size * same_class
@@ -118,7 +112,7 @@ def arrival_impact(job: Job, active: Collection[ResidualJob], epsilon: Rational,
         plus=2 * plus,
         minus=2 * minus,
         self_term=work,
-        density_class=klass,
+        density_class=arrival.density_class,
         in_plus=plus * en >= work * ed,
         in_minus=lower_class * en > weight * ed,
     )

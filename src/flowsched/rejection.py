@@ -14,11 +14,13 @@ Counters advance on every assignment, even when the other table already
 rejected the job, so replaying an arrival sequence is deterministic.
 Buckets are never garbage-collected within a run.
 
-Each class is computed from ``int``s, with no ``Fraction``:
+The arrival is the :class:`~flowsched.core.ResidualJob` that was scored,
+so this module converts nothing. Each class is computed from ``int``s:
 :func:`~flowsched.core.floor_log_ratio` of the integer numerators of
-``plus/weight``, ``weight`` and ``minus``, and ``size.bit_length() - 1``.
-Bucket weights are numerators over the run's density ``scale``; the
-report of :meth:`RejectionTables.audit` is built only when first read.
+``plus/weight``, ``weight`` (its ``w * scale``) and ``minus``, and
+``size.bit_length() - 1``. Bucket weights are numerators over the run's
+density ``scale``; the report of :meth:`RejectionTables.audit` is built
+only when first read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import Job, Rational, floor_log_ratio
+from .core import Rational, ResidualJob, floor_log_ratio
 from .impact import ArrivalImpact
 
 REASON_NONE = "none"
@@ -50,20 +52,19 @@ class MinusKey(NamedTuple):
     size_class: int     # floor_log(size)
 
 
-def bucket_keys(impact: ArrivalImpact, job: Job, scale: int,
-                machine: int = 0) -> tuple[PlusKey | None, MinusKey | None]:
+def bucket_keys(impact: ArrivalImpact, arrival: ResidualJob,
+                scale: int) -> tuple[PlusKey | None, MinusKey | None]:
     """Keys for whichever tables the arrival qualifies for (possibly both),
     from an impact whose values are numerators over ``2 * scale``."""
     plus_key = None
     minus_key = None
     if impact.in_plus:
-        wn, wd = job.weight.as_integer_ratio()
-        # plus / w = (plus / (2 scale)) / (wn / wd)
-        plus_key = PlusKey(floor_log_ratio(impact.plus * wd, 2 * scale * wn),
-                           floor_log_ratio(wn, wd))
+        # plus / w = (plus / (2 scale)) / (weight / scale)
+        plus_key = PlusKey(floor_log_ratio(impact.plus, 2 * arrival.weight),
+                           floor_log_ratio(arrival.weight, scale))
     if impact.in_minus:
         minus_key = MinusKey(floor_log_ratio(impact.minus, 2 * scale),
-                             impact.density_class, job.size_on(machine).bit_length() - 1)
+                             impact.density_class, arrival.remaining.bit_length() - 1)
     return plus_key, minus_key
 
 
@@ -111,19 +112,20 @@ class RejectionTables:
         self._minus: dict[MinusKey, _Bucket] = {}
         self._seen: set[int] = set()
 
-    def admit(self, job: Job, impact: ArrivalImpact, machine: int = 0) -> ImmediateDecision:
+    def admit(self, arrival: ResidualJob, impact: ArrivalImpact) -> ImmediateDecision:
         """Assign the arrival to its buckets and decide immediate rejection.
 
         Must be called exactly once per arrival, in arrival order. When
         both tables would reject, the plus-side reason is recorded; every
         budget invariant treats the order as immaterial.
         """
-        if job.id in self._seen:
-            raise DuplicateAdmission(f"job {job.id} admitted twice")
-        self._seen.add(job.id)
+        jid = arrival.job.id
+        if jid in self._seen:
+            raise DuplicateAdmission(f"job {jid} admitted twice")
+        self._seen.add(jid)
 
-        plus_key, minus_key = bucket_keys(impact, job, self.scale, machine)
-        weight = job.weight.numerator * (self.scale // job.weight.denominator)
+        plus_key, minus_key = bucket_keys(impact, arrival, self.scale)
+        weight = arrival.weight
         reject = False
         reason = REASON_NONE
         plus_ordinal = minus_ordinal = None
@@ -144,7 +146,7 @@ class RejectionTables:
                     reject = True
                     reason = REASON_MINUS_CADENCE
 
-        return ImmediateDecision(job.id, plus_key, minus_key,
+        return ImmediateDecision(jid, plus_key, minus_key,
                                  plus_ordinal, minus_ordinal, reject, reason)
 
     def audit(self) -> list[BucketReport]:

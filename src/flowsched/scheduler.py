@@ -29,11 +29,13 @@ in ``simulate``'s slot lines.
 
 The HDF order and the marking test compare ``int``s over one ``scale``,
 fixed for the whole run: the instance's ``scale``, the
-:func:`flowsched.core.density_scale` of all its jobs, so ``rho * scale``
-and ``w * scale`` are integers for every job on every machine. A heap
-key is ``(-rho * scale, release, id)``; the marking budget
-``run_released`` is the released weight times ``scale``, against
-``w * scale * (1/epsilon)``.
+:func:`flowsched.core.density_scale` of all its jobs. The engine converts
+nothing: each arrival is the :class:`~flowsched.core.ResidualJob` that
+``core`` built for this machine (here or in dispatch), and that one object
+is scored, admitted and, if kept, activated. A heap key is
+``(-rho * scale, release, id)``; the marking budget ``run_released`` sums
+the ``weight`` (``w * scale``) of each arrival since the run began, against
+the running job's ``weight * (1/epsilon)``.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ class MachineScheduler:
         # a segment never runs past this time; the driver sets it to the
         # next release, and None runs the chosen job to completion
         self.stop: int | None = None
-        # (job, impact) from dispatch, which scored the job here; the next
-        # on_arrival uses it only for that same job and clears it either way
-        self.scored: tuple[Job, ArrivalImpact] | None = None
+        # (arrival, impact) from dispatch, which built and scored the job's
+        # view here; the next on_arrival uses it only for that same job and
+        # clears it either way
+        self.scored: tuple[ResidualJob, ArrivalImpact] | None = None
         self.active: dict[int, ResidualJob] = {}
         # HDF keys (-rho * scale, release, id) of activated jobs; entries of
         # completed jobs linger below the top until select_slot pops them
@@ -170,20 +173,21 @@ class MachineScheduler:
     # -- step 1: arrivals ------------------------------------------------
 
     def on_arrival(self, job: Job) -> str:
-        """Score (or take dispatch's ``scored`` impact of this job), admit
-        or reject, and book-keep one arriving job."""
+        """Build the job's view on this machine and score it (or take
+        dispatch's ``scored`` view and impact of this job), admit or reject,
+        and book-keep one arriving job."""
         if job.release != self.clock:
             error = ArrivalInPast if job.release < self.clock else DriverContractError
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
         tr = self._trace
 
         scored, self.scored = self.scored, None
-        if scored is not None and scored[0] is job:
-            impact = scored[1]
+        if scored is not None and scored[0].job is job:
+            arrival, impact = scored
         else:
-            impact = arrival_impact(job, self.active.values(), self.epsilon,
-                                    self.machine, self.scale)
-        decision = self.tables.admit(job, impact, self.machine)
+            arrival = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
+            impact = arrival_impact(arrival, self.active.values(), self.epsilon)
+        decision = self.tables.admit(arrival, impact)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
 
@@ -191,16 +195,14 @@ class MachineScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            res = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
-            self.active[job.id] = res
-            heappush(self.heap, (-res.rho, job.release, job.id))
+            self.active[job.id] = arrival
+            heappush(self.heap, (-arrival.rho, job.release, job.id))
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
         # arrival survived; the marking budget charges all released weight
         if self.run_job is not None:
-            weight = job.weight
-            self.run_released += weight.numerator * (self.scale // weight.denominator)
+            self.run_released += arrival.weight
         self.promote_check()
         return outcome
 
@@ -211,9 +213,7 @@ class MachineScheduler:
         released weight (strictly more than weight/epsilon)."""
         if self.run_job is None:
             return None
-        weight = self.active[self.run_job].job.weight
-        limit = weight.numerator * (self.scale // weight.denominator) * self.tables.cadence
-        if self.run_released <= limit:
+        if self.run_released <= self.active[self.run_job].weight * self.tables.cadence:
             return None
         jid = self.run_job
         tr = self._trace
@@ -281,18 +281,17 @@ class MachineScheduler:
         return self._trace
 
 
-def run(instance: Instance, machine: int = 0) -> ScheduleTrace:
-    """Drive the online engine over a (single-machine view of a) validated
-    instance, which it does not validate again, on the instance's ``scale``.
+def run(instance: Instance) -> ScheduleTrace:
+    """Drive the online engine over a validated instance, which it does not
+    validate again, on machine 0 and the instance's ``scale``.
 
-    Every job must be runnable on ``machine``. Deterministic for a fixed
-    input order; the returned trace satisfies all structural invariants
-    (mirror property, one terminal event per job, non-preemptive real
-    schedule).
+    An arrival that machine 0 cannot run raises
+    :class:`~flowsched.core.JobNotRunnableOnMachine` when its view is built.
+    Deterministic for a fixed input order; the returned trace satisfies all
+    structural invariants (mirror property, one terminal event per job,
+    non-preemptive real schedule).
     """
-    for job in instance.jobs:
-        job.size_on(machine)  # raises JobNotRunnableOnMachine early
-    sched = MachineScheduler(instance.epsilon, machine, instance.scale)
+    sched = MachineScheduler(instance.epsilon, 0, instance.scale)
     return drive(instance.jobs, [sched], lambda job, machines: 0)[0]
 
 

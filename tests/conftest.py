@@ -37,7 +37,8 @@ def impact_of(arrival: Job, entries, epsilon, machine: int = 0
     as a run on them would pick it."""
     scale = density_scale([arrival, *(j for j, _ in entries)])
     active = [ResidualJob(j, remaining, machine, scale) for j, remaining in entries]
-    return impact_values(arrival_impact(arrival, active, epsilon, machine, scale), scale), active
+    view = ResidualJob(arrival, arrival.size_on(machine), machine, scale)
+    return impact_values(arrival_impact(view, active, epsilon), scale), active
 
 
 def seeded_instance(seed: int, machines: int) -> Instance:
@@ -74,9 +75,9 @@ def rejecting(forced):
     to a rejection, so the trace stays consistent."""
     admit = RejectionTables.admit
 
-    def flipped(tables, job, impact, machine=0):
-        decision = admit(tables, job, impact, machine)
-        if job.id in forced and not decision.reject:
+    def flipped(tables, arrival, impact):
+        decision = admit(tables, arrival, impact)
+        if arrival.job.id in forced and not decision.reject:
             return decision._replace(reject=True, reason="forced")
         return decision
 

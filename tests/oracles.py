@@ -432,7 +432,8 @@ class SlotScheduler:
 
         impact = impact_numerators(
             arrival_impact(job, self.active.values(), self.epsilon, self.machine), self.scale)
-        decision = self.tables.admit(job, impact, self.machine)
+        arrival = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
+        decision = self.tables.admit(arrival, impact)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
 
@@ -443,8 +444,7 @@ class SlotScheduler:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
             outcome = ARRIVAL_REJECTED
         else:
-            self.active[job.id] = ResidualJob(job, job.size_on(self.machine), self.machine,
-                                              self.scale)
+            self.active[job.id] = arrival
             outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the

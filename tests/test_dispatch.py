@@ -166,8 +166,8 @@ def assert_matches_oracle(job, machines):
         return
     assert dispatch(job, machines) == expected
     chosen = machines[expected.machine]
-    scored_job, impact = chosen.scored
-    assert scored_job is job
+    scored, impact = chosen.scored
+    assert scored.job is job
     assert oracles.impact_values(impact, chosen.scale) == oracles.arrival_impact(
         job, chosen.active.values(), chosen.epsilon, expected.machine)
 
@@ -220,9 +220,9 @@ def test_run_multi_scores_each_arrival_once(monkeypatch):
     # the package exports the function dispatch under the module's name
     for module in map(importlib.import_module, ("flowsched.dispatch",
                                                 "flowsched.scheduler")):
-        def counted(job, *rest, _score=module.arrival_impact):
-            calls.append(job.id)
-            return _score(job, *rest)
+        def counted(arrival, *rest, _score=module.arrival_impact):
+            calls.append(arrival.job.id)
+            return _score(arrival, *rest)
         monkeypatch.setattr(module, "arrival_impact", counted)
     result = run_multi(inst)
     assert sorted(calls) == sorted(j.id for j in inst.jobs)
@@ -235,9 +235,9 @@ def test_run_multi_passes_once_per_arrival_and_eligible_machine(monkeypatch):
                                   shape=1.6, size_cap=20, machines=4))
     passes = Counter()
     for module in map(importlib.import_module, ("flowsched.dispatch", "flowsched.impact")):
-        def counted(job, *rest, _sums=module.impact_sums):
-            passes[job.id] += 1
-            return _sums(job, *rest)
+        def counted(arrival, *rest, _sums=module.impact_sums):
+            passes[arrival.job.id] += 1
+            return _sums(arrival, *rest)
         monkeypatch.setattr(module, "impact_sums", counted)
     result = run_multi(inst)
     assert passes == Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})
@@ -249,15 +249,33 @@ def test_handed_over_impact_is_never_used_for_another_job():
     machines = machines_with([job_a, job_b], [[(1, 4, 3)]] * 2)
     chosen = machines[dispatch(job_a, machines).machine]
     stale = chosen.scored[1]
-    fresh_b = arrival_impact(job_b, chosen.active.values(), chosen.epsilon, chosen.machine,
-                             chosen.scale)
+    fresh_b = arrival_impact(ResidualJob(job_b, 5, chosen.machine, chosen.scale),
+                             chosen.active.values(), chosen.epsilon)
     assert fresh_b != stale
     chosen.on_arrival(job_b)
     assert chosen.scored is None
     # job A arrives after B: its handed-over score is gone and B is active
-    fresh_a = arrival_impact(job_a, chosen.active.values(), chosen.epsilon, chosen.machine,
-                             chosen.scale)
+    fresh_a = arrival_impact(ResidualJob(job_a, 2, chosen.machine, chosen.scale),
+                             chosen.active.values(), chosen.epsilon)
     chosen.on_arrival(job_a)
     trace = chosen.finish_trace()
     assert trace.impacts[job_b.id] == fresh_b
     assert trace.impacts[job_a.id] == fresh_a != stale
+
+
+def test_each_arrival_is_converted_once_per_machine(monkeypatch):
+    # dispatch builds one view per eligible machine, and the chosen one is
+    # scored, admitted and activated; a single machine builds one per arrival
+    core = importlib.import_module("flowsched.core")
+    calls = Counter()
+
+    def counted(job, *rest, _density=core.scaled_density):
+        calls[job.id] += 1
+        return _density(job, *rest)
+    monkeypatch.setattr(core, "scaled_density", counted)
+    for machines, runner in ((1, run), (4, run_multi)):
+        inst = generate(WorkloadModel(kind="poisson_pareto", n=300, seed=7, rate=0.9 * machines,
+                                      shape=1.6, size_cap=20, machines=machines))
+        calls.clear()
+        runner(inst)
+        assert calls == Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})

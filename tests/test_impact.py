@@ -58,6 +58,16 @@ def test_floor_log_ratio_ignores_common_factors(n, d, k):
     assert floor_log_ratio(n * k, d * k) == floor_log(F(n, d))
 
 
+def test_floor_log_ratio_on_and_next_to_powers_of_two():
+    # n/d = 2^k exactly, and one unit of n either side of it
+    for d in (1, 2, 3, 5, 7, 1024, 10 ** 6 + 3, 10 ** 12 - 1, 10 ** 12):
+        for k in range(-40, 41):
+            n, den = (d << k, d) if k >= 0 else (d, d << -k)
+            for num in (n - 1, n, n + 1):
+                if num > 0:
+                    assert floor_log_ratio(num, den) == floor_log(F(num, den)), (num, den)
+
+
 def test_floor_log_ratio_rejects_nonpositive():
     with pytest.raises(NonPositiveArgument):
         floor_log_ratio(0, 3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched import Job, MinusKey, PlusKey, RejectionTables, bucket_keys
+from flowsched import Job, MinusKey, PlusKey, RejectionTables, ResidualJob, bucket_keys
 from flowsched.impact import ArrivalImpact
 from flowsched.rejection import (DuplicateAdmission, REASON_MINUS_CADENCE,
                                  REASON_NONE, REASON_PLUS_CADENCE,
@@ -25,19 +25,24 @@ def fraction_stub(plus=F(0), minus=F(0), self_term=F(1), density_class=0,
                          density_class, in_plus, in_minus)
 
 
+def arrival(jid, release, weight, size):
+    """The job's view over ``SCALE``, as the engine offers it to the tables."""
+    return ResidualJob(job(jid, release, weight, size), size, 0, SCALE)
+
+
 def impact_stub(*values, scale=SCALE, **fields):
     """The same impact as the engine stores it: numerators over ``2 * scale``."""
     return oracles.impact_numerators(fraction_stub(*values, **fields), scale)
 
 
 def test_bucket_key_examples():
-    j = job(0, 0, 3, 1)
+    j = arrival(0, 0, 3, 1)
     impact = impact_stub(plus=F(30), in_plus=True)  # plus / w = 10
     plus_key, minus_key = bucket_keys(impact, j, SCALE)
     assert plus_key == PlusKey(impact_class=3, weight_class=1)
     assert minus_key is None
 
-    j = job(1, 0, 2, 8)
+    j = arrival(1, 0, 2, 8)
     impact = impact_stub(minus=F(12), density_class=-2, in_minus=True)
     plus_key, minus_key = bucket_keys(impact, j, SCALE)
     assert plus_key is None
@@ -45,17 +50,17 @@ def test_bucket_key_examples():
 
 
 def test_no_threshold_no_keys():
-    plus_key, minus_key = bucket_keys(impact_stub(), job(0, 0, 1, 1), SCALE)
+    plus_key, minus_key = bucket_keys(impact_stub(), arrival(0, 0, 1, 1), SCALE)
     assert plus_key is None and minus_key is None
 
 
 def plus_qualifier(jid, weight=F(4)):
     # identical keys for every call: plus/w in [8,16), weight class fixed
-    return job(jid, 0, weight, 1), impact_stub(plus=weight * 9, in_plus=True)
+    return arrival(jid, 0, weight, 1), impact_stub(plus=weight * 9, in_plus=True)
 
 
 def minus_qualifier(jid, weight=F(4)):
-    return job(jid, 0, weight, 1), impact_stub(minus=F(40), density_class=2,
+    return arrival(jid, 0, weight, 1), impact_stub(minus=F(40), density_class=2,
                                                in_minus=True)
 
 
@@ -84,7 +89,7 @@ def test_minus_cadence_waits_for_the_kth():
 def test_nonqualifying_job_never_rejected():
     tables = RejectionTables(F(1, 2), SCALE)
     for jid in range(10):
-        d = tables.admit(job(jid, 0, 1, 1), impact_stub())
+        d = tables.admit(arrival(jid, 0, 1, 1), impact_stub())
         assert not d.reject and d.reason == REASON_NONE
 
 
@@ -107,7 +112,7 @@ def test_both_tables_minus_fires_while_plus_keeps():
     tables.admit(j2, imp2)
     both = impact_stub(plus=F(36), minus=F(40), density_class=2,
                        in_plus=True, in_minus=True)
-    d = tables.admit(job(3, 0, 4, 1), both)
+    d = tables.admit(arrival(3, 0, 4, 1), both)
     assert d.plus_ordinal == 2 and d.minus_ordinal == 2
     assert d.reject and d.reason == REASON_MINUS_CADENCE
 
@@ -116,10 +121,10 @@ def test_counters_advance_despite_other_table_verdict():
     tables = RejectionTables(F(1, 2), SCALE)
     both = impact_stub(plus=F(36), minus=F(40), density_class=2,
                        in_plus=True, in_minus=True)
-    d1 = tables.admit(job(1, 0, 4, 1), both)
+    d1 = tables.admit(arrival(1, 0, 4, 1), both)
     assert d1.reject and d1.reason == REASON_PLUS_FIRST
     assert d1.minus_ordinal == 1  # assigned even though plus already rejected
-    d2 = tables.admit(job(2, 0, 4, 1), both)
+    d2 = tables.admit(arrival(2, 0, 4, 1), both)
     assert d2.minus_ordinal == 2 and d2.reject  # minus cadence saw both
 
 
@@ -156,7 +161,7 @@ def test_cadence_ordinal_rule(k, n):
     tables = RejectionTables(eps, SCALE)
     plus_rejected, minus_rejected = [], []
     for jid in range(1, n + 1):
-        j = job(jid, 0, 4, 1)
+        j = arrival(jid, 0, 4, 1)
         imp = impact_stub(plus=F(36), minus=F(40), density_class=2,
                           in_plus=True, in_minus=True)
         d = tables.admit(j, imp)
@@ -179,7 +184,7 @@ def test_replay_determinism(specs, eps):
             imp = impact_stub(plus=F(w * 9) if in_plus else F(0),
                               minus=F(w * 9) if in_minus else F(0),
                               density_class=1, in_plus=in_plus, in_minus=in_minus)
-            out.append(tables.admit(job(jid, 0, w, 1), imp))
+            out.append(tables.admit(arrival(jid, 0, w, 1), imp))
         return out
     assert play() == play()
 
@@ -204,8 +209,10 @@ def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, k
     j = Job(0, 0, weight, (size,))
     values = dict(plus=weight * ratio, minus=minus, density_class=klass,
                   in_plus=in_plus, in_minus=in_minus)
-    # the least scale that spans the weight and both sides
-    scale = lcm(weight.denominator, (weight * ratio).denominator, minus.denominator)
-    keys = bucket_keys(impact_stub(scale=scale, **values), j, scale)
+    # the least scale that spans the weight, its density and both sides
+    scale = lcm(weight.denominator, (weight / size).denominator,
+                (weight * ratio).denominator, minus.denominator)
+    keys = bucket_keys(impact_stub(scale=scale, **values), ResidualJob(j, size, 0, scale),
+                       scale)
     assert keys == oracles.bucket_keys(fraction_stub(**values), j)
     assert all(type(field) is int for key in keys if key is not None for field in key)
