@@ -8,6 +8,12 @@ as integer numerators over a multiple of the density scale and become
 rationals only here, as text (:func:`_ratio`). Only ``audit`` builds the
 bucket report.
 
+Outputs stream: each record is written to ``--out`` (or stdout) as it is
+formatted, and ``simulate`` writes its one ``slot`` line per unit slot in
+bounded chunks, so no command holds its whole output. The ``--out`` file
+is created only once the command's results exist, so a command that fails
+first leaves no file, and a write that fails removes a regular file again.
+
 The argument parser is built once per process, on the first ``main``
 call, and ``main`` finds each ``cmd_<name>`` function by name only when it
 runs that command. Only ``baseline`` loads networkx, in its first solve of
@@ -24,11 +30,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 import traceback
 from dataclasses import fields, replace
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import (HorizonTooShort, default_horizon, lp_cost,
@@ -75,20 +84,33 @@ def _fmt(value) -> str:
 
 
 class _Writer:
+    """Writes each record, as it is formed, to the ``--out`` file or to
+    stdout. Enter it only once the command's results exist: the file is
+    created on entry, and a write or close that fails removes it again if
+    the path names a regular file (never a symlink, device or FIFO)."""
+
     def __init__(self, out_path: str | None):
-        self.lines: list[str] = []
         self.out_path = out_path
 
-    def emit(self, record: str, **fields) -> None:
-        parts = [record] + [f"{k}={_fmt(v)}" for k, v in fields.items()]
-        self.lines.append(" ".join(parts))
+    def __enter__(self) -> _Writer:
+        self._file = open(self.out_path, "w", encoding="ascii") if self.out_path else None
+        self._regular = (self._file is not None
+                         and stat.S_ISREG(os.lstat(self.out_path).st_mode))
+        self.write = (self._file or sys.stdout).write
+        return self
 
-    def flush(self) -> None:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.out_path:
-            Path(self.out_path).write_text(text, encoding="ascii")
-        else:
-            sys.stdout.write(text)
+    def __exit__(self, exc_type, *exc) -> None:
+        if self._file is not None:
+            written = False
+            try:
+                self._file.close()
+                written = exc_type is None
+            finally:
+                if not written and self._regular:
+                    Path(self.out_path).unlink(missing_ok=True)
+
+    def emit(self, record: str, **fields) -> None:
+        self.write(" ".join([record, *(f"{k}={_fmt(v)}" for k, v in fields.items())]) + "\n")
 
 
 def _load_instance(args) -> Instance:
@@ -118,65 +140,86 @@ def cmd_gen(args) -> int:
         epsilon=Rational(1, 4) if args.epsilon is None else args.epsilon)
     instance = generate(model)
     serialize_trace(instance, args.out, seed=args.seed)
-    writer = _Writer(None)
     fields = {"kind": model.kind, "jobs": len(instance.jobs), "out": args.out,
               "seed": args.seed}
     if model.kind == "adversarial_L":
         # the construction is integer-rescaled; record the factor used
         fields.update(L=model.L, scale=model.scale,
                       long_job_size=model.L * model.L * model.scale)
-    writer.emit("generated", **fields)
-    writer.flush()
+    with _Writer(None) as writer:
+        writer.emit("generated", **fields)
     return 0
+
+
+_SLOT_CHUNK = 4096    # slot lines per write, so a long run never sits in memory whole
+
+
+def _slot_chunks(trace) -> Iterator[str]:
+    """The machine's ``slot`` lines, one per unit slot, formatted straight
+    from the runs, in strings of fewer than ``2 * _SLOT_CHUNK`` lines."""
+    head = f"slot machine={trace.machine} t="
+    parts: list[str] = []
+    lines = 0
+    for start, end, plan, real in trace.runs:
+        tail = (f" plan={plan} real=- idled=1\n" if real is None
+                else f" plan={plan} real={real} idled=0\n")
+        between = tail + head
+        for t in range(start, end, _SLOT_CHUNK):
+            times = range(t, min(t + _SLOT_CHUNK, end))
+            parts.append(f"{head}{between.join(map(str, times))}{tail}")
+            lines += len(times)
+            if lines >= _SLOT_CHUNK:
+                yield "".join(parts)
+                parts, lines = [], 0
+    if parts:
+        yield "".join(parts)
 
 
 def cmd_simulate(args) -> int:
     instance = _load_instance(args)
     result = _run_instance(instance)
     metrics = compute_metrics(result, instance)
-    writer = _Writer(args.out)
-    # instances carry no speed; the fixed field keeps the record's bytes
-    writer.emit("header", m=instance.machines, epsilon=instance.epsilon, speedup=0)
     double = 2 * instance.scale    # the impacts' denominator
     totals: dict[int, str] = {}    # a score's text, reused as its impact's total
-    if isinstance(result, MultiTrace):
-        for decision in result.decisions:
-            totals[decision.job] = score = _ratio(decision.score, double)
-            writer.emit("dispatch", job=decision.job, machine=decision.machine, score=score)
-    for trace in each_trace(result):
-        writer.emit("machine", index=trace.machine,
-                    arrivals=",".join(map(str, trace.arrivals)) or "-")
-        # one line per unit slot, formatted straight from the runs
-        head = f"slot machine={trace.machine} t="
-        for seg in trace.runs:
-            tail = (f" plan={seg.plan} real=- idled=1" if seg.real is None
-                    else f" plan={seg.plan} real={seg.real} idled=0")
-            writer.lines.extend(f"{head}{t}{tail}" for t in range(seg.start, seg.end))
-        for event in trace.events:
-            writer.emit("event", machine=trace.machine, t=event.time,
-                        job=event.job, kind=event.kind)
-        departures = trace.departure
-        for jid in trace.arrivals:
-            writer.emit("departure", machine=trace.machine, job=jid,
-                        time=departures[jid])
-        for jid in trace.arrivals:
-            impact = trace.impacts[jid]
-            writer.emit("impact", machine=trace.machine, job=jid,
-                        total=totals.pop(jid, None) or _ratio(impact.total, double),
-                        plus=_ratio(impact.plus, double),
-                        minus=_ratio(impact.minus, double),
-                        self_term=_ratio(impact.self_term, double),
-                        density_class=impact.density_class,
-                        in_plus=impact.in_plus, in_minus=impact.in_minus)
-        for jid in trace.arrivals:
-            decision = trace.decisions[jid]
-            writer.emit("decision", machine=trace.machine, job=jid,
-                        reject=decision.reject, reason=decision.reason,
-                        plus_ordinal=decision.plus_ordinal,
-                        minus_ordinal=decision.minus_ordinal)
-    for field in fields(metrics):    # one line per metric, in field order
-        writer.emit("metric", name=field.name, value=getattr(metrics, field.name))
-    writer.flush()
+    with _Writer(args.out) as writer:
+        write = writer.write
+        # instances carry no speed; the fixed field keeps the record's bytes
+        write(f"header m={instance.machines} epsilon={instance.epsilon} speedup=0\n")
+        if isinstance(result, MultiTrace):
+            lines = []
+            for d in result.decisions:
+                totals[d.job] = score = _ratio(d.score, double)
+                lines.append(f"dispatch job={d.job} machine={d.machine} score={score}\n")
+            write("".join(lines))
+        for trace in each_trace(result):
+            m, arrivals = trace.machine, trace.arrivals
+            write(f"machine index={m} arrivals={','.join(map(str, arrivals)) or '-'}\n")
+            for chunk in _slot_chunks(trace):
+                write(chunk)
+            write("".join([f"event machine={m} t={e.time} job={e.job} kind={e.kind}\n"
+                           for e in trace.events]))
+            departures = trace.departure
+            write("".join([f"departure machine={m} job={j} time={departures[j]}\n"
+                           for j in arrivals]))
+            lines = []
+            for j in arrivals:
+                i = trace.impacts[j]
+                total = totals.pop(j, None) or _ratio(i.total, double)
+                lines.append(
+                    f"impact machine={m} job={j} total={total} "
+                    f"plus={_ratio(i.plus, double)} minus={_ratio(i.minus, double)} "
+                    f"self_term={_ratio(i.self_term, double)} "
+                    f"density_class={i.density_class} "
+                    f"in_plus={i.in_plus:d} in_minus={i.in_minus:d}\n")
+            write("".join(lines))
+            # decisions are kept in arrival order
+            write("".join([f"decision machine={m} job={j} reject={d.reject:d} "
+                           f"reason={d.reason} plus_ordinal={_fmt(d.plus_ordinal)} "
+                           f"minus_ordinal={_fmt(d.minus_ordinal)}\n"
+                           for j, d in trace.decisions.items()]))
+        # one line per metric, in field order
+        write("".join([f"metric name={f.name} value={getattr(metrics, f.name)}\n"
+                       for f in fields(metrics)]))
     return 0
 
 
@@ -188,70 +231,71 @@ def cmd_baseline(args) -> int:
         else default_horizon(instance.jobs)
     opt = transport_opt(instance.jobs, horizon=horizon)
     hdf = lp_cost(preemptive_hdf(instance.jobs))
-    writer = _Writer(args.out)
-    # schedules run at unit speed; the fixed field keeps the record's bytes
-    writer.emit("baseline", speed=1, horizon=horizon, transport_opt=opt, hdf_cost=hdf)
-    writer.flush()
+    with _Writer(args.out) as writer:
+        # schedules run at unit speed; the fixed field keeps the record's bytes
+        writer.emit("baseline", speed=1, horizon=horizon, transport_opt=opt, hdf_cost=hdf)
     return 0
 
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args)
     result = _run_instance(instance)
-    writer = _Writer(args.out)
-    all_feasible = True
-    for trace in each_trace(result):
-        cert = verify_duals(trace, instance)
-        all_feasible &= cert.feasible
-        double = 2 * cert.scale
-        # schedules run at unit speed; the fixed field keeps the record's bytes
-        writer.emit("certificate", machine=trace.machine, feasible=cert.feasible,
-                    objective=_ratio(cert.objective, double), speedup=0,
-                    alpha_total=_ratio(cert.alpha_total, double),
-                    beta_total=_ratio(cert.beta_total, double),
-                    violations=len(cert.violations))
-        for jid, t in cert.violations:
-            writer.emit("violation", machine=trace.machine, job=jid, t=t)
-    writer.flush()
-    return 0 if all_feasible else VIOLATION
+    certificates = [verify_duals(trace, instance) for trace in each_trace(result)]
+    with _Writer(args.out) as writer:
+        for cert in certificates:
+            double = 2 * cert.scale
+            # schedules run at unit speed; the fixed field keeps the record's bytes
+            writer.emit("certificate", machine=cert.machine, feasible=cert.feasible,
+                        objective=_ratio(cert.objective, double), speedup=0,
+                        alpha_total=_ratio(cert.alpha_total, double),
+                        beta_total=_ratio(cert.beta_total, double),
+                        violations=len(cert.violations))
+            for jid, t in cert.violations:
+                writer.emit("violation", machine=cert.machine, job=jid, t=t)
+    return 0 if all(cert.feasible for cert in certificates) else VIOLATION
 
 
 def cmd_audit(args) -> int:
     instance = _load_instance(args)
     result = _run_instance(instance)
     audit = audit_rejections(result, instance)
-    writer = _Writer(args.out)
-    for check in audit.checks:
-        writer.emit("budget", name=check.name, value=_ratio(check.value, audit.denominator),
-                    bound=_ratio(check.bound, audit.denominator), ok=check.ok)
-    writer.emit("fraction", name="delayed", value=audit.delayed_fraction)
-    writer.emit("fraction", name="immediate", value=audit.immediate_fraction)
-    for trace in each_trace(result):
-        for bucket in trace.table_report:
-            writer.emit("bucket", machine=trace.machine, table=bucket.table,
-                        key=",".join(map(str, bucket.key)), count=bucket.count,
-                        rejected=",".join(map(str, bucket.rejected_ordinals)) or "-",
-                        weight_assigned=_ratio(bucket.weight_assigned, instance.scale),
-                        weight_rejected=_ratio(bucket.weight_rejected, instance.scale))
-    writer.flush()
+    with _Writer(args.out) as writer:
+        for check in audit.checks:
+            writer.emit("budget", name=check.name,
+                        value=_ratio(check.value, audit.denominator),
+                        bound=_ratio(check.bound, audit.denominator), ok=check.ok)
+        writer.emit("fraction", name="delayed", value=audit.delayed_fraction)
+        writer.emit("fraction", name="immediate", value=audit.immediate_fraction)
+        for trace in each_trace(result):
+            for bucket in trace.table_report:
+                writer.emit("bucket", machine=trace.machine, table=bucket.table,
+                            key=",".join(map(str, bucket.key)), count=bucket.count,
+                            rejected=",".join(map(str, bucket.rejected_ordinals)) or "-",
+                            weight_assigned=_ratio(bucket.weight_assigned, instance.scale),
+                            weight_rejected=_ratio(bucket.weight_rejected, instance.scale))
     return 0 if audit.ok else VIOLATION
 
 
 def _read_records(path: str, name: str) -> list[dict[str, str]]:
-    """The pairs of each ``name`` record; a line without ``name`` (most are
-    ``simulate``'s slot lines) is never split."""
+    """The pairs of each ``name`` record, read one line at a time; a line
+    without ``name`` (most are ``simulate``'s slot lines) is never split."""
     records = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        if name not in line:
-            continue
-        head, *pairs = line.split()
-        if head != name:
-            continue
-        record = {"_record": head}
-        for pair in pairs:
-            key, _, value = pair.partition("=")
-            record[key] = value
-        records.append(record)
+    with open(path, encoding="ascii") as file:
+        for line in file:
+            if name not in line:
+                continue
+            # str.splitlines also breaks at \v, \f and \x1c-\x1e, which end no file line
+            for text in line.splitlines():
+                if name not in text:
+                    continue
+                head, *pairs = text.split()
+                if head != name:
+                    continue
+                record = {"_record": head}
+                for pair in pairs:
+                    key, _, value = pair.partition("=")
+                    record[key] = value
+                records.append(record)
     return records
 
 
@@ -276,22 +320,24 @@ def cmd_report(args) -> int:
     if opt is None:
         raise BadParameters(f"no baseline record in {args.baseline}")
     total = metrics["total_weight"]
-    writer = _Writer(args.out)
-    writer.emit(
-        "report",
-        weighted_flow=metrics["weighted_flow"],
-        transport_opt=opt,
-        ratio=metrics["weighted_flow"] / opt if opt else None,
-        departure_objective=metrics["departure_objective"],
-        delayed_fraction=metrics["rejected_weight_delayed"] / total if total else None,
-        immediate_fraction=metrics["rejected_weight_immediate"] / total if total else None,
-    )
+    budgets = []
     if args.audit:
         for record in _read_records(args.audit, "budget"):
             if not {"name", "ok"} <= record.keys():
                 raise BadParameters(f"budget record in {args.audit} lacks name= or ok=")
+            budgets.append(record)
+    with _Writer(args.out) as writer:
+        writer.emit(
+            "report",
+            weighted_flow=metrics["weighted_flow"],
+            transport_opt=opt,
+            ratio=metrics["weighted_flow"] / opt if opt else None,
+            departure_objective=metrics["departure_objective"],
+            delayed_fraction=metrics["rejected_weight_delayed"] / total if total else None,
+            immediate_fraction=metrics["rejected_weight_immediate"] / total if total else None,
+        )
+        for record in budgets:
             writer.emit("report_budget", name=record["name"], ok=record["ok"])
-    writer.flush()
     return 0
 
 

@@ -88,9 +88,6 @@ class Job:
     weight: Rational
     sizes: tuple[int | None, ...]
 
-    def runnable_on(self, machine: int) -> bool:
-        return 0 <= machine < len(self.sizes) and self.sizes[machine] is not None
-
     def size_on(self, machine: int) -> int:
         size = self.sizes[machine] if 0 <= machine < len(self.sizes) else None
         if size is None:

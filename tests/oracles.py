@@ -39,8 +39,14 @@ machine in full with the ``arrival_impact`` above.
 Views of engine state that only the tests read: ``slots`` expands a
 trace's runs into unit :class:`Slot` records, ``plan_slots`` lists each
 job's plan slots for the per-slot references, ``completion_plan`` maps
-each job to its plan completion time, and ``residual_weight`` prices an
-active job's remaining work.
+each job to its plan completion time, ``residual_weight`` prices an
+active job's remaining work, and ``runnable_on`` tells whether a job has
+a size on a machine.
+
+``simulate_text`` is ``simulate``'s output built the buffered way: every
+line in one list (:class:`RecordBuffer`), each record but the slot lines
+formatted by the generic ``emit``, the whole text joined at the end. The
+command's streaming writer must give the same bytes.
 
 The offline references: ``preemptive_hdf`` rescans every job in every
 slot; ``busy_period_end`` walks one job's denser set in release order, the
@@ -55,7 +61,7 @@ transport optimum on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import permutations
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -64,6 +70,7 @@ import networkx as nx
 
 from flowsched.analysis import BudgetCheck, IncompleteTrace, Metrics, RejectionAudit
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
+from flowsched.cli import _ratio
 from flowsched.core import (HALF, Instance, Job, NonPositiveArgument, ONE, Rational,
                             ResidualJob, ZERO)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
@@ -88,11 +95,16 @@ def floor_log(x: Rational) -> int:
     return i
 
 
+def runnable_on(job: Job, machine: int) -> bool:
+    """Whether ``job`` has a size on ``machine``."""
+    return 0 <= machine < len(job.sizes) and job.sizes[machine] is not None
+
+
 def density_scale(jobs: Iterable[Job]) -> int:
     """The lcm of the denominators of every job's density, as a Fraction,
     on every machine that can run it."""
     return lcm(*(job.density(m).denominator for job in jobs
-                 for m in range(len(job.sizes)) if job.runnable_on(m)))
+                 for m in range(len(job.sizes)) if runnable_on(job, m)))
 
 
 def whole(value: Rational) -> int:
@@ -389,6 +401,80 @@ def plan_slots(trace: ScheduleTrace) -> dict[int, list[int]]:
     return out
 
 
+# -- the buffered simulate formatter ---------------------------------------------
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+class RecordBuffer:
+    """Holds every record line in a list until :meth:`text` joins them."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def emit(self, record: str, **fields) -> None:
+        parts = [record] + [f"{k}={_fmt(v)}" for k, v in fields.items()]
+        self.lines.append(" ".join(parts))
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+
+def simulate_text(instance: Instance, result: ScheduleTrace | MultiTrace,
+                  metrics: Metrics) -> str:
+    """``simulate``'s output for a run and its metrics, every record but the
+    slot lines formatted through the generic ``emit``."""
+    writer = RecordBuffer()
+    # instances carry no speed; the fixed field keeps the record's bytes
+    writer.emit("header", m=instance.machines, epsilon=instance.epsilon, speedup=0)
+    double = 2 * instance.scale    # the impacts' denominator
+    totals: dict[int, str] = {}    # a score's text, reused as its impact's total
+    if isinstance(result, MultiTrace):
+        for decision in result.decisions:
+            totals[decision.job] = score = _ratio(decision.score, double)
+            writer.emit("dispatch", job=decision.job, machine=decision.machine, score=score)
+    for trace in each_trace(result):
+        writer.emit("machine", index=trace.machine,
+                    arrivals=",".join(map(str, trace.arrivals)) or "-")
+        # one line per unit slot, formatted straight from the runs
+        head = f"slot machine={trace.machine} t="
+        for seg in trace.runs:
+            tail = (f" plan={seg.plan} real=- idled=1" if seg.real is None
+                    else f" plan={seg.plan} real={seg.real} idled=0")
+            writer.lines.extend(f"{head}{t}{tail}" for t in range(seg.start, seg.end))
+        for event in trace.events:
+            writer.emit("event", machine=trace.machine, t=event.time,
+                        job=event.job, kind=event.kind)
+        departures = trace.departure
+        for jid in trace.arrivals:
+            writer.emit("departure", machine=trace.machine, job=jid,
+                        time=departures[jid])
+        for jid in trace.arrivals:
+            impact = trace.impacts[jid]
+            writer.emit("impact", machine=trace.machine, job=jid,
+                        total=totals.pop(jid, None) or _ratio(impact.total, double),
+                        plus=_ratio(impact.plus, double),
+                        minus=_ratio(impact.minus, double),
+                        self_term=_ratio(impact.self_term, double),
+                        density_class=impact.density_class,
+                        in_plus=impact.in_plus, in_minus=impact.in_minus)
+        for jid in trace.arrivals:
+            decision = trace.decisions[jid]
+            writer.emit("decision", machine=trace.machine, job=jid,
+                        reject=decision.reject, reason=decision.reason,
+                        plus_ordinal=decision.plus_ordinal,
+                        minus_ordinal=decision.minus_ordinal)
+    for field in fields(metrics):    # one line per metric, in field order
+        writer.emit("metric", name=field.name, value=getattr(metrics, field.name))
+    return writer.text()
+
+
 # -- the per-slot engine ---------------------------------------------------------
 
 
@@ -567,7 +653,7 @@ def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
     is recorded over twice the machines' shared density scale."""
     best: tuple[Rational, int] | None = None
     for index, sched in enumerate(machines):
-        if not job.runnable_on(index):
+        if not runnable_on(job, index):
             continue
         score = arrival_impact(job, sched.active.values(), sched.epsilon, index).total
         if best is None or score < best[0]:

@@ -9,6 +9,7 @@ re-record them with ``PYTHONPATH=src python tests/test_cli.py``.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -17,19 +18,23 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (DispatchDecision, WorkloadModel, generate, parse_trace, preemptive_hdf,
-                       serialize_trace)
+from flowsched import (DispatchDecision, WorkloadModel, compute_metrics, generate, parse_trace,
+                       preemptive_hdf, run, run_multi, serialize_trace)
 import flowsched
 from flowsched import cli
 from flowsched.cli import main
 from flowsched.scheduler import ArrivalInPast
+
+import oracles
+from conftest import rational_instances, rejecting, seeded_instance
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -126,6 +131,106 @@ def test_cli_outputs_match_recorded_digests(suite, tmp_path):
     actual = golden_digests(suite, tmp_path)
     assert sorted(actual) == sorted(recorded)
     assert [key for key in recorded if actual[key] != recorded[key]] == []
+
+
+# -- the streaming writer ----------------------------------------------------
+
+
+def simulate_outputs(trace: Path, out: Path) -> tuple[str, str, str]:
+    """``simulate``'s ``--out`` text and its stdout on one trace file, and
+    the buffered oracle formatter's text for the same run."""
+    assert main(["simulate", "--trace", str(trace), "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["simulate", "--trace", str(trace)]) == 0
+    instance = parse_trace(trace)
+    result = run(instance) if instance.machines == 1 else run_multi(instance)
+    expected = oracles.simulate_text(instance, result, compute_metrics(result, instance))
+    return out.read_text(encoding="ascii"), stdout.getvalue(), expected
+
+
+@pytest.mark.parametrize("chunk", [cli._SLOT_CHUNK, 3])
+def test_simulate_streams_the_buffered_formatters_bytes(monkeypatch, tmp_path, chunk):
+    # the seeded instances mark, promote and idle; every third one also
+    # rejects some jobs on arrival, which the tables alone rarely do; a
+    # chunk of 3 slot lines splits runs and joins several in one write
+    monkeypatch.setattr(cli, "_SLOT_CHUNK", chunk)
+    seen = set()
+    for seed in range(24):
+        machines = 4 if seed % 2 else 1
+        instance = seeded_instance(seed, machines)
+        trace = tmp_path / f"{seed}.txt"
+        serialize_trace(instance, trace)
+        forced = {job.id for job in instance.jobs[::3]} if seed % 3 == 0 else set()
+        with rejecting(forced):
+            text, stdout, expected = simulate_outputs(trace, tmp_path / f"{seed}.out")
+        assert text == stdout == expected
+        seen |= {feature for feature, mark in (
+            ("idled", " real=- "), ("no ordinal", "_ordinal=-"), ("promoted", "kind=promoted"),
+            ("immediate", "kind=immediate_reject"), ("dispatch", "\ndispatch "))
+            if mark in text}
+    assert seen == {"idled", "no ordinal", "promoted", "immediate", "dispatch"}
+
+
+@settings(max_examples=40)
+@given(rational_instances())
+def test_simulate_matches_the_buffered_formatter(tmp_path_factory, case):
+    instance, forced = case
+    workdir = tmp_path_factory.mktemp("stream")
+    trace = workdir / "trace.txt"
+    serialize_trace(instance, trace)
+    with rejecting(forced):
+        text, stdout, expected = simulate_outputs(trace, workdir / "out.txt")
+    assert text == stdout == expected
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # one job of 200,000 units: one run, 200,000 slot lines; buffering them
+    # peaked at 38.5 MB under tracemalloc, streaming them at about 0.6 MB
+    trace, out = tmp_path / "one.txt", tmp_path / "one.out"
+    trace.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 200000\n", encoding="ascii")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--trace", str(trace), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    with out.open(encoding="ascii") as lines:
+        assert sum(line.startswith("slot ") for line in lines) == 200_000
+
+
+@pytest.mark.parametrize("symlink", [False, True], ids=["file", "symlink"])
+def test_failure_while_writing_leaves_no_file(capsys, monkeypatch, trace_file, tmp_path,
+                                              symlink):
+    # the file exists once writing starts; a write that fails removes it, but
+    # only a regular file: never a symlink, nor the device behind it
+    def broken(trace):
+        yield "slot machine=0 t=0 plan=0 real=0 idled=0\n"
+        raise RuntimeError("formatting failed")
+    monkeypatch.setattr(cli, "_slot_chunks", broken)
+    out = tmp_path / "sim.txt"
+    if symlink:
+        out.symlink_to(os.devnull)
+    rc, err = run_cli(capsys, ["simulate", "--trace", trace_file, "--out", out])
+    assert rc == cli.VIOLATION and "RuntimeError: formatting failed" in err
+    assert (out.is_symlink() and Path(os.devnull).exists()) if symlink else not out.exists()
+
+
+def test_failure_while_closing_leaves_no_file(capsys, monkeypatch, trace_file, tmp_path):
+    # the last buffered flush happens in close; a close that fails removes the file
+    def failing_open(*args, **kwargs):
+        file = open(*args, **kwargs)
+        def close():
+            type(file).close(file)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        file.close = close
+        return file
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "sim.txt"
+    rc, err = run_cli(capsys, ["simulate", "--trace", trace_file, "--out", out])
+    assert rc == cli.USAGE_ERROR and "No space left on device" in err
+    assert not out.exists()
 
 
 def test_verify_record_on_the_long_horizon_pileup(tmp_path):
@@ -315,11 +420,12 @@ def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
     "m=1 epsilon=1/2 speedup=0 seed=-\n-1 0 1 2\n",     # negative id: validation
 ])
 def test_bad_trace_files_exit_2(capsys, tmp_path, text):
-    path = tmp_path / "bad.txt"
+    path, out = tmp_path / "bad.txt", tmp_path / "sim.txt"
     path.write_text(text, encoding="ascii")
-    rc, err = run_cli(capsys, ["simulate", "--trace", path])
+    rc, err = run_cli(capsys, ["simulate", "--trace", path, "--out", out])
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -362,10 +468,12 @@ def test_engine_error_exits_1_and_names_it(capsys, monkeypatch, trace_file):
     def broken(instance):
         raise ArrivalInPast("job 1 released at 0, clock is 3")
     monkeypatch.setattr(cli, "run", broken)
-    rc, err = run_cli(capsys, ["simulate", "--trace", trace_file])
+    out = trace_file.with_name("sim.txt")
+    rc, err = run_cli(capsys, ["simulate", "--trace", trace_file, "--out", out])
     assert rc == cli.VIOLATION
     assert "ArrivalInPast: job 1 released at 0, clock is 3" in err
     assert not err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
@@ -380,10 +488,12 @@ def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
     def misroute(job, machines):
         return DispatchDecision(job.id, 1, 0) if job.id == 1 else route(job, machines)
     monkeypatch.setattr(module, "dispatch", misroute)
-    rc, err = run_cli(capsys, ["simulate", "--trace", path])
+    out = tmp_path / "sim.txt"
+    rc, err = run_cli(capsys, ["simulate", "--trace", path, "--out", out])
     assert rc == cli.VIOLATION
     assert "JobNotRunnableOnMachine: job 1 has no size on machine 1" in err
     assert not err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_scale_that_misses_a_density_exits_1(capsys, monkeypatch, tmp_path):
@@ -427,19 +537,20 @@ def test_report_rejects_malformed_record_files(capsys, tmp_path, trace_file):
 
 
 # blank and indented lines, records whose names start with a joined one,
-# and lines that hold a joined record's name elsewhere than first
+# lines that hold a joined record's name elsewhere than first, and records
+# after a line break that ends no file line (\x1e, \f)
 REPORT_SIM = ("header m=1 epsilon=1/2 speedup=0\n\n"
               "slot machine=0 t=0 plan=0 real=0 idled=0\n"
               "   metric name=weighted_flow value=9/2\n"
               "event machine=0 t=1 job=0 kind=metric\n"
               "metrics name=weighted_flow value=100\n"
-              "metric name=departure_objective value=11/2\n"
+              "note\x1emetric name=departure_objective value=11/2\n"
               "\tmetric name=rejected_weight_delayed value=1\n"
               "  \n"
               "metric name=rejected_weight_immediate value=0 note=metric\n"
               "metric name=total_weight value=4\n"
               "notes: a metric line\n")
-REPORT_BASELINE = ("\n  baseline speed=1 horizon=9 transport_opt=3 hdf_cost=3\n"
+REPORT_BASELINE = ("\nnote\x0c  baseline speed=1 horizon=9 transport_opt=3 hdf_cost=3\n"
                    "baselines transport_opt=1\n"
                    "note baseline transport_opt=2\n")
 REPORT_AUDIT = ("fraction name=delayed value=1/4\n"

@@ -67,7 +67,7 @@ def test_sizes_must_match_machine_count():
 def test_missing_size_allowed_only_with_an_alternative():
     inst = validate_instance(
         Instance((Job(0, 0, Fraction(1), (None, 3)),), machines=2))
-    assert not inst.jobs[0].runnable_on(0)
+    assert not oracles.runnable_on(inst.jobs[0], 0)
     assert inst.jobs[0].size_on(1) == 3
     with pytest.raises(JobNotRunnableOnMachine):
         inst.jobs[0].size_on(0)
