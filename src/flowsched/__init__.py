@@ -9,7 +9,7 @@ from .analysis import (DualCertificate, Metrics, RejectionAudit, audit_rejection
 from .baselines import (FractionalSchedule, HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
 from .core import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
-                   Rational, ResidualJob, density_scale, scaled_density, validate_instance)
+                   Rational, ResidualJob, density_scale, validate_instance)
 from .dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, dispatch, run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       format_trace, generate, parse_trace, parse_trace_text,
@@ -30,6 +30,6 @@ __all__ = [
     "audit_rejections", "beta_series", "bucket_keys", "compute_metrics",
     "default_horizon", "density_scale", "dispatch", "format_trace",
     "fractional_flow_plan", "generate", "lp_cost", "parse_trace",
-    "parse_trace_text", "preemptive_hdf", "run", "run_multi", "scaled_density",
+    "parse_trace_text", "preemptive_hdf", "run", "run_multi",
     "serialize_trace", "transport_opt", "validate_instance", "verify_duals",
 ]

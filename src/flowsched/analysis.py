@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Instance, Rational, ZERO, scaled_density, scaled_weight
+from .core import Instance, Rational, ZERO
 from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
@@ -67,14 +67,14 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     integer sum over its runs, as an integer numerator over the instance's
     density scale. Only the total becomes a Fraction.
     """
-    by_id, scale = instance.by_id, instance.scale
+    by_id, table, machine = instance.by_id, instance.table, trace.machine
     doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
     for run in trace.runs:
         release = by_id[run.plan].release
         doubled[run.plan] = doubled.get(run.plan, 0) \
             + (run.end - run.start) * (run.start + run.end - 2 * release)
-    return Rational(sum(scaled_density(by_id[jid], trace.machine, scale) * total
-                        for jid, total in doubled.items()), 2 * scale)
+    return Rational(sum(table[jid][2][machine][0] * total    # rho * scale, from a row's cells
+                        for jid, total in doubled.items()), 2 * instance.scale)
 
 
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
@@ -82,7 +82,7 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
     over the instance's density scale; only the totals become Fractions."""
     scale = instance.scale
     release = {j.id: j.release for j in instance.jobs}
-    weight = {j.id: scaled_weight(j, scale) for j in instance.jobs}
+    weight = {jid: row[0] for jid, row in instance.table.items()}    # w * scale
     delivered: set[int] = set()
     weighted_flow = departure_objective = rejected_immediate = rejected_delayed = 0
     fractional = ZERO
@@ -122,13 +122,13 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
     job and two per run: summing that twice builds it. A job's residual
     weight reaches exactly zero at its plan completion.
     """
-    by_id, scale = instance.by_id, instance.scale
-    rho = {jid: scaled_density(by_id[jid], trace.machine, scale) for jid in trace.kept}
+    by_id, table, machine = instance.by_id, instance.table, trace.machine
+    rho = {jid: table[jid][2][machine][0] for jid in trace.kept}    # rho * scale
     horizon = trace.horizon()
     bends = [0] * (horizon + 2)    # second difference of beta, one spare entry
     for jid in trace.kept:
         release = by_id[jid].release
-        weight = scaled_weight(by_id[jid], scale)
+        weight = table[jid][0]
         bends[release] += weight
         bends[release + 1] -= weight
     for run in trace.runs:
@@ -136,7 +136,7 @@ def beta_series(trace: ScheduleTrace, instance: Instance) -> tuple[int, list[int
         bends[run.end + 1] += rho[run.plan]
     numerators = list(accumulate(accumulate(bends)))
     numerators.pop()
-    return scale, numerators
+    return instance.scale, numerators
 
 
 # -- rejection budgets ---------------------------------------------------------
@@ -174,8 +174,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     (d) weight of first-in-bucket plus jobs <= 8 eps * W;
     (e) total rejected weight <= 15 eps * W.
     """
-    scale = instance.scale
-    weight = {job.id: scaled_weight(job, scale) for job in instance.jobs}
+    weight = {jid: row[0] for jid, row in instance.table.items()}    # w * scale
     total_weight = sum(weight.values())
 
     delayed = immediate = 0
@@ -209,7 +208,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     )
     shares = ((Rational(delayed, total_weight), Rational(immediate, total_weight))
               if total_weight else (ZERO, ZERO))
-    return RejectionAudit(checks, *shares, ed * scale)
+    return RejectionAudit(checks, *shares, ed * instance.scale)
 
 
 # -- dual certificate ----------------------------------------------------------
@@ -246,7 +245,7 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
     to list its violating times, in arrival order, then by t. Infeasibility
     is reported, not raised.
     """
-    by_id = instance.by_id
+    by_id, table = instance.by_id, instance.table
     scale, betas = beta_series(trace, instance)
     horizon = len(betas) - 1
     alphas = {jid: trace.impacts[jid].total for jid in trace.arrivals}
@@ -269,8 +268,8 @@ def verify_duals(trace: ScheduleTrace, instance: Instance) -> DualCertificate:
             hull_beta.append(beta)
             t -= 1
         size = job.size_on(trace.machine)
-        weight = scaled_weight(job, scale)
-        rho = weight // size    # exact: scale spans this job's density denominator
+        weight, _, cells = table[job.id]
+        rho = cells[trace.machine][0]
         # the ceiling of (alpha_j / p_j - w_j / 2 + rho_j r_j) * scale, where
         # alpha_j * scale is alphas[j] / 2
         least = rho * job.release - (weight * size - alphas[job.id]) // (2 * size)

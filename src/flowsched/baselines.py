@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import groupby
 
-from .core import HALF, Job, ONE, Rational, ZERO, density_scale, scaled_density
+from .core import HALF, Job, ONE, Rational, ZERO, density_scale
 
 
 class HorizonTooShort(ValueError):
@@ -170,7 +170,8 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
         horizon = default_horizon(jobs)
 
     scale = 2 * density_scale(jobs)
-    slopes = [scaled_density(j, 0, scale) for j in jobs]    # rho_j * scale
+    slopes = [j.weight.numerator * scale // (j.weight.denominator * j.size_on(0))
+              for j in jobs]    # rho_j * scale, exact: the scale spans every density
 
     graph = nx.DiGraph()
     total_units = 0
@@ -185,8 +186,8 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
             raise HorizonTooShort(
                 f"horizon {horizon} leaves no slot for job {job.id}")
         # the arc cost (rho (t - r) + w/2) * scale is integral at every t
-        # when its slope and intercept are; scaled_density made the slope
-        # an int, so check the intercept once per job
+        # when its slope and intercept are; the slope is an int, so check
+        # the intercept once per job
         cost = job.weight * HALF * scale
         if cost.denominator != 1:
             raise NonIntegralCost(f"scaled cost {cost} for job {job.id}")

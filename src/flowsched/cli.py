@@ -132,6 +132,8 @@ def _run_instance(instance):
 
 
 def cmd_gen(args) -> int:
+    if any(map(str.isspace, args.out)):    # it would split the record's out= field
+        raise BadParameters(f"--out path {args.out!r} contains whitespace")
     model = WorkloadModel(
         kind=args.model, n=args.n, seed=args.seed, L=args.L, scale=args.scale,
         rate=args.rate, shape=args.shape, max_release=args.max_release,

@@ -6,9 +6,9 @@ zero tolerance. ``Rational`` is ``fractions.Fraction``: stored in lowest
 terms with a positive denominator, and compared exactly via
 cross-multiplication. No floating point enters any persisted quantity.
 
-Only this module turns a weight or a density into an integer over the
-instance's one :func:`density_scale`: :func:`scaled_weight`,
-:func:`scaled_density` and the :class:`ResidualJob` that holds both.
+Only :attr:`Instance.table` turns weights and densities into integers
+over the instance's one :func:`density_scale`, in one pass on first use;
+every reader looks them up there, and a :class:`ResidualJob` is a row's.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class Instance:
       * job ids are unique, jobs are sorted stably by release time;
       * every job is runnable somewhere, all sizes are >= 1, weights > 0.
 
-    ``scale`` and ``by_id`` are cached on first use. They derive from the
-    frozen fields, so they are neither constructor arguments nor compared.
+    The cached ``scale``, ``table`` and ``by_id`` derive from the frozen
+    fields, so they are neither constructor arguments nor compared.
     """
 
     jobs: tuple[Job, ...]
@@ -123,6 +123,36 @@ class Instance:
     def scale(self) -> int:
         """The :func:`density_scale` of the jobs, shared by every machine."""
         return density_scale(self.jobs)
+
+    @cached_property
+    def table(self) -> dict[int, tuple[int, int, tuple[tuple[int, int] | None, ...]]]:
+        """Each job's row by id, ``(w * scale, weight class, cells)``, where
+        ``cells[i]`` is ``(rho * scale, density class)`` for ``rho = w / p_i``,
+        or None where machine ``i`` cannot run the job. Jobs repeat weights
+        and sizes, so each distinct weight and (weight, size) is converted
+        once. Classes are :func:`floor_log_ratio`'s."""
+        scale, table = self.scale, {}
+        converted: dict[tuple[int, int], list] = {}    # (wn, wd) -> [weight pair, cells by size]
+        for job in self.jobs:
+            wn, wd = ratio = job.weight.as_integer_ratio()
+            known = converted.get(ratio) or converted.setdefault(ratio, [None, {}])
+            by_size = known[1]
+            cells = []
+            for size in job.sizes:
+                cell = by_size.get(size)
+                if cell is None and size is not None:
+                    rho, rest = divmod(wn * scale, wd * size)
+                    if rest:
+                        raise DensityNotSpanned(
+                            f"scale {scale} does not span the density of job {job.id} "
+                            f"on machine {job.sizes.index(size)}")
+                    cell = by_size[size] = (rho, floor_log_ratio(rho, scale))
+                cells.append(cell)
+            if known[0] is None:
+                weight = wn * (scale // wd)    # exact: a scale spanning a density spans w
+                known[0] = (weight, floor_log_ratio(weight, scale))
+            table[job.id] = (*known[0], tuple(cells))
+        return table
 
     @cached_property
     def by_id(self) -> dict[int, Job]:
@@ -140,46 +170,19 @@ def density_scale(jobs) -> int:
                  for size in job.sizes if size is not None})
 
 
-def scaled_density(job: Job, machine: int, scale: int) -> int:
-    """``w / p * scale`` for the job on ``machine``, exactly; raises
-    :class:`DensityNotSpanned` if that is not an integer."""
-    wn, wd = job.weight.as_integer_ratio()
-    rho, rest = divmod(wn * scale, wd * job.size_on(machine))
-    if rest:
-        raise DensityNotSpanned(
-            f"scale {scale} does not span the density of job {job.id} on machine {machine}")
-    return rho
-
-
-def scaled_weight(job: Job, scale: int) -> int:
-    """``w * scale`` for a ``scale`` that spans the job's weight, as every
-    :func:`density_scale` of the job does."""
-    weight = job.weight
-    return weight.numerator * (scale // weight.denominator)
-
-
 class ResidualJob:
-    """A job on one machine, as integers over the run's ``scale`` (see
-    :func:`density_scale`), with its remaining processing time.
+    """A job on one machine, filled from its row of :attr:`Instance.table`.
+    Dispatch and the engine fill one per (arrival, machine); that same object
+    is scored, admitted, activated and has its ``remaining`` decremented."""
 
-    ``weight`` is ``w * scale``, ``rho`` the density ``w/p`` times
-    ``scale`` and ``density_class`` the power-of-two class of ``w/p``.
-    This is the only place an arrival is converted to integers: dispatch
-    and the engine build one per (arrival, machine) before scoring it, and
-    the same object is scored, offered to the rejection tables and, if
-    kept, activated. ``remaining`` starts at the job's size and is
-    decremented in place by the engine.
-    """
+    __slots__ = ("job", "remaining", "machine", "weight", "weight_class", "rho", "density_class")
 
-    __slots__ = ("job", "remaining", "machine", "weight", "rho", "density_class")
-
-    def __init__(self, job: Job, remaining: int, machine: int, scale: int):
+    def __init__(self, job: Job, remaining: int, machine: int, row: tuple):
         self.job = job
         self.remaining = remaining
         self.machine = machine
-        self.weight = scaled_weight(job, scale)
-        self.rho = scaled_density(job, machine, scale)
-        self.density_class = floor_log_ratio(self.rho, scale)
+        self.weight, self.weight_class, cells = row
+        self.rho, self.density_class = cells[machine]
 
 
 def validate_instance(raw: Instance) -> Instance:

@@ -6,12 +6,10 @@ dispatch rule is greedy minimum impact: send the job where it would
 inflate fractional flow time the least right now (the marginal-increase
 principle), breaking ties toward the smaller machine index. Every machine
 runs over the instance's one density scale, so machines are ranked by the
-exact integer numerators of their totals. For each machine that can run
-the job, ``core`` converts it to integers once, as a
-:class:`~flowsched.core.ResidualJob`, and that view is passed over the
-machine's active set once. The arrival is fully scored from that pass on
-the machine it goes to, which admits or rejects it with this same impact
-and activates this same view. Rejection tables are per machine.
+exact integer numerators of their totals, each from one pass of a
+:class:`~flowsched.core.ResidualJob` filled from the instance's integer
+table; the chosen machine admits or rejects the job with that pass's
+impact and activates that same view. Rejection tables are per machine.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
     for index, (size, sched) in enumerate(zip(job.sizes, machines)):
         if size is None:
             continue
-        arrival = ResidualJob(job, size, index, sched.scale)
+        arrival = ResidualJob(job, size, index, sched.instance.table[job.id])
         denser, same_class, lower_class = sums = impact_sums(arrival, sched.active.values())
         # the impact total (see arrival_impact): every machine shares the
         # scale, so these numerators rank the totals
@@ -83,8 +81,7 @@ def run_multi(instance: Instance) -> MultiTrace:
     With a single machine this reduces to :func:`flowsched.scheduler.run`
     bit for bit; both share :func:`flowsched.scheduler.drive`.
     """
-    machines = [MachineScheduler(instance.epsilon, i, instance.scale)
-                for i in range(instance.machines)]
+    machines = [MachineScheduler(instance, i) for i in range(instance.machines)]
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[MachineScheduler]) -> int:

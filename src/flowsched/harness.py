@@ -25,6 +25,7 @@ Policies are compared through files: ``simulate`` and ``baseline`` write
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -203,6 +204,10 @@ def parse_trace_text(text: str) -> Instance:
     lines = text.splitlines()
     header = None
     jobs: list[Job] = []
+    # generated files repeat weight texts and size fields: parse each once per call
+    weight_of = functools.cache(_parse_rational)
+    sizes_of = functools.cache(lambda text: tuple(
+        None if tok == "-" else _parse_int(tok) for tok in text.split(",")))
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -227,9 +232,8 @@ def parse_trace_text(text: str) -> Instance:
         try:
             jid = _parse_int(fields[0])
             release = _parse_int(fields[1])
-            weight = _parse_rational(fields[2])
-            sizes = tuple(None if tok == "-" else _parse_int(tok)
-                          for tok in fields[3].split(","))
+            weight = weight_of(fields[2])
+            sizes = sizes_of(fields[3])
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
         jobs.append(Job(jid, release, weight, sizes))

@@ -13,21 +13,14 @@ half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
 tables, and the total is reused as a per-job dual variable by the
 analysis module.
 
-The pass is one integer kernel, :func:`impact_sums`. The arrival is a
-:class:`~flowsched.core.ResidualJob`, the job's integer view on one machine
-that ``core`` builds over the instance's one
-:func:`~flowsched.core.density_scale`: ``weight`` is ``w * scale``, ``rho``
-the density times ``scale``, with its ``density_class``, and ``remaining``
-the size. The active jobs are views over the same scale, so the
-``rho_o >= rho`` test compares two ``int``s, and ``S2`` and ``S3`` are
-integer numerators over ``scale``. :func:`arrival_impact` converts nothing;
-it keeps each output an integer numerator over ``2 * scale`` and decides
-the rejection-table thresholds by cross-multiplication, so the values are
-exactly those of ``Fraction`` sums, and only ``simulate`` renders them as
-rationals. Dispatch ranks machines on the same sums (every machine shares
-``scale``) and hands the chosen machine's ``(S1, S2 * scale, S3 * scale)``
-to :func:`arrival_impact` as ``sums``, so each (arrival, machine) pair is
-passed over once.
+The pass is one integer kernel, :func:`impact_sums`, over
+:class:`~flowsched.core.ResidualJob` views filled from the instance's
+integer table (``weight`` is ``w * scale``, ``rho`` the density times
+``scale``), so ``S2`` and ``S3`` are integer numerators over ``scale``.
+:func:`arrival_impact` converts nothing: its outputs are numerators over
+``2 * scale`` and its thresholds cross-multiplied, exactly as ``Fraction``
+sums would give. Dispatch ranks machines on the same sums and hands the
+chosen one's over as ``sums``, so each (arrival, machine) is passed once.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ rejected the job, so replaying an arrival sequence is deterministic.
 Buckets are never garbage-collected within a run.
 
 The arrival is the :class:`~flowsched.core.ResidualJob` that was scored,
-so this module converts nothing. Each class is computed from ``int``s:
-:func:`~flowsched.core.floor_log_ratio` of the integer numerators of
-``plus/weight``, ``weight`` (its ``w * scale``) and ``minus``, and
+so this module converts nothing: the weight class is the arrival's, from
+the instance's integer table, and the others are ``floor_log_ratio`` of
+the integer numerators of ``plus/weight`` and ``minus``, and
 ``size.bit_length() - 1``. Bucket weights are numerators over the run's
 density ``scale``; the report of :meth:`RejectionTables.audit` is built
 only when first read.
@@ -61,7 +61,7 @@ def bucket_keys(impact: ArrivalImpact, arrival: ResidualJob,
     if impact.in_plus:
         # plus / w = (plus / (2 scale)) / (weight / scale)
         plus_key = PlusKey(floor_log_ratio(impact.plus, 2 * arrival.weight),
-                           floor_log_ratio(arrival.weight, scale))
+                           arrival.weight_class)
     if impact.in_minus:
         minus_key = MinusKey(floor_log_ratio(impact.minus, 2 * scale),
                              impact.density_class, arrival.remaining.bit_length() - 1)

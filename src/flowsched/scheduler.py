@@ -27,15 +27,13 @@ whichever comes first, so the engine advances one segment per step and
 stores each segment as one :class:`Run`. Unit slots ``[t, t+1)`` exist only
 in ``simulate``'s slot lines.
 
-The HDF order and the marking test compare ``int``s over one ``scale``,
-fixed for the whole run: the instance's ``scale``, the
-:func:`flowsched.core.density_scale` of all its jobs. The engine converts
-nothing: each arrival is the :class:`~flowsched.core.ResidualJob` that
-``core`` built for this machine (here or in dispatch), and that one object
-is scored, admitted and, if kept, activated. A heap key is
+The engine converts nothing: each arrival is a
+:class:`~flowsched.core.ResidualJob` filled, here or in dispatch, from the
+instance's integer table over its one ``scale``, and that one object is
+scored, admitted and, if kept, activated. A heap key is
 ``(-rho * scale, release, id)``; the marking budget ``run_released`` sums
-the ``weight`` (``w * scale``) of each arrival since the run began, against
-the running job's ``weight * (1/epsilon)``.
+each arrival's ``w * scale`` since the run began, against the running
+job's ``weight * (1/epsilon)``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Instance, Job, Rational, ResidualJob
+from .core import Instance, Job, ResidualJob
 from .impact import ArrivalImpact, arrival_impact
 from .rejection import BucketReport, ImmediateDecision, RejectionTables
 
@@ -143,13 +141,14 @@ class ScheduleTrace:
 
 
 class MachineScheduler:
-    """Mutable engine state for one machine, over a ``scale`` that spans every
-    job's density and never changes. Single-threaded use only."""
+    """Mutable engine state for one machine of ``instance``, whose jobs it is
+    delivered, over the instance's ``scale``. Single-threaded use only."""
 
-    def __init__(self, epsilon: Rational, machine: int, scale: int):
+    def __init__(self, instance: Instance, machine: int):
+        self.instance = instance
         self.machine = machine
-        self.epsilon = epsilon
-        self.scale = scale
+        self.epsilon = epsilon = instance.epsilon
+        self.scale = scale = instance.scale
         self.clock = 0
         # a segment never runs past this time; the driver sets it to the
         # next release, and None runs the chosen job to completion
@@ -173,7 +172,7 @@ class MachineScheduler:
     # -- step 1: arrivals ------------------------------------------------
 
     def on_arrival(self, job: Job) -> str:
-        """Build the job's view on this machine and score it (or take
+        """Fill the job's view on this machine and score it (or take
         dispatch's ``scored`` view and impact of this job), admit or reject,
         and book-keep one arriving job."""
         if job.release != self.clock:
@@ -185,7 +184,8 @@ class MachineScheduler:
         if scored is not None and scored[0].job is job:
             arrival, impact = scored
         else:
-            arrival = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
+            arrival = ResidualJob(job, job.size_on(self.machine), self.machine,
+                                  self.instance.table[job.id])
             impact = arrival_impact(arrival, self.active.values(), self.epsilon)
         decision = self.tables.admit(arrival, impact)
         tr.impacts[job.id] = impact
@@ -283,7 +283,7 @@ class MachineScheduler:
 
 def run(instance: Instance) -> ScheduleTrace:
     """Drive the online engine over a validated instance, which it does not
-    validate again, on machine 0 and the instance's ``scale``.
+    validate again, on machine 0 of the instance.
 
     An arrival that machine 0 cannot run raises
     :class:`~flowsched.core.JobNotRunnableOnMachine` when its view is built.
@@ -291,7 +291,7 @@ def run(instance: Instance) -> ScheduleTrace:
     structural invariants (mirror property, one terminal event per job,
     non-preemptive real schedule).
     """
-    sched = MachineScheduler(instance.epsilon, 0, instance.scale)
+    sched = MachineScheduler(instance, 0)
     return drive(instance.jobs, [sched], lambda job, machines: 0)[0]
 
 

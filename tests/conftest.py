@@ -1,7 +1,9 @@
-"""Shared strategies and the seeded acceptance workload suite."""
+"""Shared strategies, the seeded acceptance workload suite and a per-test
+time limit."""
 
 from __future__ import annotations
 
+import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -13,11 +15,39 @@ from flowsched import (ArrivalImpact, Instance, Job, ResidualJob, WorkloadModel,
                        arrival_impact, density_scale, generate, validate_instance)
 from flowsched.rejection import RejectionTables
 
-from oracles import impact_values
+from oracles import impact_values, residual_job
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("default")
+
+# Longer than any test needs, and than the 120 s a test_cli subprocess may
+# take, so a looping bug fails its test instead of hanging the suite.
+TEST_TIME_LIMIT_S = 300
+
+
+class TestTimeLimitExceeded(BaseException):
+    """Not an Exception, so neither a command's error boundary nor
+    Hypothesis's shrinking catches it: the test fails at once."""
+    __test__ = False
+
+
+def _time_limit_exceeded(signum, frame):
+    raise TestTimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TEST_TIME_LIMIT_S, by SIGALRM; the
+    previous handler and timer are restored after it."""
+    previous = signal.signal(signal.SIGALRM, _time_limit_exceeded)
+    timer = signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_REAL, *timer)
 
 
 def make_instance(jobs, epsilon=Fraction(1, 2), machines=1):
@@ -36,8 +66,8 @@ def impact_of(arrival: Job, entries, epsilon, machine: int = 0
     active set, both over the density scale of the arrival and those jobs,
     as a run on them would pick it."""
     scale = density_scale([arrival, *(j for j, _ in entries)])
-    active = [ResidualJob(j, remaining, machine, scale) for j, remaining in entries]
-    view = ResidualJob(arrival, arrival.size_on(machine), machine, scale)
+    active = [residual_job(j, remaining, machine, scale) for j, remaining in entries]
+    view = residual_job(arrival, arrival.size_on(machine), machine, scale)
     return impact_values(arrival_impact(view, active, epsilon), scale), active
 
 

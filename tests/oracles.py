@@ -36,6 +36,12 @@ the paper's dual-fitting proof; the engine keeps no phi.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
 machine in full with the ``arrival_impact`` above.
 
+The per-call conversion: ``scaled_weight`` and ``scaled_density`` turn
+one job's weight and one of its densities into integers over a given
+scale, ``residual_job`` builds a :class:`ResidualJob` from them and
+``integer_table`` builds an instance's whole table from them, the
+reference for :attr:`Instance.table`.
+
 Views of engine state that only the tests read: ``slots`` expands a
 trace's runs into unit :class:`Slot` records, ``plan_slots`` lists each
 job's plan slots for the per-slot references, ``completion_plan`` maps
@@ -71,8 +77,8 @@ import networkx as nx
 from flowsched.analysis import BudgetCheck, IncompleteTrace, Metrics, RejectionAudit
 from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
 from flowsched.cli import _ratio
-from flowsched.core import (HALF, Instance, Job, NonPositiveArgument, ONE, Rational,
-                            ResidualJob, ZERO)
+from flowsched.core import (HALF, DensityNotSpanned, Instance, Job, NonPositiveArgument,
+                            ONE, Rational, ResidualJob, ZERO)
 from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
 from flowsched.impact import ArrivalImpact, JobInActiveSet
 from flowsched.rejection import BucketReport, MinusKey, PlusKey, RejectionTables
@@ -105,6 +111,42 @@ def density_scale(jobs: Iterable[Job]) -> int:
     on every machine that can run it."""
     return lcm(*(job.density(m).denominator for job in jobs
                  for m in range(len(job.sizes)) if runnable_on(job, m)))
+
+
+def scaled_density(job: Job, machine: int, scale: int) -> int:
+    """``w / p * scale`` for the job on ``machine``, exactly; raises
+    :class:`DensityNotSpanned` if that is not an integer."""
+    rho = job.weight / job.size_on(machine) * scale
+    if rho.denominator != 1:
+        raise DensityNotSpanned(
+            f"scale {scale} does not span the density of job {job.id} on machine {machine}")
+    return rho.numerator
+
+
+def scaled_weight(job: Job, scale: int) -> int:
+    """``w * scale``, for a ``scale`` that spans the job's weight."""
+    return whole(job.weight * scale)
+
+
+def job_row(job: Job, scale: int) -> tuple:
+    """The job's row of integers over ``scale``, as ``Instance.table`` holds
+    it, converted one call at a time."""
+    cells = tuple(None if not runnable_on(job, m) else
+                  (scaled_density(job, m, scale), floor_log(job.weight / job.sizes[m]))
+                  for m in range(len(job.sizes)))
+    return scaled_weight(job, scale), floor_log(job.weight), cells
+
+
+def integer_table(instance: Instance) -> dict[int, tuple]:
+    """The reference for ``instance.table``: every job's row over the
+    Fraction lcm of the densities."""
+    scale = density_scale(instance.jobs)
+    return {job.id: job_row(job, scale) for job in instance.jobs}
+
+
+def residual_job(job: Job, remaining: int, machine: int, scale: int) -> ResidualJob:
+    """The job's view on ``machine`` over ``scale``, converted on the spot."""
+    return ResidualJob(job, remaining, machine, job_row(job, scale))
 
 
 def whole(value: Rational) -> int:
@@ -518,7 +560,7 @@ class SlotScheduler:
 
         impact = impact_numerators(
             arrival_impact(job, self.active.values(), self.epsilon, self.machine), self.scale)
-        arrival = ResidualJob(job, job.size_on(self.machine), self.machine, self.scale)
+        arrival = residual_job(job, job.size_on(self.machine), self.machine, self.scale)
         decision = self.tables.admit(arrival, impact)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision

@@ -449,6 +449,16 @@ def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["a b.txt", "a\tb.txt", "ab.txt\n"])
+def test_gen_refuses_an_out_path_with_whitespace(capsys, tmp_path, name):
+    # gen prints the path as one out= field, which whitespace would split
+    rc = main(["gen", "--model", "uniform", "--n", "2", "--out", str(tmp_path / name)])
+    out, err = capsys.readouterr()
+    assert rc == cli.USAGE_ERROR
+    assert out == "" and err.startswith("error: ") and "whitespace" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["gen", "--model", "uniform"], "--speedup"),
     (["baseline"], "--speed"),

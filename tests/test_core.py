@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import fields
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import flowsched
 from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
-                       ResidualJob, density_scale, scaled_density, validate_instance)
+                       MachineScheduler, ResidualJob, density_scale, format_trace,
+                       parse_trace_text, validate_instance)
 from flowsched.core import (DensityNotSpanned, DuplicateJobId, EpsilonTooLarge,
                             MachineCountMismatch, NonIntegralEpsilonReciprocal,
                             NonPositiveSizeOrWeight)
@@ -91,13 +93,15 @@ def test_scale_and_index_are_cached_not_compared():
     assert inst.by_id == {0: inst.jobs[0], 1: inst.jobs[1]}
     assert inst.by_id is inst.by_id
     assert inst == fresh and "scale" not in vars(fresh)  # the cache is not compared
+    assert inst.table == oracles.integer_table(inst) and inst.table is inst.table
+    assert "table" not in vars(fresh)  # built on first use, not by validation
     assert [f.name for f in fields(Instance)] == ["jobs", "machines", "epsilon"]
 
 
 def test_density_and_residual_weight():
     j = job(0, 0, Fraction(6), 3)
     assert j.density() == 2
-    res = ResidualJob(j, Fraction(2), 0, density_scale([j]))
+    res = ResidualJob(j, Fraction(2), 0, Instance((j,)).table[j.id])
     assert residual_weight(res) == 4  # density stays 2 as remaining shrinks
 
 
@@ -124,24 +128,47 @@ def multi_machine_jobs(draw) -> list[Job]:
 def test_density_scale_is_the_fraction_lcm(jobs):
     scale = density_scale(jobs)
     assert type(scale) is int and scale == oracles.density_scale(jobs)
+    table = Instance(tuple(jobs), len(jobs[0].sizes) if jobs else 1).table
     for j in jobs:
         assert (j.weight * scale).denominator == 1
         for m, size in enumerate(j.sizes):
             if size is None:
                 continue
-            rho = scaled_density(j, m, scale)
+            rho = table[j.id][2][m][0]
             assert type(rho) is int and Fraction(rho, scale) == j.density(m)
 
 
-def test_scaled_density_refuses_a_scale_that_misses_a_factor():
+@settings(max_examples=200)
+@given(multi_machine_jobs())
+def test_instance_table_matches_the_per_call_conversion(jobs):
+    # through a trace file too, where a missing size is "-"
+    machines = len(jobs[0].sizes) if jobs else 1
+    inst = validate_instance(Instance(tuple(jobs), machines))
+    expected = oracles.integer_table(inst)
+    assert inst.table == expected
+    parsed = parse_trace_text(format_trace(inst))
+    assert "table" not in vars(parsed)
+    assert parsed.table == expected
+    assert all(type(x) is int for weight, klass, cells in inst.table.values()
+               for x in (weight, klass, *(v for cell in cells if cell for v in cell)))
+
+
+def test_scaled_density_refuses_a_scale_that_misses_a_factor(monkeypatch):
     j = Job(0, 0, Fraction(2, 3), (None, 7))
     assert density_scale([j]) == 21
-    assert scaled_density(j, 1, 42) == 4
-    for scale in (1, 3, 7, 2 * 7):
-        with pytest.raises(DensityNotSpanned):
-            scaled_density(j, 1, scale)
+    # machine 0 has no entry: a job delivered where it cannot run is refused
+    assert Instance((j,), 2).table[0][2][0] is None
     with pytest.raises(JobNotRunnableOnMachine):
-        scaled_density(j, 0, 21)
+        MachineScheduler(Instance((j,), 2), 0).on_arrival(j)
+    core = importlib.import_module("flowsched.core")
+    for scale in (42, 1, 3, 7, 2 * 7):
+        monkeypatch.setattr(core, "density_scale", lambda jobs: scale)
+        inst = Instance((j,), 2)
+        if scale == 42:
+            assert inst.table[0] == oracles.job_row(j, 42) == (28, -1, (None, (4, -4)))
+            continue
+        with pytest.raises(DensityNotSpanned, match=f"scale {scale} .* job 0 on machine 1"):
+            inst.table
 
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
-                       WorkloadModel, arrival_impact, density_scale, dispatch, generate,
-                       run, run_multi, validate_instance)
+                       WorkloadModel, arrival_impact, dispatch, generate, run, run_multi,
+                       validate_instance)
 from flowsched.core import DensityNotSpanned
 
 import oracles
@@ -21,8 +21,9 @@ def mjob(jid, release, weight, sizes):
 
 
 def empty_machines(count, job, eps=F(1, 2)):
-    """``count`` empty machines over the density scale of ``job``."""
-    return [MachineScheduler(eps, i, density_scale([job])) for i in range(count)]
+    """``count`` empty machines of an instance of ``job`` alone."""
+    inst = Instance((job,), count, eps)
+    return [MachineScheduler(inst, i) for i in range(count)]
 
 
 def test_dispatch_prefers_smaller_impact():
@@ -53,10 +54,12 @@ def test_dispatch_no_eligible_machine():
     assert all(s.scored is None for s in machines)
 
 
-def test_dispatch_refuses_a_scale_that_misses_a_density():
+def test_dispatch_refuses_a_scale_that_misses_a_density(monkeypatch):
     # scale 2 spans the density 1/2 on machine 1 but not 1/3 on machine 0
     job = mjob(0, 0, 1, (3, 2))
-    machines = [MachineScheduler(F(1, 2), i, 2) for i in range(2)]
+    monkeypatch.setattr(importlib.import_module("flowsched.core"), "density_scale",
+                        lambda jobs: 2)
+    machines = empty_machines(2, job)
     with pytest.raises(DensityNotSpanned, match="job 0 on machine 0"):
         dispatch(job, machines)
     assert all(s.scored is None for s in machines)
@@ -143,16 +146,16 @@ def test_per_machine_traces_keep_scheduler_invariants(seed, machines):
 def machines_with(arrivals, states, eps=F(1, 2)):
     """One scheduler per entry of ``states``, machine i's active set built
     from ``states[i]``, a list of (weight, size, remaining) triples, all
-    over the density scale of the ``arrivals`` and every active job."""
+    machines of one instance of the ``arrivals`` and every active job."""
     actives = [{100 + k: (Job(100 + k, 0, F(weight), (size,) * (index + 1)), remaining)
                 for k, (weight, size, remaining) in enumerate(active)}
                for index, active in enumerate(states)]
-    scale = density_scale([*arrivals, *(other for active in actives
-                                        for other, _ in active.values())])
-    machines = [MachineScheduler(eps, index, scale) for index in range(len(states))]
+    inst = Instance((*arrivals, *(other for active in actives
+                                  for other, _ in active.values())), len(states), eps)
+    machines = [MachineScheduler(inst, index) for index in range(len(states))]
     for index, (sched, active) in enumerate(zip(machines, actives)):
         for jid, (other, remaining) in active.items():
-            sched.active[jid] = ResidualJob(other, remaining, index, scale)
+            sched.active[jid] = oracles.residual_job(other, remaining, index, inst.scale)
     return machines
 
 
@@ -249,13 +252,13 @@ def test_handed_over_impact_is_never_used_for_another_job():
     machines = machines_with([job_a, job_b], [[(1, 4, 3)]] * 2)
     chosen = machines[dispatch(job_a, machines).machine]
     stale = chosen.scored[1]
-    fresh_b = arrival_impact(ResidualJob(job_b, 5, chosen.machine, chosen.scale),
+    fresh_b = arrival_impact(oracles.residual_job(job_b, 5, chosen.machine, chosen.scale),
                              chosen.active.values(), chosen.epsilon)
     assert fresh_b != stale
     chosen.on_arrival(job_b)
     assert chosen.scored is None
     # job A arrives after B: its handed-over score is gone and B is active
-    fresh_a = arrival_impact(ResidualJob(job_a, 2, chosen.machine, chosen.scale),
+    fresh_a = arrival_impact(oracles.residual_job(job_a, 2, chosen.machine, chosen.scale),
                              chosen.active.values(), chosen.epsilon)
     chosen.on_arrival(job_a)
     trace = chosen.finish_trace()
@@ -264,18 +267,43 @@ def test_handed_over_impact_is_never_used_for_another_job():
 
 
 def test_each_arrival_is_converted_once_per_machine(monkeypatch):
-    # dispatch builds one view per eligible machine, and the chosen one is
-    # scored, admitted and activated; a single machine builds one per arrival
+    # the instance's table converts each distinct weight, and each distinct
+    # (weight, size), once: at most one w * scale per job and one (rho,
+    # class) per (job, eligible machine), and none in a second run of the
+    # same instance. Dispatch fills one view per eligible machine from it,
+    # and the chosen one is scored, admitted and activated; a single
+    # machine fills one per arrival
     core = importlib.import_module("flowsched.core")
-    calls = Counter()
+    classes, views = Counter(), Counter()
 
-    def counted(job, *rest, _density=core.scaled_density):
-        calls[job.id] += 1
-        return _density(job, *rest)
-    monkeypatch.setattr(core, "scaled_density", counted)
+    def counted_class(n, d, _class=core.floor_log_ratio):
+        classes["core"] += 1
+        return _class(n, d)
+
+    class CountedView(ResidualJob):
+        __slots__ = ()
+
+        def __init__(self, job, *rest):
+            views[job.id] += 1
+            super().__init__(job, *rest)
+
+    monkeypatch.setattr(core, "floor_log_ratio", counted_class)
+    for module in ("flowsched.dispatch", "flowsched.scheduler"):
+        monkeypatch.setattr(importlib.import_module(module), "ResidualJob", CountedView)
     for machines, runner in ((1, run), (4, run_multi)):
         inst = generate(WorkloadModel(kind="poisson_pareto", n=300, seed=7, rate=0.9 * machines,
                                       shape=1.6, size_cap=20, machines=machines))
-        calls.clear()
+        eligible = Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})
+        weights = {j.weight for j in inst.jobs}
+        pairs = {(j.weight, s) for j in inst.jobs for s in j.sizes if s is not None}
+        assert len(weights) < len(inst.jobs) and len(pairs) < eligible.total()
+        for counter in (classes, views):
+            counter.clear()
         runner(inst)
-        assert calls == Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})
+        # a weight class per distinct weight, a density class per distinct pair
+        assert classes["core"] == len(weights) + len(pairs)
+        assert inst.table == oracles.integer_table(inst)
+        assert views == eligible
+        classes.clear()
+        runner(inst)
+        assert classes["core"] == 0

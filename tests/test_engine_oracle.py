@@ -9,6 +9,7 @@ several machines. Only the oracle records the charging map phi.
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import pytest
 
 from flowsched import (Instance, Job, MachineScheduler, WorkloadModel, density_scale,
-                       generate, run, run_multi, scaled_density, validate_instance)
+                       generate, run, run_multi, validate_instance)
 from flowsched.core import DensityNotSpanned
 from flowsched.scheduler import EVENT_PROMOTED
 
@@ -140,7 +141,7 @@ def test_heap_skips_a_job_that_finished_below_the_top():
     # A (rho 2) and C (rho 1/5) arrive at 0 and A starts; B (rho 3) arrives
     # at 1 but A runs on to 5 unmarked, so A's key is stale but not on top
     a, c, b = (Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 1, F(3), (1,)))
-    sched = MachineScheduler(F(1, 10), 0, density_scale([a, c, b]))
+    sched = MachineScheduler(Instance((a, c, b), 1, F(1, 10)), 0)
     sched.on_arrival(a)
     sched.on_arrival(c)
     sched.stop = 1
@@ -180,7 +181,7 @@ def test_scale_is_fixed_under_live_and_stale_heap_keys():
     jobs = [a, c, b, *late]
     scale = density_scale(jobs)
     assert scale == 5 * 3 * 7 * 11
-    sched = MachineScheduler(F(1, 10), 0, scale)
+    sched = MachineScheduler(Instance(tuple(jobs), 1, F(1, 10)), 0)
     sched.on_arrival(a)
     sched.on_arrival(c)
     sched.stop = 1
@@ -197,7 +198,7 @@ def test_scale_is_fixed_under_live_and_stale_heap_keys():
     keys = {jid: (key, release) for key, release, jid in sched.heap}
     assert len(keys) == len(sched.heap) == len(jobs)
     for job in jobs:
-        assert keys[job.id] == (-scaled_density(job, 0, scale), job.release)
+        assert keys[job.id] == (-oracles.scaled_density(job, 0, scale), job.release)
         assert keys[job.id][0] == -job.density() * scale
     assert all(type(x) is int for key in sched.heap for x in key)
     assert type(sched.run_released) is int
@@ -205,16 +206,18 @@ def test_scale_is_fixed_under_live_and_stale_heap_keys():
     assert [r[2] for r in runs] == [0, 0, 2, 2, 3, 4, 5, 1]
 
 
-def test_an_arrival_outside_the_scale_raises():
-    # the scale 5 spans A (rho 2) and C (rho 1/5) but not rho 1/3, whether
-    # the arrival would be kept or not; the machine is left unchanged
+def test_an_arrival_outside_the_scale_raises(monkeypatch):
+    # the scale 5 spans A (rho 2) and C (rho 1/5) but not rho 1/3. The
+    # instance's table converts every job at the first arrival, so that
+    # arrival raises, wherever the job outside the scale stands; the
+    # machine is left unchanged
     a, c, late = Job(0, 0, F(10), (5,)), Job(1, 0, F(1), (5,)), Job(2, 0, F(1), (3,))
-    for active in ([], [a, c]):
-        sched = MachineScheduler(F(1, 10), 0, density_scale([a, c]))
-        for job in active:
-            sched.on_arrival(job)
+    monkeypatch.setattr(importlib.import_module("flowsched.core"), "density_scale",
+                        lambda jobs: 5)
+    for jobs in ([late], [a, c, late]):
+        sched = MachineScheduler(Instance(tuple(jobs), 1, F(1, 10)), 0)
         heap = list(sched.heap)
-        with pytest.raises(DensityNotSpanned):
+        with pytest.raises(DensityNotSpanned, match="job 2 on machine 0"):
             sched.on_arrival(late)
         assert sched.heap == heap and late.id not in sched.active
         assert late.id not in sched.finish_trace().decisions

@@ -1,4 +1,6 @@
+import importlib
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,3 +95,53 @@ def test_job_lines_take_only_ascii_digits(line):
 def test_header_takes_only_ascii_digits_and_spaces(header):
     with pytest.raises(MissingHeader):
         parse_trace_text(header + "\n0 0 1 2\n")
+
+
+# -- each distinct weight text and size field is parsed once per call ------------
+
+TWO_MACHINES = "m=2 epsilon=1/4 speedup=0 seed=-\n"
+
+
+@given(st.lists(st.tuples(st.sampled_from(["1", "2/4", "1/2", "3/06", "12", "012"]),
+                          st.sampled_from(["3,-", "-,5", "3,5", "03,-", "-,05"])),
+                min_size=1, max_size=30))
+def test_repeated_texts_parse_as_each_line_alone(rows):
+    lines = [f"{i} {i // 3} {weight} {sizes}" for i, (weight, sizes) in enumerate(rows)]
+    whole = parse_trace_text(TWO_MACHINES + "\n".join(lines) + "\n")
+    assert whole.jobs == tuple(parse_trace_text(TWO_MACHINES + line + "\n").jobs[0]
+                               for line in lines)
+
+
+@pytest.mark.parametrize("weight, sizes", [("1/0", "2,-"), ("x", "2,-"), ("1", "2,+3"),
+                                           ("1", "-,2_0")])
+def test_a_repeated_malformed_token_is_reported_at_its_first_line(weight, sizes):
+    text = TWO_MACHINES + "0 0 1 2,-\n" + "".join(
+        f"{jid} 0 {weight} {sizes}\n" for jid in (1, 2, 3))
+    with pytest.raises(MalformedLine) as error:
+        parse_trace_text(text)
+    assert error.value.line_no == 3
+
+
+def test_each_call_parses_each_distinct_text_once(monkeypatch):
+    harness = importlib.import_module("flowsched.harness")
+    calls = Counter()
+
+    def counted(text, _parse=harness._parse_rational):
+        calls[text] += 1
+        return _parse(text)
+    monkeypatch.setattr(harness, "_parse_rational", counted)
+    text = TWO_MACHINES + "".join(f"{jid} {jid} {weight} {sizes}\n" for jid, (weight, sizes)
+                                  in enumerate([("1/2", "2,-"), ("2/4", "2,-"),
+                                                ("1/2", "-,3"), ("1/2", "2,-")]))
+    parsed = []
+    for _ in range(2):
+        calls.clear()
+        parsed.append(parse_trace_text(text))
+        # the header's epsilon and speedup, then each distinct weight text
+        assert calls == Counter({"1/4": 1, "0": 1, "1/2": 1, "2/4": 1})
+    first, second = parsed
+    assert first == second
+    assert first.jobs[0].sizes is first.jobs[3].sizes
+    # the two calls share no memo
+    assert second.jobs[0].sizes is not first.jobs[0].sizes
+    assert second.jobs[0].weight is not first.jobs[0].weight

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import Job, ResidualJob, density_scale
+from flowsched import Instance, Job, ResidualJob, density_scale
 from flowsched.core import floor_log_ratio
 from flowsched.impact import JobInActiveSet, NonPositiveArgument
 
@@ -75,7 +75,8 @@ def test_floor_log_ratio_rejects_nonpositive():
 
 def test_density_class_examples():
     for j, klass in ((job(0, 0, 6, 3), 1), (job(0, 0, 1, 4), -2), (job(0, 0, 3, 3), 0)):
-        assert ResidualJob(j, j.size_on(0), 0, density_scale([j])).density_class == klass
+        row = Instance((j,)).table[j.id]
+        assert ResidualJob(j, j.size_on(0), 0, row).density_class == klass
         assert impact_of(j, [], F(1, 2))[0].density_class == klass
 
 
@@ -231,9 +232,10 @@ def test_residual_job_caches_its_constant_keys(sizes, weight, release, jid):
         if size is None:
             continue
         scale = density_scale([j])
-        res = ResidualJob(j, size, m, scale)
+        res = ResidualJob(j, size, m, Instance((j,), len(sizes)).table[j.id])
         assert type(res.rho) is int and F(res.rho, scale) == j.density(m)
         assert res.density_class == floor_log(j.density(m))
+        assert F(res.weight, scale) == j.weight and res.weight_class == floor_log(j.weight)
         res.remaining -= 1
         assert oracles.residual_weight(res) == j.density(m) * (size - 1)
 

@@ -27,7 +27,8 @@ def fraction_stub(plus=F(0), minus=F(0), self_term=F(1), density_class=0,
 
 def arrival(jid, release, weight, size):
     """The job's view over ``SCALE``, as the engine offers it to the tables."""
-    return ResidualJob(job(jid, release, weight, size), size, 0, SCALE)
+    j = job(jid, release, weight, size)
+    return ResidualJob(j, size, 0, oracles.job_row(j, SCALE))
 
 
 def impact_stub(*values, scale=SCALE, **fields):
@@ -212,7 +213,7 @@ def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, k
     # the least scale that spans the weight, its density and both sides
     scale = lcm(weight.denominator, (weight / size).denominator,
                 (weight * ratio).denominator, minus.denominator)
-    keys = bucket_keys(impact_stub(scale=scale, **values), ResidualJob(j, size, 0, scale),
-                       scale)
+    keys = bucket_keys(impact_stub(scale=scale, **values),
+                       ResidualJob(j, size, 0, oracles.job_row(j, scale)), scale)
     assert keys == oracles.bucket_keys(fraction_stub(**values), j)
     assert all(type(field) is int for key in keys if key is not None for field in key)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowsched
-from flowsched import MachineScheduler, WorkloadModel, density_scale, generate, run
+from flowsched import Instance, MachineScheduler, WorkloadModel, generate, run
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, DriverContractError,
                                  EVENT_DELAYED_REJECT, EVENT_PROMOTED, EVENT_REAL_COMPLETE,
                                  TERMINAL_EVENTS)
@@ -19,6 +19,11 @@ import oracles
 from conftest import job, make_instance
 
 F = Fraction
+
+
+def machine_of(jobs, epsilon=F(1, 2)) -> MachineScheduler:
+    """Machine 0 of an instance of ``jobs``, to deliver them one by one."""
+    return MachineScheduler(Instance(tuple(jobs), 1, epsilon), 0)
 
 
 def worked_instance():
@@ -73,7 +78,7 @@ def test_hdf_tiebreak_earlier_release_first():
 
 def test_promotion_threshold_is_strict():
     jobs = [job(0, 0, 1, 10), job(1, 1, 2, 1), job(2, 2, F(1, 1000), 1)]
-    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched = machine_of(jobs)
     sched.on_arrival(jobs[0])
     sched.stop = 1
     sched.select_slot()
@@ -90,14 +95,14 @@ def test_promotion_threshold_is_strict():
 
 
 def test_promote_check_noop_without_runner():
-    sched = MachineScheduler(F(1, 2), 0, 1)
+    sched = machine_of([])
     assert sched.promote_check() is None
 
 
 def test_running_l_job_yields_to_densest_with_smaller_id():
     # the preemptible job keeps losing HDF to the denser pair, id order
     jobs = [job(0, 0, 1, 4), job(1, 1, F(3, 2), 1), job(2, 1, F(3, 2), 1)]
-    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched = machine_of(jobs)
     sched.on_arrival(jobs[0])                  # rho 1/4
     sched.stop = 1
     sched.select_slot()
@@ -109,17 +114,18 @@ def test_running_l_job_yields_to_densest_with_smaller_id():
 
 
 def test_arrival_in_past_raises():
-    sched = MachineScheduler(F(1, 2), 0, 2)
-    sched.on_arrival(job(0, 0, 1, 2))
+    first, late = job(0, 0, 1, 2), job(1, 0, 1, 2)
+    sched = machine_of([first, late])
+    sched.on_arrival(first)
     sched.stop = 1
     sched.select_slot()
     with pytest.raises(ArrivalInPast):
-        sched.on_arrival(job(1, 0, 1, 2))
+        sched.on_arrival(late)
 
 
 
 def test_segment_runs_to_completion_or_stop():
-    sched = MachineScheduler(F(1, 2), 0, 10)
+    sched = machine_of([job(0, 0, 1, 10)])
     sched.on_arrival(job(0, 0, 1, 10))
     sched.stop = 4
     assert sched.select_slot() == 0
@@ -139,7 +145,7 @@ def test_driver_contracts_hold_under_optimize_flag():
     # python -O strips assert statements; the engine's contracts must still raise
     program = textwrap.dedent("""
         from fractions import Fraction
-        from flowsched import Job, MachineScheduler
+        from flowsched import Instance, Job, MachineScheduler
         from flowsched.scheduler import DriverContractError
 
         def attempt(call, *args):
@@ -149,11 +155,12 @@ def test_driver_contracts_hold_under_optimize_flag():
                 return "raised"
             return "accepted"
 
-        sched = MachineScheduler(Fraction(1, 2), 0, 2)
-        outcomes = [attempt(sched.on_arrival, Job(0, 5, Fraction(1), (1,)))]
-        sched.on_arrival(Job(1, 0, Fraction(1), (2,)))
+        early, held = Job(0, 5, Fraction(1), (1,)), Job(1, 0, Fraction(1), (2,))
+        sched = MachineScheduler(Instance((early, held), 1, Fraction(1, 2)), 0)
+        outcomes = [attempt(sched.on_arrival, early)]
+        sched.on_arrival(held)
         outcomes.append(attempt(sched.skip_to, 0))  # machine still has a job
-        idle = MachineScheduler(Fraction(1, 2), 0, 1)
+        idle = MachineScheduler(Instance((), 1, Fraction(1, 2)), 0)
         idle.skip_to(4)
         outcomes.append(attempt(idle.skip_to, 2))  # back in time
         print(__debug__, *outcomes)
@@ -179,7 +186,7 @@ def test_immediate_rejection_departs_at_release():
 
 def test_rejected_arrivals_still_count_toward_marking():
     jobs = [job(0, 0, 1, 10), job(1, 1, F(3, 2), 1), job(2, 1, F(3, 2), 1)]
-    sched = MachineScheduler(F(1, 2), 0, density_scale(jobs))
+    sched = machine_of(jobs)
     sched.on_arrival(jobs[0])
     sched.stop = 1
     sched.select_slot()
