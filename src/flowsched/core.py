@@ -49,6 +49,10 @@ class MachineCountMismatch(InvalidInstance):
     pass
 
 
+class MalformedField(InvalidInstance):
+    """A field of the instance or of a job has the wrong type or form."""
+
+
 class JobNotRunnableOnMachine(ValueError):
     """The job has no size entry for the requested machine."""
 
@@ -185,6 +189,13 @@ class ResidualJob:
         self.rho, self.density_class = cells[machine]
 
 
+def _rational(value, field: str) -> Rational:
+    try:
+        return Rational(value)
+    except (TypeError, ValueError, OverflowError):    # OverflowError: infinity
+        raise MalformedField(f"{field} must be a rational number, got {value!r}") from None
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check every type invariant and return a canonical instance.
 
@@ -193,38 +204,52 @@ def validate_instance(raw: Instance) -> Instance:
     validated instances with equal content compare equal. A job that is
     already canonical is kept as the same object.
     """
-    eps = Rational(raw.epsilon)
+    eps = _rational(raw.epsilon, "epsilon")
     if eps <= 0 or eps.numerator != 1:
         raise NonIntegralEpsilonReciprocal(
             f"1/epsilon must be a positive integer, got epsilon={eps}")
     if eps * eps > HALF:
         raise EpsilonTooLarge(f"epsilon^2 must be at most 1/2, got epsilon={eps}")
+    if type(raw.machines) is not int:
+        raise MalformedField(f"machines must be an integer, got {raw.machines!r}")
     if raw.machines < 1:
         raise MachineCountMismatch(f"need at least one machine, got {raw.machines}")
 
     seen: set[int] = set()
     jobs: list[Job] = []
     for job in raw.jobs:
-        if job.id in seen:
-            raise DuplicateJobId(f"job id {job.id} appears twice")
-        seen.add(job.id)
-        if not isinstance(job.id, int) or job.id < 0:
-            raise InvalidInstance(f"job id must be a nonnegative integer, got {job.id!r}")
-        if not isinstance(job.release, int) or job.release < 0:
-            raise InvalidInstance(
-                f"job {job.id} release must be a nonnegative integer, got {job.release!r}")
-        sizes = job.sizes if type(job.sizes) is tuple else tuple(job.sizes)
+        # exact type checks: they are the fast path, and they refuse bool
+        jid = job.id
+        if type(jid) is not int or jid < 0:
+            raise MalformedField(f"job id must be a nonnegative integer, got {jid!r}")
+        if jid in seen:
+            raise DuplicateJobId(f"job id {jid} appears twice")
+        seen.add(jid)
+        if type(job.release) is not int or job.release < 0:
+            raise MalformedField(
+                f"job {jid} release must be a nonnegative integer, got {job.release!r}")
+        sizes = job.sizes
+        if type(sizes) is not tuple:
+            try:
+                sizes = tuple(sizes)
+            except TypeError:
+                raise MalformedField(
+                    f"job {jid} sizes must be a sequence, got {job.sizes!r}") from None
         if len(sizes) != raw.machines:
             raise MachineCountMismatch(
-                f"job {job.id} lists {len(sizes)} sizes for {raw.machines} machines")
+                f"job {jid} lists {len(sizes)} sizes for {raw.machines} machines")
         present = [s for s in sizes if s is not None]
         if not present:
-            raise NonPositiveSizeOrWeight(f"job {job.id} is not runnable on any machine")
-        if any(not isinstance(s, int) or s < 1 for s in present):
-            raise NonPositiveSizeOrWeight(f"job {job.id} has a size below 1")
-        weight = job.weight if type(job.weight) is Rational else Rational(job.weight)
+            raise NonPositiveSizeOrWeight(f"job {jid} is not runnable on any machine")
+        for size in present:
+            if type(size) is not int:
+                raise MalformedField(f"job {jid} size must be an integer, got {size!r}")
+            if size < 1:
+                raise NonPositiveSizeOrWeight(f"job {jid} has a size below 1")
+        weight = job.weight if type(job.weight) is Rational else \
+            _rational(job.weight, f"job {jid} weight")
         if weight.numerator <= 0:
-            raise NonPositiveSizeOrWeight(f"job {job.id} has nonpositive weight {weight}")
+            raise NonPositiveSizeOrWeight(f"job {jid} has nonpositive weight {weight}")
         if weight is not job.weight or sizes is not job.sizes or type(job) is not Job:
             job = Job(job.id, job.release, weight, sizes)
         jobs.append(job)

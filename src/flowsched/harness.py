@@ -29,7 +29,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 
 from .core import Instance, Job, ONE, Rational, validate_instance
@@ -146,7 +146,13 @@ def _poisson_pareto_jobs(model: WorkloadModel) -> list[Job]:
     raw = []
     for _ in range(model.n):
         t += rng.expovariate(model.rate)
-        size = min(model.size_cap, max(1, ceil(rng.paretovariate(model.shape))))
+        draw = rng.paretovariate(model.shape)
+        # a tiny rate or shape overflows a draw to infinity, which no
+        # integer release or size can hold
+        if not isfinite(t) or not isfinite(draw):
+            raise BadParameters(
+                f"rate={model.rate} and shape={model.shape} draw an infinite arrival time or size")
+        size = min(model.size_cap, max(1, ceil(draw)))
         sizes: list[int | None] = []
         for m in range(model.machines):
             stretch = 1 if model.machines == 1 else rng.choice((1, 1, 2, 3))

@@ -59,7 +59,9 @@ slot; ``busy_period_end`` walks one job's denser set in release order, the
 check on ``transport_opt``'s windows; ``transport_opt_full`` solves the
 time-indexed relaxation with arcs to every slot of the horizon, the check
 that those windows keep the optimum; ``brute_force_nonpreemptive`` enumerates
-every processing order of a tiny instance; ``validate_schedule`` checks a
+every processing order of a tiny instance; ``greedy_nonpreemptive`` runs
+non-preemptive HDF without rejection, the control that a long job strands
+the jobs behind it; ``validate_schedule`` checks a
 fractional schedule's capacities, releases and sizes; and
 ``lower_bound_check`` tests the two impact inequalities against the
 transport optimum on small instances.
@@ -68,6 +70,7 @@ transport optimum on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
 from itertools import permutations
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -855,6 +858,26 @@ def brute_force_nonpreemptive(jobs) -> Rational:
             best = value
     assert best is not None
     return best
+
+
+def greedy_nonpreemptive(jobs) -> Rational:
+    """Total weighted flow of non-preemptive HDF without rejection on one
+    machine, the no-rejection control: at each completion it starts the
+    densest released job (ties by earlier release, then smaller id) and
+    runs it to the end; an idle machine waits for the next release."""
+    pending = sorted(jobs, key=lambda j: j.release, reverse=True)
+    ready: list[tuple[Rational, int, int, Job]] = []
+    t, total = 0, ZERO
+    while pending or ready:
+        if not ready:
+            t = max(t, pending[-1].release)
+        while pending and pending[-1].release <= t:
+            job = pending.pop()
+            heappush(ready, (-job.density(0), job.release, job.id, job))
+        job = heappop(ready)[3]
+        t += job.size_on(0)
+        total += job.weight * (t - job.release)
+    return total
 
 
 @dataclass(frozen=True)

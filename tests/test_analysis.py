@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, audit_rejections, beta_series,
-                       compute_metrics, generate, run, run_multi, transport_opt,
-                       verify_duals)
+                       compute_metrics, generate, lp_cost, preemptive_hdf, run, run_multi,
+                       transport_opt, verify_duals)
 from flowsched.analysis import fractional_flow_plan
 
 from conftest import job, make_instance
-from oracles import TooLargeForOracle, lower_bound_check, plan_slots
+from oracles import TooLargeForOracle, greedy_nonpreemptive, lower_bound_check, plan_slots
 
 F = Fraction
 
@@ -191,3 +191,17 @@ def test_multi_machine_certificates_and_audit():
     metrics = compute_metrics(result, inst)
     assert metrics.rejected_weight_immediate + metrics.rejected_weight_delayed \
         <= metrics.total_weight
+
+
+@pytest.mark.parametrize("L", [10, 20, 40])
+def test_rejection_separates_from_greedy_on_the_pileup(L):
+    # without rejection the long job strands the L unit jobs behind it, so
+    # greedy's flow grows like L times the LP bound; the algorithm marks the
+    # long job, keeps a constant ratio and stays within its budgets. The LP
+    # (preemptive HDF) bounds OPT from below; ALG counts only kept jobs.
+    inst = generate(WorkloadModel(kind="adversarial_L", L=L, scale=1, epsilon=F(1, 4)))
+    lp = lp_cost(preemptive_hdf(inst.jobs))
+    trace = run(inst)
+    assert greedy_nonpreemptive(inst.jobs) / lp >= F(L, 2)
+    assert compute_metrics(trace, inst).weighted_flow / lp < 1
+    assert audit_rejections(trace, inst).ok

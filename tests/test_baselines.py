@@ -223,6 +223,8 @@ def test_brute_force_pileup_instance():
     inst = generate(WorkloadModel(kind="adversarial_L", L=3))
     # long job last: unit jobs flow 1 each, long job completes at 13
     assert brute_force_nonpreemptive(inst.jobs) == 16
+    # greedy starts the long job alone at 0; the unit jobs wait until 9
+    assert oracles.greedy_nonpreemptive(inst.jobs) == 9 + 9 + 9 + 9
 
 
 def test_brute_force_size_guard():
@@ -235,6 +237,8 @@ def test_brute_force_size_guard():
 @given(st.integers(0, 10 ** 6), st.integers(1, 5))
 def test_relaxation_lower_bounds_any_real_schedule(seed, n):
     # a non-preemptive schedule is LP-feasible and its LP cost sits w/2 per
-    # job below its integral flow, so the optimum is a true lower bound
+    # job below its integral flow, so the optimum is a true lower bound;
+    # greedy's schedule is one of those the brute force enumerates
     jobs = random_jobs(seed, n)
-    assert transport_opt(jobs) <= brute_force_nonpreemptive(jobs)
+    assert transport_opt(jobs) <= brute_force_nonpreemptive(jobs) \
+        <= oracles.greedy_nonpreemptive(jobs)

@@ -303,11 +303,51 @@ def test_negative_horizon_exits_2_without_jobs(capsys, tmp_path):
         "baseline speed=1 horizon=0 transport_opt=0 hdf_cost=0\n"
 
 
-# Runs each argv in order in one fresh interpreter and prints, after each,
-# its exit code and whether networkx is loaded; the commands' own output
-# is discarded.
+# In one fresh interpreter: first what ``import flowsched`` and its lazy
+# names load, and which object ``flowsched.dispatch`` is in each import
+# order (each on a package imported afresh); then runs each argv in order
+# and prints, after each, its exit code and whether networkx is loaded.
+# The commands' own output is discarded.
 _NETWORKX_PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("flowsched."))
+
+def fresh():
+    for name in ["flowsched", *loaded()]:
+        del sys.modules[name]
+    return importlib.import_module("flowsched")
+
+import flowsched
+print(json.dumps(["bare", loaded(), "networkx" in sys.modules]))
+flowsched.generate, flowsched.WorkloadModel, flowsched.serialize_trace
+print(json.dumps(["set-up", loaded()]))
+star = {}
+exec("from flowsched import *", star)
+wrong = []
+for name, home in flowsched._HOME.items():
+    module = importlib.import_module("flowsched." + home)
+    value = getattr(module, name)
+    # defined in its home module, but Rational, which is fractions.Fraction
+    if not (getattr(flowsched, name) is star[name] is value) \
+            or value.__module__ not in (module.__name__, "fractions"):
+        wrong.append(name)
+print(json.dumps(["names", wrong, set(flowsched.__all__) <= set(dir(flowsched))]))
+flowsched = fresh()
+function = flowsched.dispatch
+module = importlib.import_module("flowsched.dispatch")
+print(json.dumps(["first", function is module.dispatch, flowsched.dispatch is function,
+                  flowsched.baselines is importlib.import_module("flowsched.baselines")]))
+flowsched = fresh()
+import flowsched.cli
+from flowsched import dispatch
+print(json.dumps(["after cli", dispatch is sys.modules["flowsched.dispatch"].dispatch]))
+flowsched = fresh()
+module = importlib.import_module("flowsched.dispatch")
+from flowsched import dispatch
+print(json.dumps(["after submodule", type(module).__name__, dispatch is module.dispatch]))
+
 from flowsched import baselines
 from flowsched.cli import main
 print(json.dumps(["import", 0, "networkx" in sys.modules]))
@@ -339,6 +379,9 @@ def test_only_baseline_loads_networkx(tmp_path, trace_file):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        ["bare", [], False], ["set-up", ["flowsched.core", "flowsched.harness"]],
+        ["names", [], True], ["first", True, True, True], ["after cli", True],
+        ["after submodule", "module", True],
         ["import", 0, False], ["gen", 0, False], ["simulate", 0, False],
         ["verify", 0, False], ["audit", 0, False], ["report", 0, False],
         ["baseline", 0, True], ["nx", True, False]]
@@ -437,6 +480,8 @@ def test_missing_file_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--model", "poisson_pareto", "--rate", "0"],
     ["--model", "poisson_pareto", "--shape", "0"],
+    ["--model", "poisson_pareto", "--rate", "1e-320"],    # draws overflow to infinity
+    ["--model", "poisson_pareto", "--shape", "1e-320"],
     ["--model", "poisson_pareto", "--max-weight", "0"],
     ["--model", "fixed", "--machines", "4"],          # single-machine kinds
     ["--model", "adversarial_L", "--machines", "4"],

@@ -11,8 +11,8 @@ from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
                        MachineScheduler, ResidualJob, density_scale, format_trace,
                        parse_trace_text, validate_instance)
 from flowsched.core import (DensityNotSpanned, DuplicateJobId, EpsilonTooLarge,
-                            MachineCountMismatch, NonIntegralEpsilonReciprocal,
-                            NonPositiveSizeOrWeight)
+                            MachineCountMismatch, MalformedField,
+                            NonIntegralEpsilonReciprocal, NonPositiveSizeOrWeight)
 
 import oracles
 from conftest import job, make_instance
@@ -84,6 +84,31 @@ def test_jobs_resorted_stably_by_release():
 def test_negative_release_rejected():
     with pytest.raises(InvalidInstance):
         validate_instance(make_instance([job(0, -1, 1, 2)]))
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(id=[1]), "job id"),                  # unhashable
+    (dict(id=True), "job id"),                 # a bool is not an id
+    (dict(release=1.0), "release"),
+    (dict(weight="x"), "weight"),
+    (dict(weight=float("inf")), "weight"),
+    (dict(sizes=5), "sizes"),                  # not a sequence
+    (dict(sizes=(1.5,)), "size"),
+    (dict(sizes=(True,)), "size"),
+])
+def test_malformed_job_field_is_named(fields, named):
+    # API input the trace parser never builds; each is bad input, not a crash
+    raw = dict(id=0, release=0, weight=Fraction(1), sizes=(2,)) | fields
+    with pytest.raises(MalformedField, match=f"{named} must be"):
+        validate_instance(Instance((Job(**raw),)))
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(epsilon="x"), "epsilon"), (dict(machines="2"), "machines"),
+    (dict(machines=1.0), "machines")])
+def test_malformed_instance_field_is_named(fields, named):
+    with pytest.raises(MalformedField, match=f"{named} must be"):
+        validate_instance(Instance((Job(0, 0, Fraction(1), (2,)),), **fields))
 
 
 def test_scale_and_index_are_cached_not_compared():
