@@ -24,8 +24,7 @@ from types import ModuleType
 _EXPORTS = {
     "analysis": "DualCertificate Metrics RejectionAudit audit_rejections beta_series "
                 "compute_metrics fractional_flow_plan verify_duals",
-    "baselines": "FractionalSchedule HorizonTooShort default_horizon lp_cost "
-                 "preemptive_hdf transport_opt",
+    "baselines": "HorizonTooShort default_horizon lp_cost preemptive_hdf transport_opt",
     "core": "Instance InvalidInstance Job JobNotRunnableOnMachine Rational ResidualJob "
             "density_scale validate_instance",
     "dispatch": "DispatchDecision MultiTrace NoEligibleMachine dispatch run_multi",

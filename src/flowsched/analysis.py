@@ -80,8 +80,7 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
 def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
     """The six metrics of one run. Each weight sum is an integer numerator
     over the instance's density scale; only the totals become Fractions."""
-    scale = instance.scale
-    release = {j.id: j.release for j in instance.jobs}
+    scale, by_id = instance.scale, instance.by_id
     weight = {jid: row[0] for jid, row in instance.table.items()}    # w * scale
     delivered: set[int] = set()
     weighted_flow = departure_objective = rejected_immediate = rejected_delayed = 0
@@ -89,10 +88,10 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
     for trace in each_trace(run):
         delivered.update(trace.arrivals)
         fractional += fractional_flow_plan(trace, instance)
-        weighted_flow += sum(weight[jid] * (completion - release[jid])
+        weighted_flow += sum(weight[jid] * (completion - by_id[jid].release)
                              for jid, completion in trace.completion_real.items())
         departures = trace.departure
-        departure_objective += sum(weight[jid] * (departure - release[jid])
+        departure_objective += sum(weight[jid] * (departure - by_id[jid].release)
                                    for jid, departure in departures.items())
         rejected_immediate += sum(weight[jid] for jid in trace.immediate_rejected)
         rejected_delayed += sum(weight[jid] for jid in trace.promoted_at)

@@ -2,12 +2,12 @@
 
 Two independent routes to the same reference cost:
 
-* :func:`preemptive_hdf` simulates highest-density-first on one machine,
-  slot by slot, and :func:`lp_cost` prices any fractional schedule with
-  the time-indexed objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
+* :func:`preemptive_hdf` runs highest-density-first on one machine in
+  segments, as ``(start, end, job id)`` runs, and :func:`lp_cost` prices
+  them per run with the objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
 * :func:`transport_opt` solves that time-indexed relaxation exactly as a
-  min-cost transportation problem (integer-scaled network simplex). It
-  never touches the HDF code path, so it can serve as the oracle for it.
+  min-cost transportation problem (integer network simplex). Its windows
+  come from :func:`_busy_period_ends`, never from HDF, so it is HDF's oracle.
 
 Every schedule runs at unit speed, as the paper's offline optimum does:
 its only relaxation is rejection. Sizes are integers, so a slot never
@@ -21,7 +21,8 @@ contains ``r_j``. :func:`transport_opt` therefore gives each job arcs only
 to the slots of that busy period, which keeps the HDF optimum feasible.
 
 Jobs are read through their size on machine 0, since ``baseline`` refuses
-multi-machine instances. Everything returns exact rationals.
+multi-machine instances. Weights and densities are the integers of the
+instance's table; each result becomes an exact rational only at the end.
 
 networkx is imported by :func:`transport_opt` on its first non-empty solve,
 not with this module, so of all the commands only ``baseline`` loads it.
@@ -32,42 +33,29 @@ caller can wrap ``baselines.nx.network_simplex`` before a solve.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import groupby
 
-from .core import HALF, Job, ONE, Rational, ZERO, density_scale
+from .core import Instance, Job, Rational, ZERO
 
 
 class HorizonTooShort(ValueError):
     """The slot horizon cannot fit all demanded processing."""
 
 
-class NonIntegralCost(ValueError):
-    """Integer scaling left a fractional arc cost (a bug, not bad input)."""
+def preemptive_hdf(instance: Instance) -> list[tuple[int, int, int]]:
+    """Preemptive HDF on machine 0, as ``(start, end, job id)`` runs.
 
-
-@dataclass(frozen=True)
-class FractionalSchedule:
-    """Per-slot fractional assignment ``allocation[(t, job id)] = amount``."""
-
-    jobs: tuple[Job, ...]
-    allocation: dict[tuple[int, int], Rational]
-
-
-def preemptive_hdf(jobs: list[Job] | tuple[Job, ...]) -> FractionalSchedule:
-    """Slot-by-slot preemptive HDF.
-
-    Each slot goes whole to the densest released unfinished job; ties
-    break by earlier release, then smaller id (same rule as the online
-    engine). Released jobs wait in a heap on that key, and an idle machine
-    jumps straight to the next release.
+    The densest released unfinished job runs until it completes or the
+    next release; ties break by earlier release, then smaller id (same
+    rule as the online engine). Released jobs wait in a heap on that key,
+    and an idle machine jumps straight to the next release. Each run ends
+    at a completion or a release, so there are at most ``2 n`` runs.
     """
-    jobs = tuple(jobs)
-    pending = sorted(jobs, key=lambda j: j.release, reverse=True)
+    pending = list(reversed(instance.jobs))    # latest release first
     remaining: dict[int, int] = {}
     ready: list[tuple[Rational, int, int]] = []
-    allocation: dict[tuple[int, int], Rational] = {}
+    runs: list[tuple[int, int, int]] = []
     t = 0
     while pending or ready:
         if not ready:
@@ -77,23 +65,29 @@ def preemptive_hdf(jobs: list[Job] | tuple[Job, ...]) -> FractionalSchedule:
             remaining[job.id] = job.size_on(0)
             heappush(ready, (-job.density(), job.release, job.id))
         jid = ready[0][2]
-        allocation[(t, jid)] = ONE
-        remaining[jid] -= 1
-        if remaining[jid] == 0:
+        end = t + remaining[jid]
+        if pending and pending[-1].release < end:
+            end = pending[-1].release
+        else:
             heappop(ready)
-        t += 1
-    return FractionalSchedule(jobs, allocation)
+        remaining[jid] -= end - t
+        runs.append((t, end, jid))
+        t = end
+    return runs
 
 
-def lp_cost(sched: FractionalSchedule) -> Rational:
-    """Exact time-indexed objective value of a fractional schedule."""
-    by_id = {j.id: j for j in sched.jobs}
-    total = ZERO
-    for (t, jid), amount in sched.allocation.items():
-        job = by_id[jid]
-        size = job.size_on(0)
-        total += job.weight * (Rational(t - job.release, size) + HALF) * amount
-    return total
+def lp_cost(instance: Instance, runs) -> Rational:
+    """Exact time-indexed objective value of ``(start, end, job id)`` runs
+    on machine 0. Slot t of job j costs ``rho_j (t - r_j) + w_j / 2``, so a
+    run [a, b) of k slots costs ``(rho_j k (a + b - 1 - 2 r_j) + w_j k) / 2``:
+    an integer over ``2 * scale`` from the table. Only the total is a Fraction."""
+    by_id, table = instance.by_id, instance.table
+    total = 0
+    for start, end, jid in runs:
+        weight, _, cells = table[jid]
+        k = end - start
+        total += cells[0][0] * k * (start + end - 1 - 2 * by_id[jid].release) + weight * k
+    return Rational(total, 2 * instance.scale)
 
 
 def default_horizon(jobs) -> int:
@@ -139,13 +133,14 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
     return out
 
 
-def transport_opt(jobs, horizon: int | None = None) -> Rational:
+def transport_opt(instance: Instance, horizon: int | None = None) -> Rational:
     """Exact optimum of the time-indexed relaxation, via min-cost flow.
 
     Demands are job sizes, every slot has capacity 1, and the unit cost of
-    giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``. Costs
-    are scaled to integers by twice the jobs' density scale, so the network
-    simplex stays exact; the result is descaled back to a rational.
+    giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``. Times
+    ``2 * scale`` it is ``w_j * scale + 2 rho_j * scale * (t - r_j)``, from
+    the instance's table, so every arc cost is an integer by construction
+    and the network simplex stays exact.
 
     Job j only gets arcs to the slots ``r_j .. E_j - 1`` (and below
     ``horizon``), where ``E_j`` is the end of the busy period that contains
@@ -161,7 +156,7 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
     cross-check the windows against HDF and against arcs to every slot of
     the horizon.
     """
-    jobs = list(jobs)
+    jobs = instance.jobs
     if not jobs:
         return ZERO
     import networkx as nx
@@ -169,15 +164,14 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
     if horizon is None:
         horizon = default_horizon(jobs)
 
-    scale = 2 * density_scale(jobs)
-    slopes = [j.weight.numerator * scale // (j.weight.denominator * j.size_on(0))
-              for j in jobs]    # rho_j * scale, exact: the scale spans every density
+    rows = [instance.table[job.id] for job in jobs]
+    slopes = [2 * cells[0][0] for _, _, cells in rows]    # 2 rho * scale
 
     graph = nx.DiGraph()
     total_units = 0
     used_slots: set[int] = set()
     busy_ends = _busy_period_ends(jobs, slopes)
-    for job, slope, busy_end in zip(jobs, slopes, busy_ends):
+    for job, (cost, _, _), slope, busy_end in zip(jobs, rows, slopes, busy_ends):
         units = job.size_on(0)
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
@@ -185,14 +179,7 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
         if end <= job.release:
             raise HorizonTooShort(
                 f"horizon {horizon} leaves no slot for job {job.id}")
-        # the arc cost (rho (t - r) + w/2) * scale is integral at every t
-        # when its slope and intercept are; the slope is an int, so check
-        # the intercept once per job
-        cost = job.weight * HALF * scale
-        if cost.denominator != 1:
-            raise NonIntegralCost(f"scaled cost {cost} for job {job.id}")
-        cost = cost.numerator
-        for t in range(job.release, end):
+        for t in range(job.release, end):    # cost is w * scale at t = r
             graph.add_edge(("job", job.id), ("slot", t), capacity=units, weight=cost)
             used_slots.add(t)
             cost += slope
@@ -205,7 +192,7 @@ def transport_opt(jobs, horizon: int | None = None) -> Rational:
     except nx.NetworkXUnfeasible as exc:
         raise HorizonTooShort(
             f"horizon {horizon} cannot fit {total_units} units of work") from exc
-    return Rational(cost, scale)
+    return Rational(cost, 2 * instance.scale)
 
 
 def __getattr__(name: str):

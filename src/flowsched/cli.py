@@ -115,11 +115,10 @@ class _Writer:
 
 def _load_instance(args) -> Instance:
     """The validated instance in ``args.trace``, re-validated only when
-    ``--epsilon`` or ``--machines`` replaced a field."""
+    ``--epsilon`` replaced its epsilon."""
     instance = parse_trace(args.trace)
-    overrides = {name: value for name in ("epsilon", "machines")
-                 if (value := getattr(args, name, None)) is not None}
-    return validate_instance(replace(instance, **overrides)) if overrides else instance
+    epsilon = getattr(args, "epsilon", None)
+    return instance if epsilon is None else validate_instance(replace(instance, epsilon=epsilon))
 
 
 def _run_instance(instance):
@@ -231,8 +230,8 @@ def cmd_baseline(args) -> int:
         raise BadParameters("baseline handles single-machine instances")
     horizon = args.horizon if args.horizon is not None \
         else default_horizon(instance.jobs)
-    opt = transport_opt(instance.jobs, horizon=horizon)
-    hdf = lp_cost(preemptive_hdf(instance.jobs))
+    opt = transport_opt(instance, horizon=horizon)
+    hdf = lp_cost(instance, preemptive_hdf(instance))
     with _Writer(args.out) as writer:
         # schedules run at unit speed; the fixed field keeps the record's bytes
         writer.emit("baseline", speed=1, horizon=horizon, transport_opt=opt, hdf_cost=hdf)
@@ -374,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the online policy on a trace file")
     sim.add_argument("--trace", required=True)
     sim.add_argument("--epsilon", type=_rat, default=None)
-    sim.add_argument("--machines", type=int, default=None)
     sim.add_argument("--out", default=None)
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")

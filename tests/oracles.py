@@ -55,7 +55,11 @@ formatted by the generic ``emit``, the whole text joined at the end. The
 command's streaming writer must give the same bytes.
 
 The offline references: ``preemptive_hdf`` rescans every job in every
-slot; ``busy_period_end`` walks one job's denser set in release order, the
+slot into a per-slot :class:`FractionalSchedule`, and ``lp_cost`` prices
+one slot by slot in Fractions, the references for the runs of
+``flowsched.baselines.preemptive_hdf`` and their per-run ``lp_cost``;
+``fractional_schedule`` expands such runs into unit slots;
+``busy_period_end`` walks one job's denser set in release order, the
 check on ``transport_opt``'s windows; ``transport_opt_full`` solves the
 time-indexed relaxation with arcs to every slot of the horizon, the check
 that those windows keep the optimum; ``brute_force_nonpreemptive`` enumerates
@@ -78,7 +82,7 @@ from typing import Callable, Iterable, Sequence
 import networkx as nx
 
 from flowsched.analysis import BudgetCheck, IncompleteTrace, Metrics, RejectionAudit
-from flowsched.baselines import FractionalSchedule, default_horizon, transport_opt
+from flowsched.baselines import default_horizon, transport_opt
 from flowsched.cli import _ratio
 from flowsched.core import (HALF, DensityNotSpanned, Instance, Job, NonPositiveArgument,
                             ONE, Rational, ResidualJob, ZERO)
@@ -738,6 +742,32 @@ class TooLargeForOracle(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class FractionalSchedule:
+    """Per-slot fractional assignment ``allocation[(t, job id)] = amount``."""
+
+    jobs: tuple[Job, ...]
+    allocation: dict[tuple[int, int], Rational]
+
+
+def fractional_schedule(instance: Instance, runs) -> FractionalSchedule:
+    """``(start, end, job id)`` runs on one machine, one whole unit per slot."""
+    return FractionalSchedule(instance.jobs, {(t, jid): ONE for start, end, jid in runs
+                                              for t in range(start, end)})
+
+
+def lp_cost(sched: FractionalSchedule) -> Rational:
+    """Exact time-indexed objective value of a fractional schedule, slot by
+    slot: ``w_j ((t - r_j)/p_j + 1/2)`` per unit of job j in slot t."""
+    by_id = {j.id: j for j in sched.jobs}
+    total = ZERO
+    for (t, jid), amount in sched.allocation.items():
+        job = by_id[jid]
+        size = job.size_on(0)
+        total += job.weight * (Rational(t - job.release, size) + HALF) * amount
+    return total
+
+
 def preemptive_hdf(jobs: list[Job] | tuple[Job, ...]) -> FractionalSchedule:
     """Slot-by-slot preemptive HDF.
 
@@ -915,7 +945,7 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
         projected = [Job(jid, by_id[jid].release, by_id[jid].weight,
                          (by_id[jid].size_on(trace.machine),))
                      for jid in trace.arrivals]
-        oracle += transport_opt(projected)
+        oracle += transport_opt(Instance(tuple(projected)))
         rejected = trace.immediate_rejected
         for jid in trace.arrivals:
             total = Rational(trace.impacts[jid].total, 2 * instance.scale)

@@ -62,7 +62,7 @@ def test_single_job_certificate():
     assert (value(cert, cert.alpha_total), value(cert, cert.beta_total)) == (F(1), F(3, 2))
     assert cert.feasible
     assert value(cert, cert.objective) == F(-1, 2)
-    assert value(cert, cert.objective) <= transport_opt(inst.jobs)
+    assert value(cert, cert.objective) <= transport_opt(inst)
 
 
 def test_empty_instance_certificate():
@@ -77,7 +77,7 @@ def test_worked_run_certificate_and_audit():
     trace = run(inst)
     cert = verify_duals(trace, inst)
     assert cert.feasible and not cert.violations
-    assert value(cert, cert.objective) <= transport_opt(inst.jobs)
+    assert value(cert, cert.objective) <= transport_opt(inst)
     audit = audit_rejections(trace, inst)
     assert audit.ok
     assert audit.delayed_fraction == F(1, 4)
@@ -200,7 +200,7 @@ def test_rejection_separates_from_greedy_on_the_pileup(L):
     # long job, keeps a constant ratio and stays within its budgets. The LP
     # (preemptive HDF) bounds OPT from below; ALG counts only kept jobs.
     inst = generate(WorkloadModel(kind="adversarial_L", L=L, scale=1, epsilon=F(1, 4)))
-    lp = lp_cost(preemptive_hdf(inst.jobs))
+    lp = lp_cost(inst, preemptive_hdf(inst))
     trace = run(inst)
     assert greedy_nonpreemptive(inst.jobs) / lp >= F(L, 2)
     assert compute_metrics(trace, inst).weighted_flow / lp < 1

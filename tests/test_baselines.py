@@ -5,108 +5,138 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (FractionalSchedule, HorizonTooShort, WorkloadModel,
-                       default_horizon, generate, lp_cost, preemptive_hdf, transport_opt)
+from flowsched import (HorizonTooShort, Job, WorkloadModel, default_horizon, generate,
+                       lp_cost, preemptive_hdf, transport_opt)
 from flowsched import baselines
 from flowsched.core import ZERO
 
 import oracles
-from conftest import job
-from oracles import (TooLarge, brute_force_nonpreemptive, transport_opt_full,
-                     validate_schedule)
+from conftest import job, make_instance, rational_instances
+from oracles import (FractionalSchedule, TooLarge, brute_force_nonpreemptive,
+                     fractional_schedule, transport_opt_full, validate_schedule)
 
 F = Fraction
 
 
 def test_hdf_runs_denser_job_first():
-    jobs = (job(0, 0, 1, 2), job(1, 0, 4, 2))
-    sched = preemptive_hdf(jobs)
+    inst = make_instance((job(0, 0, 1, 2), job(1, 0, 4, 2)))
+    runs = preemptive_hdf(inst)
+    assert runs == [(0, 2, 1), (2, 4, 0)]
+    sched = fractional_schedule(inst, runs)
     assert sched.allocation == {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1), (3, 0): F(1)}
     validate_schedule(sched)
 
 
 def test_hdf_empty_input():
-    sched = preemptive_hdf(())
-    assert sched.allocation == {}
+    assert preemptive_hdf(make_instance(())) == []
+
+
+def test_hdf_splits_a_run_only_at_a_completion_or_a_release():
+    # job 0 is preempted at 2 by the denser job 1 and resumes at 3; job 2,
+    # less dense, is released under job 0's run and splits it at 4
+    inst = make_instance((job(0, 0, 1, 4), job(1, 2, 4, 1), job(2, 4, 1, 8)))
+    assert preemptive_hdf(inst) == [(0, 2, 0), (2, 3, 1), (3, 4, 0), (4, 5, 0), (5, 13, 2)]
 
 
 def test_lp_cost_examples():
-    single = (job(0, 0, 1, 2),)
-    sched = preemptive_hdf(single)
-    assert lp_cost(sched) == F(3, 2)
-    delayed = FractionalSchedule(single, {(1, 0): F(1), (2, 0): F(1)})
-    assert lp_cost(delayed) == F(5, 2)
-    assert lp_cost(FractionalSchedule((), {})) == 0
+    single = make_instance((job(0, 0, 1, 2),))
+    assert lp_cost(single, preemptive_hdf(single)) == F(3, 2)
+    delayed = [(1, 3, 0)]
+    assert lp_cost(single, delayed) == F(5, 2)
+    assert lp_cost(single, delayed) == oracles.lp_cost(fractional_schedule(single, delayed))
+    assert lp_cost(make_instance(()), []) == 0
 
 
 def test_transport_single_job():
-    assert transport_opt((job(0, 0, 1, 2),)) == F(3, 2)
+    assert transport_opt(make_instance((job(0, 0, 1, 2),))) == F(3, 2)
 
 
 def test_transport_matches_hdf_on_two_jobs():
-    jobs = (job(0, 0, 1, 2), job(1, 0, 4, 2))
-    assert transport_opt(jobs) == lp_cost(preemptive_hdf(jobs))
+    inst = make_instance((job(0, 0, 1, 2), job(1, 0, 4, 2)))
+    assert transport_opt(inst) == lp_cost(inst, preemptive_hdf(inst))
 
 
 def test_transport_empty():
-    assert transport_opt(()) == 0
+    assert transport_opt(make_instance(())) == 0
 
 
 def test_transport_horizon_too_short():
     with pytest.raises(HorizonTooShort):
-        transport_opt((job(0, 0, 1, 5),), horizon=3)
+        transport_opt(make_instance((job(0, 0, 1, 5),)), horizon=3)
     with pytest.raises(HorizonTooShort):
-        transport_opt((job(0, 9, 1, 1),), horizon=5)
+        transport_opt(make_instance((job(0, 9, 1, 1),)), horizon=5)
 
 
 def test_default_horizon_always_feasible():
-    jobs = (job(0, 0, 1, 3), job(1, 7, 2, 5))
-    h = default_horizon(jobs)
-    assert transport_opt(jobs, horizon=h) is not None
+    inst = make_instance((job(0, 0, 1, 3), job(1, 7, 2, 5)))
+    h = default_horizon(inst.jobs)
+    assert transport_opt(inst, horizon=h) is not None
 
 
-def random_jobs(seed, n, max_release=6):
-    inst = generate(WorkloadModel(kind="uniform", n=n, seed=seed, max_release=max_release,
+def random_instance(seed, n, max_release=6):
+    return generate(WorkloadModel(kind="uniform", n=n, seed=seed, max_release=max_release,
                                   max_size=6, max_weight=9))
-    return inst.jobs
+
+
+def assert_runs_match_the_slot_references(inst):
+    """HDF's runs, expanded to slots, are the rescanning oracle's schedule,
+    and their closed-form price is its per-slot Fraction price."""
+    runs = preemptive_hdf(inst)
+    expected = oracles.preemptive_hdf(inst.jobs)
+    assert fractional_schedule(inst, runs).allocation == expected.allocation
+    assert lp_cost(inst, runs) == oracles.lp_cost(expected)
+    assert len(runs) <= 2 * len(inst.jobs)
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40))
 def test_heap_hdf_matches_the_rescanning_oracle(seed, n, max_release):
-    jobs = random_jobs(seed, n, max_release)
-    expected = oracles.preemptive_hdf(jobs).allocation
-    assert preemptive_hdf(jobs).allocation == expected
+    assert_runs_match_the_slot_references(random_instance(seed, n, max_release))
+
+
+@settings(max_examples=50)
+@given(rational_instances())
+def test_hdf_runs_match_the_slot_references_on_rational_weights(drawn):
+    # the jobs that machine 0 can run, with their sizes there
+    instance, _ = drawn
+    assert_runs_match_the_slot_references(make_instance(
+        [Job(j.id, j.release, j.weight, (j.sizes[0],))
+         for j in instance.jobs if j.sizes[0] is not None]))
+
+
+def test_pileup_hdf_has_at_most_two_runs_per_job():
+    inst = generate(WorkloadModel(kind="adversarial_L", L=60, scale=10))
+    runs = preemptive_hdf(inst)
+    assert len(runs) <= 2 * len(inst.jobs)
+    assert sum(end - start for start, end, _ in runs) == 36_060
+    assert lp_cost(inst, runs) == oracles.lp_cost(fractional_schedule(inst, runs))
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40))
 def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release):
-    jobs = list(random_jobs(seed, n, max_release))
+    jobs = list(random_instance(seed, n, max_release).jobs)
     densities = [j.density() for j in jobs]
     assert baselines._busy_period_ends(jobs, densities) == [
         oracles.busy_period_end(jobs, j) for j in jobs]
 
 
-def lp_windows(monkeypatch, jobs):
+def lp_windows(monkeypatch, inst):
     """Each job's slots in the graph ``transport_opt`` hands to the solver."""
     graphs = []
     solve = baselines.nx.network_simplex
     monkeypatch.setattr(baselines.nx, "network_simplex",
                         lambda graph: graphs.append(graph) or solve(graph))
-    value = transport_opt(jobs)
+    value = transport_opt(inst)
     assert len(graphs) == 1
-    windows = {j.id: [] for j in jobs}
-    for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in jobs):
+    windows = {j.id: [] for j in inst.jobs}
+    for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in inst.jobs):
         windows[jid].append(t)
     return value, windows
 
 
-def last_hdf_slots(sched):
-    last = {}
-    for t, jid in sched.allocation:
-        last[jid] = max(last.get(jid, t), t)
-    return last
+def last_hdf_slots(runs):
+    return {jid: end - 1 for _, end, jid in runs}    # runs come in time order
 
 
 @settings(max_examples=40)
@@ -114,12 +144,13 @@ def last_hdf_slots(sched):
 def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
     # a job of unique density is the last of its denser set that HDF serves,
     # so its busy period ends in its last HDF slot; a tie can only lengthen it
-    jobs = random_jobs(seed, n, max_release)
+    inst = random_instance(seed, n, max_release)
+    jobs = inst.jobs
     with pytest.MonkeyPatch.context() as monkeypatch:
-        value, windows = lp_windows(monkeypatch, jobs)
-    sched = preemptive_hdf(jobs)
-    assert value == lp_cost(sched)
-    last = last_hdf_slots(sched)
+        value, windows = lp_windows(monkeypatch, inst)
+    runs = preemptive_hdf(inst)
+    assert value == lp_cost(inst, runs)
+    last = last_hdf_slots(runs)
     densities = [j.density() for j in jobs]
     for j in jobs:
         assert windows[j.id] == list(range(j.release, windows[j.id][-1] + 1))
@@ -132,28 +163,29 @@ def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
 def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
     # equal densities: HDF runs the earlier job 1 in slots 0-1 first, so the
     # later job 0 (smaller id) must still reach slot 2
-    jobs = (job(1, 0, 2, 2), job(0, 1, 1, 1))
-    value, windows = lp_windows(monkeypatch, jobs)
+    inst = make_instance((job(1, 0, 2, 2), job(0, 1, 1, 1)))
+    value, windows = lp_windows(monkeypatch, inst)
     assert windows == {1: [0, 1, 2], 0: [1, 2]}
-    sched = preemptive_hdf(jobs)
-    assert sched.allocation == {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1)}
-    assert value == lp_cost(sched) == F(9, 2)
+    runs = preemptive_hdf(inst)
+    assert fractional_schedule(inst, runs).allocation == \
+        {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1)}
+    assert value == lp_cost(inst, runs) == F(9, 2)
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_windowed_arcs_match_full_horizon(seed, n):
-    jobs = random_jobs(seed, n)
-    assert transport_opt(jobs) == transport_opt_full(jobs)
+    inst = random_instance(seed, n)
+    assert transport_opt(inst) == transport_opt_full(inst.jobs)
 
 
 @settings(max_examples=25)
 @given(st.integers(0, 10 ** 6), st.integers(1, 7))
 def test_hdf_attains_the_transport_optimum(seed, n):
-    jobs = random_jobs(seed, n)
-    sched = preemptive_hdf(jobs)
-    validate_schedule(sched)
-    assert lp_cost(sched) == transport_opt(jobs)
+    inst = random_instance(seed, n)
+    runs = preemptive_hdf(inst)
+    validate_schedule(fractional_schedule(inst, runs))
+    assert lp_cost(inst, runs) == transport_opt(inst)
 
 
 def residual_weight_series(jobs, schedule, horizon):
@@ -198,9 +230,11 @@ def fixed_permutation_schedule(jobs, order):
 @settings(max_examples=20)
 @given(st.integers(0, 10 ** 6), st.integers(1, 5))
 def test_hdf_residual_weight_dominates_fixed_orders(seed, n):
-    jobs = random_jobs(seed, n)
+    inst = random_instance(seed, n)
+    jobs = inst.jobs
     horizon = default_horizon(jobs)
-    hdf_series = residual_weight_series(jobs, preemptive_hdf(jobs), horizon)
+    hdf_series = residual_weight_series(jobs, fractional_schedule(inst, preemptive_hdf(inst)),
+                                        horizon)
     fifo = sorted(jobs, key=lambda j: (j.release, j.id))
     orders = [fifo] + [list(p) for p in itertools.islice(itertools.permutations(jobs), 6)]
     for order in orders:
@@ -239,6 +273,6 @@ def test_relaxation_lower_bounds_any_real_schedule(seed, n):
     # a non-preemptive schedule is LP-feasible and its LP cost sits w/2 per
     # job below its integral flow, so the optimum is a true lower bound;
     # greedy's schedule is one of those the brute force enumerates
-    jobs = random_jobs(seed, n)
-    assert transport_opt(jobs) <= brute_force_nonpreemptive(jobs) \
-        <= oracles.greedy_nonpreemptive(jobs)
+    inst = random_instance(seed, n)
+    assert transport_opt(inst) <= brute_force_nonpreemptive(inst.jobs) \
+        <= oracles.greedy_nonpreemptive(inst.jobs)

@@ -281,8 +281,8 @@ def test_bad_option_values_exit_2(capsys, trace_file, argv):
 
 
 def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file):
-    sched = preemptive_hdf(parse_trace(trace_file).jobs)
-    makespan = max(t for t, _ in sched.allocation) + 1
+    runs = preemptive_hdf(parse_trace(trace_file))
+    makespan = max(end for _, end, _ in runs)
     argv = ["baseline", "--trace", trace_file, "--horizon"]
     assert run_cli(capsys, argv + [makespan]) == (0, "")
     rc, err = run_cli(capsys, argv + [makespan - 1])
@@ -388,8 +388,7 @@ def test_only_baseline_loads_networkx(tmp_path, trace_file):
     assert Path(outs["baseline"]).read_bytes() == base.read_bytes()
 
 
-@pytest.mark.parametrize("flags, validations", [
-    ([], 0), (["--epsilon", "1/4"], 1), (["--machines", "1"], 1)])
+@pytest.mark.parametrize("flags, validations", [([], 0), (["--epsilon", "1/4"], 1)])
 def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, flags,
                                                      validations):
     # parse_trace already returns a validated instance

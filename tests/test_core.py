@@ -1,6 +1,8 @@
+import ast
 import importlib
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -218,3 +220,36 @@ def test_rational_stored_in_lowest_terms(a):
 
 def test_every_exported_name_exists():
     assert [name for name in flowsched.__all__ if not hasattr(flowsched, name)] == []
+
+
+def weight_conversions(tree: ast.AST) -> list[int]:
+    """Lines that turn a weight into integers: ``.numerator``,
+    ``.denominator`` or ``.as_integer_ratio`` of a ``.weight``, or of a name
+    bound to an expression that reads one, and any ``density_scale`` call."""
+    nodes = list(ast.walk(tree))
+
+    def reads_weight(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "weight" for n in ast.walk(node))
+    derived = {target.id for node in nodes if isinstance(node, ast.Assign)
+               and reads_weight(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    lines = set()
+    for node in nodes:
+        if isinstance(node, ast.Attribute) \
+                and node.attr in ("numerator", "denominator", "as_integer_ratio"):
+            value = node.value
+            if isinstance(value, ast.Attribute) and value.attr == "weight" \
+                    or isinstance(value, ast.Name) and value.id in derived:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and "density_scale" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_core_converts_weights_to_integers():
+    # Instance.table is the one conversion; every other module reads it
+    modules = {path.name: weight_conversions(ast.parse(path.read_text(encoding="utf-8")))
+               for path in Path(flowsched.__file__).parent.glob("*.py")}
+    assert modules.pop("core.py")    # the scan finds the conversion where it is
+    assert {name: lines for name, lines in modules.items() if lines} == {}
