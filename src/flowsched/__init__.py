@@ -7,9 +7,9 @@ verifier, all in exact rational arithmetic.
 from its home module on first access (PEP 562) and kept here. So
 ``generate``, ``WorkloadModel`` and ``serialize_trace`` load ``harness``
 and ``core``; ``run`` adds ``scheduler``, ``impact`` and ``rejection``;
-``verify_duals`` adds ``analysis`` and ``dispatch``; ``import *`` loads
-all eight. ``flowsched.cli`` (the ``flowsched`` command) imports them all
-up front; networkx waits for the first solve (see ``baselines``).
+``verify_duals`` adds ``analysis``; ``import *`` loads all eight.
+``flowsched.cli`` (the ``flowsched`` command) imports them all up front;
+networkx waits for the first solve (see ``baselines``).
 
 ``dispatch`` is the function, though it also names its submodule: the
 import system binds a submodule on its package when it is first loaded,
@@ -27,7 +27,7 @@ _EXPORTS = {
     "baselines": "HorizonTooShort default_horizon lp_cost preemptive_hdf transport_opt",
     "core": "Instance InvalidInstance Job JobNotRunnableOnMachine Rational ResidualJob "
             "density_scale validate_instance",
-    "dispatch": "DispatchDecision MultiTrace NoEligibleMachine dispatch run_multi",
+    "dispatch": "NoEligibleMachine dispatch run_multi",
     "harness": "BadParameters MalformedLine MissingHeader WorkloadModel format_trace "
                "generate parse_trace parse_trace_text serialize_trace",
     "impact": "ArrivalImpact arrival_impact",

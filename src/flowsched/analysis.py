@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import Instance, Rational, ZERO
-from .dispatch import MultiTrace, each_trace
 from .scheduler import ScheduleTrace
 
 
@@ -77,15 +76,15 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
                         for jid, total in doubled.items()), 2 * instance.scale)
 
 
-def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
-    """The six metrics of one run. Each weight sum is an integer numerator
-    over the instance's density scale; only the totals become Fractions."""
+def compute_metrics(traces: list[ScheduleTrace], instance: Instance) -> Metrics:
+    """The six metrics of the traces of one run. Each weight sum is an integer
+    numerator over the density scale; only the totals become Fractions."""
     scale, by_id = instance.scale, instance.by_id
     weight = {jid: row[0] for jid, row in instance.table.items()}    # w * scale
     delivered: set[int] = set()
     weighted_flow = departure_objective = rejected_immediate = rejected_delayed = 0
     fractional = ZERO
-    for trace in each_trace(run):
+    for trace in traces:
         delivered.update(trace.arrivals)
         fractional += fractional_flow_plan(trace, instance)
         weighted_flow += sum(weight[jid] * (completion - by_id[jid].release)
@@ -163,8 +162,8 @@ class RejectionAudit:
         return all(c.ok for c in self.checks)
 
 
-def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> RejectionAudit:
-    """Check the exact rejection-weight budgets of one run.
+def audit_rejections(traces: list[ScheduleTrace], instance: Instance) -> RejectionAudit:
+    """Check the exact rejection-weight budgets of the traces of one run.
 
     (a) delayed-rejected weight <= eps * W;
     (b) minus-table rejected weight <= 4 eps * weight assigned to it;
@@ -179,7 +178,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     delayed = immediate = 0
     plus_assigned = minus_assigned = 0
     plus_rejected_first = plus_rejected_rest = minus_rejected = 0
-    for trace in each_trace(run):
+    for trace in traces:
         delayed += sum(weight[jid] for jid in trace.promoted_at)
         immediate += sum(weight[jid] for jid in trace.immediate_rejected)
         for bucket in trace.table_report:

@@ -43,10 +43,10 @@ from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import (HorizonTooShort, default_horizon, lp_cost,
                         preemptive_hdf, transport_opt)
 from .core import Instance, InvalidInstance, Rational, validate_instance
-from .dispatch import MultiTrace, each_trace, run_multi
+from .dispatch import run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       generate, parse_trace, serialize_trace)
-from .scheduler import run
+from .scheduler import ScheduleTrace, run
 
 USAGE_ERROR = 2
 VIOLATION = 1
@@ -121,10 +121,8 @@ def _load_instance(args) -> Instance:
     return instance if epsilon is None else validate_instance(replace(instance, epsilon=epsilon))
 
 
-def _run_instance(instance):
-    if instance.machines == 1:
-        return run(instance)
-    return run_multi(instance)
+def _run_instance(instance: Instance) -> list[ScheduleTrace]:
+    return [run(instance)] if instance.machines == 1 else run_multi(instance)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -178,21 +176,25 @@ def _slot_chunks(trace) -> Iterator[str]:
 
 def cmd_simulate(args) -> int:
     instance = _load_instance(args)
-    result = _run_instance(instance)
-    metrics = compute_metrics(result, instance)
+    traces = _run_instance(instance)
+    metrics = compute_metrics(traces, instance)
     double = 2 * instance.scale    # the impacts' denominator
     totals: dict[int, str] = {}    # a score's text, reused as its impact's total
     with _Writer(args.out) as writer:
         write = writer.write
         # instances carry no speed; the fixed field keeps the record's bytes
         write(f"header m={instance.machines} epsilon={instance.epsilon} speedup=0\n")
-        if isinstance(result, MultiTrace):
+        if instance.machines > 1:
+            # a job's machine is the trace it arrived on, and its score is
+            # the impact total it was dispatched with
+            owner = {j: trace for trace in traces for j in trace.impacts}
             lines = []
-            for d in result.decisions:
-                totals[d.job] = score = _ratio(d.score, double)
-                lines.append(f"dispatch job={d.job} machine={d.machine} score={score}\n")
+            for j in (job.id for job in instance.jobs):
+                trace = owner[j]
+                totals[j] = score = _ratio(trace.impacts[j].total, double)
+                lines.append(f"dispatch job={j} machine={trace.machine} score={score}\n")
             write("".join(lines))
-        for trace in each_trace(result):
+        for trace in traces:
             m, arrivals = trace.machine, trace.arrivals
             write(f"machine index={m} arrivals={','.join(map(str, arrivals)) or '-'}\n")
             for chunk in _slot_chunks(trace):
@@ -240,8 +242,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args)
-    result = _run_instance(instance)
-    certificates = [verify_duals(trace, instance) for trace in each_trace(result)]
+    certificates = [verify_duals(trace, instance) for trace in _run_instance(instance)]
     with _Writer(args.out) as writer:
         for cert in certificates:
             double = 2 * cert.scale
@@ -258,8 +259,8 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     instance = _load_instance(args)
-    result = _run_instance(instance)
-    audit = audit_rejections(result, instance)
+    traces = _run_instance(instance)
+    audit = audit_rejections(traces, instance)
     with _Writer(args.out) as writer:
         for check in audit.checks:
             writer.emit("budget", name=check.name,
@@ -267,7 +268,7 @@ def cmd_audit(args) -> int:
                         bound=_ratio(check.bound, audit.denominator), ok=check.ok)
         writer.emit("fraction", name="delayed", value=audit.delayed_fraction)
         writer.emit("fraction", name="immediate", value=audit.immediate_fraction)
-        for trace in each_trace(result):
+        for trace in traces:
             for bucket in trace.table_report:
                 writer.emit("bucket", machine=trace.machine, table=bucket.table,
                             key=",".join(map(str, bucket.key)), count=bucket.count,

@@ -10,12 +10,13 @@ exact integer numerators of their totals, each from one pass of a
 :class:`~flowsched.core.ResidualJob` filled from the instance's integer
 table; the chosen machine admits or rejects the job with that pass's
 impact and activates that same view. Rejection tables are per machine.
+A run is its machines' traces, which record each choice once: a job's
+machine is the trace it arrived on, its score that trace's impact total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import Instance, Job, ResidualJob
 from .impact import arrival_impact, impact_sums
@@ -26,31 +27,15 @@ class NoEligibleMachine(ValueError):
     pass
 
 
-class DispatchDecision(NamedTuple):
-    job: int
-    machine: int
-    score: int  # the chosen machine's impact total, over twice the density scale
-
-
-@dataclass
-class MultiTrace:
-    traces: list[ScheduleTrace]
-    decisions: list[DispatchDecision]
-
-
-def each_trace(result: ScheduleTrace | MultiTrace) -> list[ScheduleTrace]:
-    """The per-machine traces of a single- or multi-machine run."""
-    return result.traces if isinstance(result, MultiTrace) else [result]
-
-
-def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision:
-    """Pick the machine where the job's arrival impact is smallest.
+def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> int:
+    """The index of the machine where the job's arrival impact is smallest.
 
     Reads only the machines' current active sets, so the decision depends
     solely on state at the release time. Each machine that can run the job
     gets one :class:`~flowsched.core.ResidualJob` of it and one
     :func:`impact_sums` pass; the chosen machine's view and sums become its
-    full :func:`arrival_impact`, handed to its scheduler as ``scored``.
+    full :func:`arrival_impact`, handed to its scheduler as ``scored``, so
+    that impact's total is the score the machine won with.
     """
     best: tuple[int, ResidualJob, tuple[int, int, int]] | None = None  # total, view, sums
     for index, (size, sched) in enumerate(zip(job.sizes, machines)):
@@ -70,23 +55,16 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> DispatchDecision
     sched = machines[arrival.machine]
     impact = arrival_impact(arrival, sched.active.values(), sched.epsilon, sums)
     sched.scored = (arrival, impact)
-    return DispatchDecision(job.id, arrival.machine, impact.total)
+    return arrival.machine
 
 
-def run_multi(instance: Instance) -> MultiTrace:
-    """Dispatch every arrival of a validated instance, which it does not
-    validate again, and run each machine up to every release, all machines
-    on the instance's ``scale``.
+def run_multi(instance: Instance) -> list[ScheduleTrace]:
+    """The per-machine traces of a validated instance, which it does not
+    validate again: :func:`dispatch` routes every arrival, and each machine
+    runs up to every release, all on the instance's ``scale``.
 
     With a single machine this reduces to :func:`flowsched.scheduler.run`
     bit for bit; both share :func:`flowsched.scheduler.drive`.
     """
     machines = [MachineScheduler(instance, i) for i in range(instance.machines)]
-    decisions: list[DispatchDecision] = []
-
-    def route(job: Job, machines: Sequence[MachineScheduler]) -> int:
-        decision = dispatch(job, machines)
-        decisions.append(decision)
-        return decision.machine
-
-    return MultiTrace(drive(instance.jobs, machines, route), decisions)
+    return drive(instance.jobs, machines, dispatch)

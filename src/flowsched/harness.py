@@ -80,6 +80,8 @@ def generate(model: WorkloadModel) -> Instance:
         raise BadParameters("n must be nonnegative")
     if model.max_size < 1 or model.max_weight < 1:
         raise BadParameters("max_size and max_weight must be at least 1")
+    if model.max_release < 0:
+        raise BadParameters("max_release must be nonnegative")
     if model.kind == "poisson_pareto" and not (model.rate > 0 and model.shape > 0):
         raise BadParameters("poisson_pareto needs rate > 0 and shape > 0")
     if model.kind in ("adversarial_L", "fixed") and model.machines != 1:
@@ -133,7 +135,7 @@ def _uniform_jobs(model: WorkloadModel) -> list[Job]:
     rng = random.Random(model.seed)
     raw = []
     for _ in range(model.n):
-        raw.append((rng.randint(0, max(model.max_release, 0)),
+        raw.append((rng.randint(0, model.max_release),
                     _rand_weight(rng, model.max_weight),
                     _rand_sizes(rng, model.machines, model.max_size)))
     raw.sort(key=lambda r: r[0])

@@ -18,14 +18,15 @@ The arrival is the :class:`~flowsched.core.ResidualJob` that was scored,
 so this module converts nothing: the weight class is the arrival's, from
 the instance's integer table, and the others are ``floor_log_ratio`` of
 the integer numerators of ``plus/weight`` and ``minus``, and
-``size.bit_length() - 1``. Bucket weights are numerators over the run's
-density ``scale``; the report of :meth:`RejectionTables.audit` is built
-only when first read.
+``size.bit_length() - 1``. A bucket is the list of its assigned weights,
+numerators over the run's density ``scale``; its rejected ordinals follow
+from its length and the cadence, so :meth:`RejectionTables.audit` derives
+them, in a report built only when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Rational, ResidualJob, floor_log_ratio
@@ -91,16 +92,6 @@ class BucketReport:
     weight_rejected_first: int  # weight of ordinal 1 when it was rejected
 
 
-@dataclass
-class _Bucket:
-    weights: list[int] = field(default_factory=list)  # w * scale, by ordinal
-    rejected: list[int] = field(default_factory=list)
-
-    def assign(self, weight: int) -> int:
-        self.weights.append(weight)
-        return len(self.weights)
-
-
 class RejectionTables:
     """Mutable bucket state for one machine (single-writer), over the run's
     density ``scale``; ``1/epsilon`` (validated) is the cadence."""
@@ -108,8 +99,9 @@ class RejectionTables:
     def __init__(self, epsilon: Rational, scale: int):
         self.cadence: int = epsilon.denominator
         self.scale = scale
-        self._plus: dict[PlusKey, _Bucket] = {}
-        self._minus: dict[MinusKey, _Bucket] = {}
+        # each bucket is its assigned weights, w * scale, by ordinal
+        self._plus: dict[PlusKey, list[int]] = {}
+        self._minus: dict[MinusKey, list[int]] = {}
         self._seen: set[int] = set()
 
     def admit(self, arrival: ResidualJob, impact: ArrivalImpact) -> ImmediateDecision:
@@ -131,38 +123,39 @@ class RejectionTables:
         plus_ordinal = minus_ordinal = None
 
         if plus_key is not None:
-            bucket = self._plus.setdefault(plus_key, _Bucket())
-            plus_ordinal = bucket.assign(weight)
+            bucket = self._plus.setdefault(plus_key, [])
+            bucket.append(weight)
+            plus_ordinal = len(bucket)
             if plus_ordinal % self.cadence == 1:
-                bucket.rejected.append(plus_ordinal)
                 reject = True
                 reason = REASON_PLUS_FIRST if plus_ordinal == 1 else REASON_PLUS_CADENCE
         if minus_key is not None:
-            bucket = self._minus.setdefault(minus_key, _Bucket())
-            minus_ordinal = bucket.assign(weight)
-            if minus_ordinal % self.cadence == 0:
-                bucket.rejected.append(minus_ordinal)
-                if not reject:
-                    reject = True
-                    reason = REASON_MINUS_CADENCE
+            bucket = self._minus.setdefault(minus_key, [])
+            bucket.append(weight)
+            minus_ordinal = len(bucket)
+            if minus_ordinal % self.cadence == 0 and not reject:
+                reject = True
+                reason = REASON_MINUS_CADENCE
 
         return ImmediateDecision(jid, plus_key, minus_key,
                                  plus_ordinal, minus_ordinal, reject, reason)
 
     def audit(self) -> list[BucketReport]:
-        """Exhaustive per-bucket report, deterministically ordered by key."""
+        """Exhaustive per-bucket report, deterministically ordered by key;
+        each bucket's rejected ordinals follow from its count and cadence."""
+        k = self.cadence
         reports = []
-        for table, buckets in (("plus", self._plus), ("minus", self._minus)):
+        for table, buckets, first in (("plus", self._plus, 1), ("minus", self._minus, k)):
             for key in sorted(buckets):
-                bucket = buckets[key]
-                weights, rejected = bucket.weights, tuple(bucket.rejected)
+                weights = buckets[key]
+                rejected = range(first, len(weights) + 1, k)
                 reports.append(BucketReport(
                     table=table,
                     key=tuple(key),
                     count=len(weights),
-                    rejected_ordinals=rejected,
+                    rejected_ordinals=tuple(rejected),
                     weight_assigned=sum(weights),
-                    weight_rejected=sum(weights[o - 1] for o in rejected),
+                    weight_rejected=sum(weights[first - 1::k]),
                     weight_rejected_first=weights[0] if 1 in rejected else 0,
                 ))
         return reports

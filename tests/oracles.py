@@ -34,7 +34,10 @@ engine must produce the same slots, events, impacts and decisions. Its
 traces are :class:`SlotTrace`s, which also record the charging map phi of
 the paper's dual-fitting proof; the engine keeps no phi.
 ``slot_run_multi`` routes with ``dispatch``, which scores every eligible
-machine in full with the ``arrival_impact`` above.
+machine in full with the ``arrival_impact`` above, and records each of its
+decisions, which the engine keeps only in its traces: ``dispatched``
+reads them from there, and ``trace_record`` is what two traces of the
+same machine must share.
 
 The per-call conversion: ``scaled_weight`` and ``scaled_density`` turn
 one job's weight and one of its densities into integers over a given
@@ -51,8 +54,9 @@ a size on a machine.
 
 ``simulate_text`` is ``simulate``'s output built the buffered way: every
 line in one list (:class:`RecordBuffer`), each record but the slot lines
-formatted by the generic ``emit``, the whole text joined at the end. The
-command's streaming writer must give the same bytes.
+formatted by the generic ``emit``, the ``dispatch`` lines from the
+decisions the per-slot engine recorded, the whole text joined at the end.
+The command's streaming writer must give the same bytes.
 
 The offline references: ``preemptive_hdf`` rescans every job in every
 slot into a per-slot :class:`FractionalSchedule`, and ``lp_cost`` prices
@@ -77,7 +81,7 @@ from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import permutations
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import networkx as nx
 
@@ -86,7 +90,7 @@ from flowsched.baselines import default_horizon, transport_opt
 from flowsched.cli import _ratio
 from flowsched.core import (HALF, DensityNotSpanned, Instance, Job, NonPositiveArgument,
                             ONE, Rational, ResidualJob, ZERO)
-from flowsched.dispatch import DispatchDecision, MultiTrace, NoEligibleMachine, each_trace
+from flowsched.dispatch import NoEligibleMachine
 from flowsched.impact import ArrivalImpact, JobInActiveSet
 from flowsched.rejection import BucketReport, MinusKey, PlusKey, RejectionTables
 from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
@@ -260,7 +264,7 @@ def bucket_report(trace: ScheduleTrace, instance: Instance) -> list[BucketReport
             for table, key, weights, rejected in buckets(trace, instance)]
 
 
-def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> RejectionAudit:
+def audit_rejections(traces: list[ScheduleTrace], instance: Instance) -> RejectionAudit:
     """Every rejection budget summed and compared in Fractions, over the
     :func:`buckets` above; the values and bounds are stored over
     ``scale / epsilon``."""
@@ -269,7 +273,7 @@ def audit_rejections(run: ScheduleTrace | MultiTrace, instance: Instance) -> Rej
     delayed = immediate = ZERO
     plus_assigned = minus_assigned = ZERO
     plus_first = plus_rest = minus_rejected = ZERO
-    for trace in each_trace(run):
+    for trace in traces:
         delayed += sum((by_id[jid].weight for jid in trace.promoted_at), start=ZERO)
         immediate += sum((by_id[jid].weight for jid in trace.immediate_rejected), start=ZERO)
         for table, _, weights, rejected in buckets(trace, instance):
@@ -310,7 +314,7 @@ def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
     return total
 
 
-def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metrics:
+def compute_metrics(traces: list[ScheduleTrace], instance: Instance) -> Metrics:
     """The six metrics summed job by job in Fractions; the plan's
     fractional flow is the per-slot ``fractional_flow_plan`` above."""
     by_id = instance.by_id
@@ -320,7 +324,7 @@ def compute_metrics(run: ScheduleTrace | MultiTrace, instance: Instance) -> Metr
     departure_objective = ZERO
     rejected_immediate = ZERO
     rejected_delayed = ZERO
-    for trace in each_trace(run):
+    for trace in traces:
         delivered.update(trace.arrivals)
         fractional += fractional_flow_plan(trace, instance)
         for jid, completion in trace.completion_real.items():
@@ -475,20 +479,21 @@ class RecordBuffer:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def simulate_text(instance: Instance, result: ScheduleTrace | MultiTrace,
-                  metrics: Metrics) -> str:
-    """``simulate``'s output for a run and its metrics, every record but the
-    slot lines formatted through the generic ``emit``."""
+def simulate_text(instance: Instance, traces: list[ScheduleTrace], metrics: Metrics,
+                  decisions: Sequence[DispatchDecision] = ()) -> str:
+    """``simulate``'s output for a run's traces, its metrics and, on several
+    machines, the dispatch ``decisions`` as :func:`slot_run_multi` records
+    them, every record but the slot lines formatted through the generic
+    ``emit``."""
     writer = RecordBuffer()
     # instances carry no speed; the fixed field keeps the record's bytes
     writer.emit("header", m=instance.machines, epsilon=instance.epsilon, speedup=0)
     double = 2 * instance.scale    # the impacts' denominator
     totals: dict[int, str] = {}    # a score's text, reused as its impact's total
-    if isinstance(result, MultiTrace):
-        for decision in result.decisions:
-            totals[decision.job] = score = _ratio(decision.score, double)
-            writer.emit("dispatch", job=decision.job, machine=decision.machine, score=score)
-    for trace in each_trace(result):
+    for decision in decisions:
+        totals[decision.job] = score = _ratio(decision.score, double)
+        writer.emit("dispatch", job=decision.job, machine=decision.machine, score=score)
+    for trace in traces:
         writer.emit("machine", index=trace.machine,
                     arrivals=",".join(map(str, trace.arrivals)) or "-")
         # one line per unit slot, formatted straight from the runs
@@ -696,6 +701,33 @@ def slot_drive(jobs: Sequence[Job], machines: Sequence[SlotScheduler],
     return [s.finish_trace() for s in machines]
 
 
+class DispatchDecision(NamedTuple):
+    job: int
+    machine: int
+    score: int  # the chosen machine's impact total, over twice the density scale
+
+
+@dataclass
+class SlotRun:
+    """The per-slot engine's traces of one run, with the dispatch decisions
+    it recorded as it routed each arrival."""
+    traces: list[SlotTrace]
+    decisions: list[DispatchDecision]
+
+
+def dispatched(traces: list[ScheduleTrace], instance: Instance) -> list[DispatchDecision]:
+    """The dispatch decisions a run's traces hold, in input order: a job's
+    machine is the trace it arrived on, its score that trace's impact total."""
+    return [DispatchDecision(job.id, trace.machine, trace.impacts[job.id].total)
+            for job in instance.jobs for trace in traces if job.id in trace.impacts]
+
+
+def trace_record(trace: ScheduleTrace) -> tuple:
+    """What a trace records, comparable between the two engines: its
+    arrivals, unit slots, events, impacts and decisions."""
+    return trace.arrivals, slots(trace), trace.events, trace.impacts, trace.decisions
+
+
 def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
     """Pick the machine where the job's arrival impact is smallest, scoring
     every eligible machine in full; ties go to the smaller index. The score
@@ -712,7 +744,7 @@ def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
     return DispatchDecision(job.id, best[1], whole(best[0] * 2 * machines[0].scale))
 
 
-def slot_run_multi(instance: Instance) -> MultiTrace:
+def slot_run_multi(instance: Instance) -> SlotRun:
     """Dispatch every arrival of a validated instance, then drive all
     machines in lock-step slots.
 
@@ -728,7 +760,7 @@ def slot_run_multi(instance: Instance) -> MultiTrace:
         decisions.append(decision)
         return decision.machine
 
-    return MultiTrace(slot_drive(instance.jobs, machines, route), decisions)
+    return SlotRun(slot_drive(instance.jobs, machines, route), decisions)
 
 
 # -- offline references ---------------------------------------------------------
@@ -925,7 +957,7 @@ class LowerBoundVerdict:
         return self.holds_oracle_bound and self.holds_plan_bound
 
 
-def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
+def lower_bound_check(traces: list[ScheduleTrace], instance: Instance,
                       limit: int = 12) -> LowerBoundVerdict:
     """Verify the two impact inequalities against the exact transport
     optimum of each machine's jobs, projected to that machine's sizes.
@@ -941,7 +973,7 @@ def lower_bound_check(run: ScheduleTrace | MultiTrace, instance: Instance,
     immediate = kept = ZERO
     slack = ZERO
     plan_flow = ZERO
-    for trace in each_trace(run):
+    for trace in traces:
         projected = [Job(jid, by_id[jid].release, by_id[jid].weight,
                          (by_id[jid].size_on(trace.machine),))
                      for jid in trace.arrivals]

@@ -23,7 +23,7 @@ def worked_instance():
 
 def test_uninterrupted_job_fractional_and_integral_flow():
     inst = make_instance([job(0, 0, 1, 2)])
-    metrics = compute_metrics(run(inst), inst)
+    metrics = compute_metrics([run(inst)], inst)
     assert metrics.fractional_flow_plan == 1
     assert metrics.weighted_flow == 2
 
@@ -39,7 +39,7 @@ def test_delayed_start_fractional_flow():
 
 def test_worked_run_metrics():
     inst = worked_instance()
-    metrics = compute_metrics(run(inst), inst)
+    metrics = compute_metrics([run(inst)], inst)
     assert metrics.weighted_flow == F(9, 2)
     assert metrics.departure_objective == F(11, 2)
     assert metrics.fractional_flow_plan == F(13, 2)
@@ -78,14 +78,14 @@ def test_worked_run_certificate_and_audit():
     cert = verify_duals(trace, inst)
     assert cert.feasible and not cert.violations
     assert value(cert, cert.objective) <= transport_opt(inst)
-    audit = audit_rejections(trace, inst)
+    audit = audit_rejections([trace], inst)
     assert audit.ok
     assert audit.delayed_fraction == F(1, 4)
 
 
 def test_no_rejection_run_audit_all_zero():
     inst = make_instance([job(0, 0, 1, 2), job(1, 4, 1, 2)])
-    audit = audit_rejections(run(inst), inst)
+    audit = audit_rejections([run(inst)], inst)
     assert audit.ok
     assert audit.delayed_fraction == 0
     assert audit.immediate_fraction == 0
@@ -100,7 +100,7 @@ def test_beta_sampled_after_arrivals():
 
 def test_lower_bound_single_job():
     inst = make_instance([job(0, 0, 1, 2)])
-    verdict = lower_bound_check(run(inst), inst)
+    verdict = lower_bound_check([run(inst)], inst)
     assert verdict.ok
     assert verdict.immediate_impact_total == 0
     assert verdict.plan_flow == 1
@@ -110,13 +110,13 @@ def test_lower_bound_single_job():
 def test_lower_bound_size_guard():
     inst = generate(WorkloadModel(kind="uniform", n=13, seed=0))
     with pytest.raises(TooLargeForOracle):
-        lower_bound_check(run(inst), inst)
+        lower_bound_check([run(inst)], inst)
 
 
 def test_lower_bound_random_eight_jobs():
     inst = generate(WorkloadModel(kind="uniform", n=8, seed=41, max_release=4,
                                   epsilon=F(1, 4)))
-    verdict = lower_bound_check(run(inst), inst)
+    verdict = lower_bound_check([run(inst)], inst)
     assert verdict.holds_oracle_bound and verdict.holds_plan_bound
 
 
@@ -139,7 +139,7 @@ def test_dual_feasibility_on_random_instances(seed):
 @given(st.integers(0, 10 ** 6))
 def test_rejection_budgets_on_random_instances(seed):
     inst = suite_instance(seed)
-    audit = audit_rejections(run(inst), inst)
+    audit = audit_rejections([run(inst)], inst)
     assert audit.ok, [c for c in audit.checks if not c.ok]
 
 
@@ -184,11 +184,11 @@ def test_beta_sum_dominates_continuous_flow(seed):
 def test_multi_machine_certificates_and_audit():
     inst = generate(WorkloadModel(kind="uniform", n=24, seed=5, machines=3,
                                   max_release=8, epsilon=F(1, 4)))
-    result = run_multi(inst)
-    for trace in result.traces:
+    traces = run_multi(inst)
+    for trace in traces:
         assert verify_duals(trace, inst).feasible
-    assert audit_rejections(result, inst).ok
-    metrics = compute_metrics(result, inst)
+    assert audit_rejections(traces, inst).ok
+    metrics = compute_metrics(traces, inst)
     assert metrics.rejected_weight_immediate + metrics.rejected_weight_delayed \
         <= metrics.total_weight
 
@@ -203,5 +203,5 @@ def test_rejection_separates_from_greedy_on_the_pileup(L):
     lp = lp_cost(inst, preemptive_hdf(inst))
     trace = run(inst)
     assert greedy_nonpreemptive(inst.jobs) / lp >= F(L, 2)
-    assert compute_metrics(trace, inst).weighted_flow / lp < 1
-    assert audit_rejections(trace, inst).ok
+    assert compute_metrics([trace], inst).weighted_flow / lp < 1
+    assert audit_rejections([trace], inst).ok

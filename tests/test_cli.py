@@ -26,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (DispatchDecision, WorkloadModel, compute_metrics, generate, parse_trace,
-                       preemptive_hdf, run, run_multi, serialize_trace)
+from flowsched import (WorkloadModel, compute_metrics, generate, parse_trace, preemptive_hdf,
+                       run, run_multi, serialize_trace)
 import flowsched
 from flowsched import cli
 from flowsched.cli import main
@@ -138,14 +138,17 @@ def test_cli_outputs_match_recorded_digests(suite, tmp_path):
 
 def simulate_outputs(trace: Path, out: Path) -> tuple[str, str, str]:
     """``simulate``'s ``--out`` text and its stdout on one trace file, and
-    the buffered oracle formatter's text for the same run."""
+    the buffered oracle formatter's text for the same run, its dispatch
+    lines from the per-slot engine's decisions."""
     assert main(["simulate", "--trace", str(trace), "--out", str(out)]) == 0
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["simulate", "--trace", str(trace)]) == 0
     instance = parse_trace(trace)
-    result = run(instance) if instance.machines == 1 else run_multi(instance)
-    expected = oracles.simulate_text(instance, result, compute_metrics(result, instance))
+    traces = [run(instance)] if instance.machines == 1 else run_multi(instance)
+    decisions = oracles.slot_run_multi(instance).decisions if instance.machines > 1 else ()
+    expected = oracles.simulate_text(instance, traces, compute_metrics(traces, instance),
+                                     decisions)
     return out.read_text(encoding="ascii"), stdout.getvalue(), expected
 
 
@@ -304,7 +307,8 @@ def test_negative_horizon_exits_2_without_jobs(capsys, tmp_path):
 
 
 # In one fresh interpreter: first what ``import flowsched`` and its lazy
-# names load, and which object ``flowsched.dispatch`` is in each import
+# names load (``verify_duals`` on a package imported afresh, without
+# ``dispatch``), and which object ``flowsched.dispatch`` is in each import
 # order (each on a package imported afresh); then runs each argv in order
 # and prints, after each, its exit code and whether networkx is loaded.
 # The commands' own output is discarded.
@@ -334,6 +338,9 @@ for name, home in flowsched._HOME.items():
             or value.__module__ not in (module.__name__, "fractions"):
         wrong.append(name)
 print(json.dumps(["names", wrong, set(flowsched.__all__) <= set(dir(flowsched))]))
+flowsched = fresh()
+from flowsched import verify_duals
+print(json.dumps(["verify_duals", loaded()]))
 flowsched = fresh()
 function = flowsched.dispatch
 module = importlib.import_module("flowsched.dispatch")
@@ -380,7 +387,10 @@ def test_only_baseline_loads_networkx(tmp_path, trace_file):
     assert proc.returncode == 0, proc.stderr
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
         ["bare", [], False], ["set-up", ["flowsched.core", "flowsched.harness"]],
-        ["names", [], True], ["first", True, True, True], ["after cli", True],
+        ["names", [], True],
+        ["verify_duals", ["flowsched.analysis", "flowsched.core", "flowsched.impact",
+                          "flowsched.rejection", "flowsched.scheduler"]],
+        ["first", True, True, True], ["after cli", True],
         ["after submodule", "module", True],
         ["import", 0, False], ["gen", 0, False], ["simulate", 0, False],
         ["verify", 0, False], ["audit", 0, False], ["report", 0, False],
@@ -486,11 +496,14 @@ def test_missing_file_exits_2(capsys, tmp_path):
     ["--model", "adversarial_L", "--machines", "4"],
     ["--model", "uniform", "--machines", "0"],        # zero is a value, not "unset"
     ["--model", "uniform", "--epsilon", "0"],
+    ["--model", "uniform", "--max-release", "-5"],    # no release in [0, -5]
 ])
 def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
-    rc, err = run_cli(capsys, ["gen", "--out", tmp_path / "gen.txt"] + flags)
+    out = tmp_path / "gen.txt"
+    rc, err = run_cli(capsys, ["gen", "--out", out] + flags)
     assert rc == cli.USAGE_ERROR
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["a b.txt", "a\tb.txt", "ab.txt\n"])
@@ -540,7 +553,7 @@ def test_job_routed_where_it_cannot_run_exits_1(capsys, monkeypatch, tmp_path):
     route = module.dispatch
 
     def misroute(job, machines):
-        return DispatchDecision(job.id, 1, 0) if job.id == 1 else route(job, machines)
+        return 1 if job.id == 1 else route(job, machines)
     monkeypatch.setattr(module, "dispatch", misroute)
     out = tmp_path / "sim.txt"
     rc, err = run_cli(capsys, ["simulate", "--trace", path, "--out", out])

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
                        WorkloadModel, arrival_impact, dispatch, generate, run, run_multi,
-                       validate_instance)
+                       serialize_trace, validate_instance)
+from flowsched.cli import main
 from flowsched.core import DensityNotSpanned
 
 import oracles
+from conftest import seeded_instance
 
 F = Fraction
 
@@ -29,22 +31,19 @@ def empty_machines(count, job, eps=F(1, 2)):
 def test_dispatch_prefers_smaller_impact():
     job = mjob(0, 0, 2, (1, 10))
     machines = empty_machines(2, job)
-    decision = dispatch(job, machines)
-    assert decision.machine == 0
+    assert dispatch(job, machines) == 0
     # w p / 2 on the fast machine, a numerator over twice the scale
-    assert F(decision.score, 2 * machines[0].scale) == 1
+    assert F(machines[0].scored[1].total, 2 * machines[0].scale) == 1
 
 
 def test_dispatch_respects_runnability():
     job = mjob(0, 0, 2, (None, 3))
-    decision = dispatch(job, empty_machines(2, job))
-    assert decision.machine == 1
+    assert dispatch(job, empty_machines(2, job)) == 1
 
 
 def test_dispatch_tie_breaks_to_smaller_index():
     job = mjob(0, 0, 2, (4, 4, 4))
-    decision = dispatch(job, empty_machines(3, job))
-    assert decision.machine == 0
+    assert dispatch(job, empty_machines(3, job)) == 0
 
 
 def test_dispatch_no_eligible_machine():
@@ -68,19 +67,18 @@ def test_dispatch_refuses_a_scale_that_misses_a_density(monkeypatch):
 def test_two_jobs_split_across_their_cheap_machines():
     inst = validate_instance(Instance(
         (mjob(0, 0, 1, (1, 5)), mjob(1, 0, 1, (5, 1))), machines=2))
-    result = run_multi(inst)
-    assert [d.machine for d in result.decisions] == [0, 1]
-    for trace, jid in ((result.traces[0], 0), (result.traces[1], 1)):
-        assert trace.arrivals == (jid,)
+    traces = run_multi(inst)
+    assert [trace.arrivals for trace in traces] == [(0,), (1,)]
+    for trace, jid in zip(traces, (0, 1)):
         assert trace.completion_real[jid] == 1  # flow equals size
 
 
 def test_single_eligible_machine_receives_everything():
     inst = validate_instance(Instance(
         tuple(mjob(i, i, 1, (None, 2)) for i in range(4)), machines=2))
-    result = run_multi(inst)
-    assert result.traces[0].arrivals == ()
-    assert result.traces[1].arrivals == (0, 1, 2, 3)
+    traces = run_multi(inst)
+    assert traces[0].arrivals == ()
+    assert traces[1].arrivals == (0, 1, 2, 3)
 
 
 def multi_instance(seed, machines):
@@ -93,23 +91,24 @@ def multi_instance(seed, machines):
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
 def test_partition_every_job_on_exactly_one_machine(seed, machines):
     inst = multi_instance(seed, machines)
-    result = run_multi(inst)
-    seen = [jid for trace in result.traces for jid in trace.arrivals]
+    traces = run_multi(inst)
+    assert len(traces) == machines
+    seen = [jid for trace in traces for jid in trace.arrivals]
     assert sorted(seen) == [j.id for j in sorted(inst.jobs, key=lambda j: j.id)]
-    assert len(result.decisions) == len(inst.jobs)
 
 
 @settings(max_examples=25)
 @given(st.integers(0, 10 ** 6))
 def test_single_machine_reduction_is_bit_identical(seed):
     inst = multi_instance(seed, 1)
-    assert run_multi(inst).traces[0] == run(inst)
+    assert run_multi(inst) == [run(inst)]
 
 
-def score_values(result, inst):
-    """Each dispatch decision with its score, a numerator over twice the
-    instance's density scale, as a Fraction."""
-    return [d._replace(score=F(d.score, 2 * inst.scale)) for d in result.decisions]
+def score_values(traces, inst):
+    """Each dispatch decision the traces hold, with its score, a numerator
+    over twice the instance's density scale, as a Fraction."""
+    return [d._replace(score=F(d.score, 2 * inst.scale))
+            for d in oracles.dispatched(traces, inst)]
 
 
 @settings(max_examples=15)
@@ -129,8 +128,7 @@ def test_dispatch_depends_only_on_prefix_state(seed, machines):
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
 def test_per_machine_traces_keep_scheduler_invariants(seed, machines):
     inst = multi_instance(seed, machines)
-    result = run_multi(inst)
-    for trace in result.traces:
+    for trace in run_multi(inst):
         for slot in oracles.slots(trace):
             if slot.plan in trace.promoted_at and trace.promoted_at[slot.plan] <= slot.t:
                 assert slot.real is None
@@ -167,10 +165,10 @@ def assert_matches_oracle(job, machines):
             dispatch(job, machines)
         assert all(s.scored is None for s in machines)
         return
-    assert dispatch(job, machines) == expected
+    assert dispatch(job, machines) == expected.machine
     chosen = machines[expected.machine]
     scored, impact = chosen.scored
-    assert scored.job is job
+    assert scored.job is job and impact.total == expected.score
     assert oracles.impact_values(impact, chosen.scale) == oracles.arrival_impact(
         job, chosen.active.values(), chosen.epsilon, expected.machine)
 
@@ -210,10 +208,19 @@ def test_equal_totals_over_different_denominators_tie_to_smaller_index(
               for i, m in enumerate(machines)}
     assert len(totals) == 1
     assert_matches_oracle(job, machines)
-    assert dispatch(job, machines).machine == 0
+    assert dispatch(job, machines) == 0
 
 
 # -- each arrival is scored once -------------------------------------------------
+
+
+def assert_traces_match_the_slot_oracle(traces, inst):
+    """Every machine's whole trace equals the per-slot engine's, and so do
+    the dispatch decisions the traces hold and the ones it recorded."""
+    slow = oracles.slot_run_multi(inst)
+    assert list(map(oracles.trace_record, traces)) == \
+        list(map(oracles.trace_record, slow.traces))
+    assert oracles.dispatched(traces, inst) == slow.decisions
 
 
 def test_run_multi_scores_each_arrival_once(monkeypatch):
@@ -227,9 +234,25 @@ def test_run_multi_scores_each_arrival_once(monkeypatch):
             calls.append(arrival.job.id)
             return _score(arrival, *rest)
         monkeypatch.setattr(module, "arrival_impact", counted)
-    result = run_multi(inst)
+    traces = run_multi(inst)
     assert sorted(calls) == sorted(j.id for j in inst.jobs)
-    assert result.decisions == oracles.slot_run_multi(inst).decisions
+    assert_traces_match_the_slot_oracle(traces, inst)
+
+
+@pytest.mark.parametrize("machines", [2, 4])
+def test_simulate_dispatch_lines_are_the_oracles_decisions(tmp_path, machines):
+    # simulate reads each job's machine and score from the traces; the
+    # per-slot engine records its own as it routes
+    for seed in range(10):
+        inst = seeded_instance(seed, machines)
+        path, out = tmp_path / f"{seed}.txt", tmp_path / f"{seed}.out"
+        serialize_trace(inst, path)
+        assert main(["simulate", "--trace", str(path), "--out", str(out)]) == 0
+        lines = [line for line in out.read_text(encoding="ascii").splitlines()
+                 if line.startswith("dispatch ")]
+        assert lines == [f"dispatch job={d.job} machine={d.machine} "
+                         f"score={F(d.score, 2 * inst.scale)}"
+                         for d in oracles.slot_run_multi(inst).decisions]
 
 
 def test_run_multi_passes_once_per_arrival_and_eligible_machine(monkeypatch):
@@ -242,15 +265,15 @@ def test_run_multi_passes_once_per_arrival_and_eligible_machine(monkeypatch):
             passes[arrival.job.id] += 1
             return _sums(arrival, *rest)
         monkeypatch.setattr(module, "impact_sums", counted)
-    result = run_multi(inst)
+    traces = run_multi(inst)
     assert passes == Counter({j.id: sum(s is not None for s in j.sizes) for j in inst.jobs})
-    assert result.decisions == oracles.slot_run_multi(inst).decisions
+    assert_traces_match_the_slot_oracle(traces, inst)
 
 
 def test_handed_over_impact_is_never_used_for_another_job():
     job_a, job_b = mjob(0, 0, 3, (2, 2)), mjob(1, 0, 1, (5, 5))
     machines = machines_with([job_a, job_b], [[(1, 4, 3)]] * 2)
-    chosen = machines[dispatch(job_a, machines).machine]
+    chosen = machines[dispatch(job_a, machines)]
     stale = chosen.scored[1]
     fresh_b = arrival_impact(oracles.residual_job(job_b, 5, chosen.machine, chosen.scale),
                              chosen.active.values(), chosen.epsilon)

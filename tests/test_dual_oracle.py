@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generate, run,
                        run_multi, verify_duals)
-from flowsched.dispatch import each_trace
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_REAL_COMPLETE, Event, Run, ScheduleTrace)
@@ -86,7 +85,7 @@ def assert_matches_oracle(trace, inst):
 def test_fast_verifier_matches_pair_oracle(seed, machines, mode):
     inst = seeded_instance(seed, machines)
     rng = random.Random(seed)
-    for trace in each_trace(run_multi(inst)):
+    for trace in run_multi(inst):
         assert_matches_oracle(perturbed(trace, inst, mode, rng), inst)
 
 
@@ -97,7 +96,7 @@ def test_fast_verifier_matches_pair_oracle_on_rational_weights(case, mode, seed)
     # misses a rejected job's density denominator fails here
     inst, forced = case
     with rejecting(forced):
-        traces = each_trace(run_multi(inst))
+        traces = run_multi(inst)
     assert any(trace.immediate_rejected for trace in traces)
     rng = random.Random(seed)
     for trace in traces:
@@ -116,7 +115,7 @@ def test_scaled_alphas_reach_the_rescan():
     for seed in range(12):
         inst = seeded_instance(seed, 1 + seed % 2)
         rng = random.Random(seed)
-        for trace in each_trace(run_multi(inst)):
+        for trace in run_multi(inst):
             for mode in ALPHA_MODES:
                 cert = assert_matches_oracle(perturbed(trace, inst, mode, rng), inst)
                 violations[mode] += len(cert.violations)
@@ -137,7 +136,7 @@ def hand_built(alphas, s_size=2):
     hull keeps only the ends; and (10, 16) for E, its minimum at t = r_E.
     """
     inst = make_instance([job(0, 0, 1, s_size), job(1, 0, 4, 2), job(2, 1, 8, 1)])
-    trace = run_multi(inst).traces[0]
+    trace = run_multi(inst)[0]
     decisions = {jid: ImmediateDecision(jid, None, None, None, None, jid != 1, "-")
                  for jid in (0, 1, 2)}
     events = [Event(0, 0, EVENT_IMMEDIATE_REJECT), Event(1, 2, EVENT_IMMEDIATE_REJECT),

@@ -60,9 +60,9 @@ def assert_same_trace(fast, slow):
 
 def assert_matches_slot_engine(inst: Instance):
     fast, slow = run_multi(inst), oracles.slot_run_multi(inst)
-    assert fast.decisions == slow.decisions
-    assert len(fast.traces) == len(slow.traces) == inst.machines
-    for fast_trace, slow_trace in zip(fast.traces, slow.traces):
+    assert oracles.dispatched(fast, inst) == slow.decisions
+    assert len(fast) == len(slow.traces) == inst.machines
+    for fast_trace, slow_trace in zip(fast, slow.traces):
         assert_same_trace(fast_trace, slow_trace)
     if inst.machines == 1:
         assert_same_trace(run(inst), oracles.slot_run(inst))

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import Instance, compute_metrics, run, run_multi, validate_instance
-from flowsched.dispatch import each_trace
 
 import oracles
 from conftest import job, make_instance, rational_instances, rejecting, seeded_instance
@@ -28,9 +27,9 @@ def one_machine(inst: Instance) -> Instance:
     return validate_instance(Instance(jobs, 1, inst.epsilon))
 
 
-def assert_metrics_match(result, inst):
-    fast = compute_metrics(result, inst)
-    assert fast == oracles.compute_metrics(result, inst)
+def assert_metrics_match(traces, inst):
+    fast = compute_metrics(traces, inst)
+    assert fast == oracles.compute_metrics(traces, inst)
     assert all(type(value) is Fraction for value in astuple(fast))
     return fast
 
@@ -38,7 +37,7 @@ def assert_metrics_match(result, inst):
 def assert_run_and_run_multi_match(inst):
     assert_metrics_match(run_multi(inst), inst)
     single = one_machine(inst)
-    assert_metrics_match(run(single), single)
+    assert_metrics_match([run(single)], single)
 
 
 @settings(max_examples=60)
@@ -55,10 +54,10 @@ def test_metrics_match_oracle_on_rational_weights(case):
         multi = run_multi(inst)
         single = one_machine(inst)
         trace = run(single)
-    assert any(t.immediate_rejected for t in each_trace(multi))
+    assert any(t.immediate_rejected for t in multi)
     assert trace.immediate_rejected
     assert_metrics_match(multi, inst)
-    assert_metrics_match(trace, single)
+    assert_metrics_match([trace], single)
 
 
 def test_seeded_instances_cover_empty_and_nonempty_rejections():
@@ -66,9 +65,8 @@ def test_seeded_instances_cover_empty_and_nonempty_rejections():
     for machines in (1, 2, 4):
         for seed in range(40):
             inst = seeded_instance(seed, machines)
-            result = run_multi(inst)
-            assert_metrics_match(result, inst)
-            traces = each_trace(result)
+            traces = run_multi(inst)
+            assert_metrics_match(traces, inst)
             seen.add(("immediate", any(t.immediate_rejected for t in traces)))
             seen.add(("delayed", any(t.promoted_at for t in traces)))
     assert seen == {(kind, flag) for kind in ("immediate", "delayed")
@@ -79,11 +77,11 @@ def test_metrics_with_nothing_rejected():
     inst = make_instance([job(0, 0, Fraction(2, 3), 2), job(1, 1, Fraction(1, 7), 3)])
     trace = run(inst)
     assert not trace.immediate_rejected and not trace.promoted_at
-    metrics = assert_metrics_match(trace, inst)
+    metrics = assert_metrics_match([trace], inst)
     assert metrics.rejected_weight_immediate == metrics.rejected_weight_delayed == 0
     assert metrics.total_weight == Fraction(17, 21)
 
 
 def test_metrics_of_an_empty_instance():
     inst = validate_instance(make_instance([]))
-    assert astuple(assert_metrics_match(run(inst), inst)) == (0,) * 6
+    assert astuple(assert_metrics_match([run(inst)], inst)) == (0,) * 6

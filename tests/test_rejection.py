@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched import Job, MinusKey, PlusKey, RejectionTables, ResidualJob, bucket_keys
+from flowsched import (Job, MinusKey, PlusKey, RejectionTables, ResidualJob, bucket_keys,
+                       run, run_multi)
 from flowsched.impact import ArrivalImpact
 from flowsched.rejection import (DuplicateAdmission, REASON_MINUS_CADENCE,
                                  REASON_NONE, REASON_PLUS_CADENCE,
                                  REASON_PLUS_FIRST)
 
 import oracles
-from conftest import job
+from conftest import job, seeded_instance
 
 F = Fraction
 SCALE = 4  # the density scale of the stubs below; it spans every weight they use
@@ -160,18 +161,60 @@ def test_audit_counts_and_weights():
 def test_cadence_ordinal_rule(k, n):
     eps = F(1, k)
     tables = RejectionTables(eps, SCALE)
-    plus_rejected, minus_rejected = [], []
     for jid in range(1, n + 1):
         j = arrival(jid, 0, 4, 1)
         imp = impact_stub(plus=F(36), minus=F(40), density_class=2,
                           in_plus=True, in_minus=True)
         d = tables.admit(j, imp)
-        if d.plus_ordinal in tables._plus[d.plus_key].rejected:
-            plus_rejected.append(d.plus_ordinal)
-        if d.minus_ordinal in tables._minus[d.minus_key].rejected:
-            minus_rejected.append(d.minus_ordinal)
-    assert plus_rejected == [o for o in range(1, n + 1) if o % k == 1]
-    assert minus_rejected == [o for o in range(1, n + 1) if o % k == 0]
+        assert d.reject == (d.plus_ordinal % k == 1 or d.minus_ordinal % k == 0)
+    # every arrival lands in the same plus and the same minus bucket
+    rejected = {report.table: report.rejected_ordinals for report in tables.audit()}
+    assert rejected == ({} if n == 0 else {
+        "plus": tuple(o for o in range(1, n + 1) if o % k == 1),
+        "minus": tuple(o for o in range(1, n + 1) if o % k == 0)})
+
+
+def buckets_from_decisions(trace, k):
+    """Each bucket's count and rejected ordinals, read from the trace's
+    decisions: a bucket's keyed decisions draw the ordinals 1, 2, ... in
+    arrival order, and a decision rejects exactly when one of its ordinals
+    is on its table's cadence (k + 1, 2k + 1, ... after the first in the
+    plus table; k, 2k, ... in the minus table)."""
+    counts: dict[tuple, int] = {}
+    rejected: dict[tuple, list[int]] = {}
+    for d in trace.decisions.values():
+        on_cadence = False
+        for table, key, ordinal, phase in (("plus", d.plus_key, d.plus_ordinal, 1),
+                                           ("minus", d.minus_key, d.minus_ordinal, 0)):
+            if key is None:
+                assert ordinal is None
+                continue
+            bucket = (table, tuple(key))
+            counts[bucket] = counts.get(bucket, 0) + 1
+            assert ordinal == counts[bucket]
+            rejected.setdefault(bucket, [])
+            if ordinal % k == phase:
+                rejected[bucket].append(ordinal)
+                on_cadence = True
+        assert d.reject == on_cadence
+    return {bucket: (count, tuple(rejected[bucket])) for bucket, count in counts.items()}
+
+
+def test_bucket_reports_match_the_decisions_on_seeded_runs():
+    rejections = set()
+    for machines in (1, 2, 4):
+        for seed in range(40):
+            inst = seeded_instance(seed, machines)
+            traces = [run(inst)] if machines == 1 else run_multi(inst)
+            for trace in traces:
+                reports = {(r.table, r.key): (r.count, r.rejected_ordinals)
+                           for r in trace.table_report}
+                assert reports == buckets_from_decisions(trace, inst.epsilon.denominator)
+                rejections |= {(table, len(ordinals) > 1)
+                               for (table, _), (_, ordinals) in reports.items() if ordinals}
+    # both tables reject, and some bucket rejects more than once
+    assert {table for table, _ in rejections} == {"plus", "minus"}
+    assert (("plus", True) in rejections) or (("minus", True) in rejections)
 
 
 @given(st.lists(st.tuples(st.integers(1, 16), st.booleans(), st.booleans()),
