@@ -9,25 +9,19 @@ from its home module on first access (PEP 562) and kept here. So
 and ``core``; ``run`` adds ``scheduler``, ``impact`` and ``rejection``;
 ``verify_duals`` adds ``analysis``; ``import *`` loads all eight.
 ``flowsched.cli`` (the ``flowsched`` command) imports them all up front;
-networkx waits for the first solve (see ``baselines``).
-
-``dispatch`` is the function, though it also names its submodule: the
-import system binds a submodule on its package when it is first loaded,
-as ``flowsched.cli`` loads this one, and the package ignores that one
-binding. ``importlib.import_module("flowsched.dispatch")`` is the module.
+networkx waits for the first solve (see ``baselines``). A submodule's
+name, ``dispatch`` among them, always means the submodule.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 _EXPORTS = {
     "analysis": "DualCertificate Metrics RejectionAudit audit_rejections beta_series "
                 "compute_metrics fractional_flow_plan verify_duals",
-    "baselines": "HorizonTooShort default_horizon lp_cost preemptive_hdf transport_opt",
+    "baselines": "default_horizon lp_cost preemptive_hdf transport_opt",
     "core": "Instance InvalidInstance Job JobNotRunnableOnMachine Rational ResidualJob "
             "density_scale validate_instance",
-    "dispatch": "NoEligibleMachine dispatch run_multi",
+    "dispatch": "NoEligibleMachine run_multi",
     "harness": "BadParameters MalformedLine MissingHeader WorkloadModel format_trace "
                "generate parse_trace parse_trace_text serialize_trace",
     "impact": "ArrivalImpact arrival_impact",
@@ -51,12 +45,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        if name != "dispatch" or not isinstance(value, ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

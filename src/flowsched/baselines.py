@@ -14,11 +14,9 @@ its only relaxation is rejection. Sizes are integers, so a slot never
 splits between jobs.
 
 Preemptive HDF attains the relaxation's optimum (Becchetti, Leonardi,
-Marchetti-Spaccamela and Pruhs, 2006). HDF serves the jobs at least as dense
-as j, j included, ahead of all others and never idles while one of them
-waits, so j is done by the end of the busy period of those jobs that
-contains ``r_j``. :func:`transport_opt` therefore gives each job arcs only
-to the slots of that busy period, which keeps the HDF optimum feasible.
+Marchetti-Spaccamela and Pruhs, 2006). :func:`transport_opt` gives each job
+arcs only to the slots of its busy-period window; the windows contain HDF's
+schedule, so the LP is feasible by construction.
 
 Jobs are read through their size on machine 0, since ``baseline`` refuses
 multi-machine instances. Weights and densities are the integers of the
@@ -37,10 +35,6 @@ from heapq import heappop, heappush
 from itertools import groupby
 
 from .core import Instance, Job, Rational, ZERO
-
-
-class HorizonTooShort(ValueError):
-    """The slot horizon cannot fit all demanded processing."""
 
 
 def preemptive_hdf(instance: Instance) -> list[tuple[int, int, int]]:
@@ -133,7 +127,7 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
     return out
 
 
-def transport_opt(instance: Instance, horizon: int | None = None) -> Rational:
+def transport_opt(instance: Instance) -> Rational:
     """Exact optimum of the time-indexed relaxation, via min-cost flow.
 
     Demands are job sizes, every slot has capacity 1, and the unit cost of
@@ -142,27 +136,21 @@ def transport_opt(instance: Instance, horizon: int | None = None) -> Rational:
     the instance's table, so every arc cost is an integer by construction
     and the network simplex stays exact.
 
-    Job j only gets arcs to the slots ``r_j .. E_j - 1`` (and below
-    ``horizon``), where ``E_j`` is the end of the busy period that contains
-    ``r_j`` among the jobs of density >= rho_j (:func:`_busy_period_ends`).
-    Preemptive HDF is optimal for the relaxation and serves that set ahead
-    of every other job without idling while any of it waits, so it finishes
-    j by ``E_j``. Its schedule therefore lies inside the windows, and since
-    dropping arcs can only raise the optimum, the windowed problem keeps
-    the same one. When no other job has j's density, ``E_j - 1`` is
-    exactly j's last HDF slot; a tie can only lengthen the window. If
-    ``horizon`` cuts into a window, no schedule finishes that busy period's
-    work by ``horizon``, so the problem is infeasible either way. Tests
-    cross-check the windows against HDF and against arcs to every slot of
-    the horizon.
+    Job j only gets arcs to the slots ``r_j .. E_j - 1``, where ``E_j`` is
+    the end of the busy period that contains ``r_j`` among the jobs of
+    density >= rho_j (:func:`_busy_period_ends`). Preemptive HDF is optimal
+    for the relaxation and serves that set ahead of every other job without
+    idling while any of it waits, so it finishes j by ``E_j``. The windows
+    therefore contain its schedule, so the LP is feasible by construction,
+    and since dropping arcs can only raise the optimum, it keeps HDF's. When
+    no other job has j's density, ``E_j - 1`` is exactly j's last HDF slot;
+    a tie can only lengthen the window. Tests cross-check the windows
+    against HDF and against arcs to every slot.
     """
     jobs = instance.jobs
     if not jobs:
         return ZERO
     import networkx as nx
-
-    if horizon is None:
-        horizon = default_horizon(jobs)
 
     rows = [instance.table[job.id] for job in jobs]
     slopes = [2 * cells[0][0] for _, _, cells in rows]    # 2 rho * scale
@@ -175,11 +163,7 @@ def transport_opt(instance: Instance, horizon: int | None = None) -> Rational:
         units = job.size_on(0)
         total_units += units
         graph.add_node(("job", job.id), demand=-units)
-        end = min(horizon, busy_end)
-        if end <= job.release:
-            raise HorizonTooShort(
-                f"horizon {horizon} leaves no slot for job {job.id}")
-        for t in range(job.release, end):    # cost is w * scale at t = r
+        for t in range(job.release, busy_end):    # cost is w * scale at t = r
             graph.add_edge(("job", job.id), ("slot", t), capacity=units, weight=cost)
             used_slots.add(t)
             cost += slope
@@ -187,11 +171,7 @@ def transport_opt(instance: Instance, horizon: int | None = None) -> Rational:
     for t in used_slots:
         graph.add_edge(("slot", t), "sink", capacity=1, weight=0)
 
-    try:
-        cost, _ = nx.network_simplex(graph)
-    except nx.NetworkXUnfeasible as exc:
-        raise HorizonTooShort(
-            f"horizon {horizon} cannot fit {total_units} units of work") from exc
+    cost, _ = nx.network_simplex(graph)
     return Rational(cost, 2 * instance.scale)
 
 

@@ -21,9 +21,10 @@ the transport LP; every other command runs without it.
 
 Exit codes: 0 success (verify: feasible, audit: all budgets hold);
 1 a violated invariant, including any exception the engine or analysis
-raises, which is a bug and is printed with its traceback; 2 bad usage or
-input (option values, trace or record files, instance validation,
-generator parameters, a too-short baseline horizon), as one ``error:`` line.
+raises (an infeasible baseline LP among them), which is a bug and is
+printed with its traceback; 2 bad usage or input (option values, trace or
+record files, instance validation, generator parameters), as one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .analysis import audit_rejections, compute_metrics, verify_duals
-from .baselines import (HorizonTooShort, default_horizon, lp_cost,
-                        preemptive_hdf, transport_opt)
+from .baselines import default_horizon, lp_cost, preemptive_hdf, transport_opt
 from .core import Instance, InvalidInstance, Rational, validate_instance
 from .dispatch import run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
@@ -52,7 +52,7 @@ USAGE_ERROR = 2
 VIOLATION = 1
 
 _INPUT_ERRORS = (InvalidInstance, MalformedLine, MissingHeader, BadParameters,
-                 HorizonTooShort, OSError, UnicodeDecodeError)
+                 OSError, UnicodeDecodeError)
 
 
 def _rat(text: str) -> Rational:
@@ -60,13 +60,6 @@ def _rat(text: str) -> Rational:
         return Rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
-
-
-def _horizon(text: str) -> int:
-    """A slot count: ASCII digits only, so never negative."""
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
-    return int(text)
 
 
 def _ratio(num: int, den: int) -> str:
@@ -230,13 +223,13 @@ def cmd_baseline(args) -> int:
     instance = _load_instance(args)
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
-    horizon = args.horizon if args.horizon is not None \
-        else default_horizon(instance.jobs)
-    opt = transport_opt(instance, horizon=horizon)
+    opt = transport_opt(instance)
     hdf = lp_cost(instance, preemptive_hdf(instance))
     with _Writer(args.out) as writer:
-        # schedules run at unit speed; the fixed field keeps the record's bytes
-        writer.emit("baseline", speed=1, horizon=horizon, transport_opt=opt, hdf_cost=hdf)
+        # schedules run at unit speed, and the LP needs no horizon; both
+        # fields keep the record's bytes
+        writer.emit("baseline", speed=1, horizon=default_horizon(instance.jobs),
+                    transport_opt=opt, hdf_cost=hdf)
     return 0
 
 
@@ -378,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
     base.add_argument("--trace", required=True)
-    base.add_argument("--horizon", type=_horizon, default=None)
     base.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")

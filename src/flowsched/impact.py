@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Collection, NamedTuple
 
-# NonPositiveArgument is re-exported from here
-from .core import NonPositiveArgument, Rational, ResidualJob
+from .core import Rational, ResidualJob
 
 
 class JobInActiveSet(ValueError):

@@ -57,10 +57,6 @@ EVENT_REAL_COMPLETE = "real_complete"
 
 TERMINAL_EVENTS = (EVENT_IMMEDIATE_REJECT, EVENT_DELAYED_REJECT, EVENT_REAL_COMPLETE)
 
-ARRIVAL_REJECTED = "rejected"
-ARRIVAL_ACTIVATED = "activated"
-
-
 class DriverContractError(ValueError):
     """The driver called the engine out of order: an arrival delivered off
     the clock, a skip over active jobs or back in time, or a segment asked
@@ -171,10 +167,10 @@ class MachineScheduler:
 
     # -- step 1: arrivals ------------------------------------------------
 
-    def on_arrival(self, job: Job) -> str:
+    def on_arrival(self, job: Job) -> ImmediateDecision:
         """Fill the job's view on this machine and score it (or take
         dispatch's ``scored`` view and impact of this job), admit or reject,
-        and book-keep one arriving job."""
+        and book-keep one arriving job. Returns the decision it recorded."""
         if job.release != self.clock:
             error = ArrivalInPast if job.release < self.clock else DriverContractError
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
@@ -193,18 +189,16 @@ class MachineScheduler:
 
         if decision.reject:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
-            outcome = ARRIVAL_REJECTED
         else:
             self.active[job.id] = arrival
             heappush(self.heap, (-arrival.rho, job.release, job.id))
-            outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
         # arrival survived; the marking budget charges all released weight
         if self.run_job is not None:
             self.run_released += arrival.weight
         self.promote_check()
-        return outcome
+        return decision
 
     # -- step 2: marking -------------------------------------------------
 

@@ -92,11 +92,12 @@ from flowsched.core import (HALF, DensityNotSpanned, Instance, Job, NonPositiveA
                             ONE, Rational, ResidualJob, ZERO)
 from flowsched.dispatch import NoEligibleMachine
 from flowsched.impact import ArrivalImpact, JobInActiveSet
-from flowsched.rejection import BucketReport, MinusKey, PlusKey, RejectionTables
-from flowsched.scheduler import (ARRIVAL_ACTIVATED, ARRIVAL_REJECTED, EVENT_DELAYED_REJECT,
-                                 EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
-                                 EVENT_PROMOTED, EVENT_REAL_COMPLETE, ArrivalInPast,
-                                 DriverContractError, Event, Run, ScheduleTrace)
+from flowsched.rejection import (BucketReport, ImmediateDecision, MinusKey, PlusKey,
+                                 RejectionTables)
+from flowsched.scheduler import (EVENT_DELAYED_REJECT, EVENT_IMMEDIATE_REJECT,
+                                 EVENT_PLAN_COMPLETE, EVENT_PROMOTED, EVENT_REAL_COMPLETE,
+                                 ArrivalInPast, DriverContractError, Event, Run,
+                                 ScheduleTrace)
 
 
 def floor_log(x: Rational) -> int:
@@ -563,8 +564,9 @@ class SlotScheduler:
 
     # -- step 1: arrivals ------------------------------------------------
 
-    def on_arrival(self, job: Job) -> str:
-        """Score, admit or reject, and book-keep one arriving job."""
+    def on_arrival(self, job: Job) -> ImmediateDecision:
+        """Score, admit or reject, and book-keep one arriving job; return the
+        decision recorded."""
         if job.release != self.clock:
             error = ArrivalInPast if job.release < self.clock else DriverContractError
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
@@ -582,17 +584,15 @@ class SlotScheduler:
 
         if decision.reject:
             tr.events.append(Event(self.clock, job.id, EVENT_IMMEDIATE_REJECT))
-            outcome = ARRIVAL_REJECTED
         else:
             self.active[job.id] = arrival
-            outcome = ARRIVAL_ACTIVATED
 
         # released weight counts toward the current run whether or not the
         # arrival survived; the marking budget charges all released weight
         if self.run_job is not None:
             self.run_released += job.weight
         self.promote_check()
-        return outcome
+        return decision
 
     # -- step 2: marking -------------------------------------------------
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (HorizonTooShort, Job, WorkloadModel, default_horizon, generate,
-                       lp_cost, preemptive_hdf, transport_opt)
+from flowsched import (Job, WorkloadModel, default_horizon, generate, lp_cost,
+                       preemptive_hdf, transport_opt)
 from flowsched import baselines
 from flowsched.core import ZERO
 
@@ -60,17 +60,12 @@ def test_transport_empty():
     assert transport_opt(make_instance(())) == 0
 
 
-def test_transport_horizon_too_short():
-    with pytest.raises(HorizonTooShort):
-        transport_opt(make_instance((job(0, 0, 1, 5),)), horizon=3)
-    with pytest.raises(HorizonTooShort):
-        transport_opt(make_instance((job(0, 9, 1, 1),)), horizon=5)
-
-
 def test_default_horizon_always_feasible():
+    # the printed horizon covers HDF's schedule, which the LP's windows contain
     inst = make_instance((job(0, 0, 1, 3), job(1, 7, 2, 5)))
-    h = default_horizon(inst.jobs)
-    assert transport_opt(inst, horizon=h) is not None
+    runs = preemptive_hdf(inst)
+    assert max(end for _, end, _ in runs) < default_horizon(inst.jobs) == 16
+    assert transport_opt(inst) == lp_cost(inst, runs)
 
 
 def random_instance(seed, n, max_release=6):

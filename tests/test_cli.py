@@ -26,10 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsched import (WorkloadModel, compute_metrics, generate, parse_trace, preemptive_hdf,
-                       run, run_multi, serialize_trace)
+from flowsched import (WorkloadModel, compute_metrics, generate, parse_trace, run, run_multi,
+                       serialize_trace)
 import flowsched
-from flowsched import cli
+from flowsched import baselines, cli
 from flowsched.cli import main
 from flowsched.scheduler import ArrivalInPast
 
@@ -267,7 +267,7 @@ def run_cli(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--epsilon", "1/0"],
     ["simulate", "--epsilon", "abc"],
-    ["baseline", "--horizon", "0"],
+    ["baseline", "--horizon", "0"],    # no such option: the LP needs no horizon
     ["baseline", "--horizon", "x"],
     ["verify", "--epsilon", "1/0"],
     ["audit", "--epsilon", "abc"],
@@ -283,33 +283,32 @@ def test_bad_option_values_exit_2(capsys, trace_file, argv):
     assert "Traceback" not in err
 
 
-def test_baseline_horizon_must_reach_the_hdf_makespan(capsys, trace_file):
-    runs = preemptive_hdf(parse_trace(trace_file))
-    makespan = max(end for _, end, _ in runs)
-    argv = ["baseline", "--trace", trace_file, "--horizon"]
-    assert run_cli(capsys, argv + [makespan]) == (0, "")
-    rc, err = run_cli(capsys, argv + [makespan - 1])
-    assert rc == cli.USAGE_ERROR
-    assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_negative_horizon_exits_2_without_jobs(capsys, tmp_path):
-    # with no job, no window can be too short, so only the option type refuses it
+def test_baseline_without_jobs(capsys, tmp_path):
     path, out = tmp_path / "empty.txt", tmp_path / "base.txt"
     path.write_text("m=1 epsilon=1/2 speedup=0 seed=-\n", encoding="ascii")
-    argv = ["baseline", "--trace", path, "--out", out, "--horizon"]
-    rc, err = run_cli(capsys, argv + [-3])
-    assert rc == cli.USAGE_ERROR and "Traceback" not in err
-    assert not out.exists()
-    assert run_cli(capsys, argv + [0]) == (0, "")
+    assert run_cli(capsys, ["baseline", "--trace", path, "--out", out]) == (0, "")
     assert out.read_text(encoding="ascii") == \
-        "baseline speed=1 horizon=0 transport_opt=0 hdf_cost=0\n"
+        "baseline speed=1 horizon=1 transport_opt=0 hdf_cost=0\n"
+
+
+def test_window_that_misses_hdf_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+    # the windows contain HDF's schedule, so an infeasible LP is an engine
+    # bug, not bad input
+    ends = baselines._busy_period_ends
+    monkeypatch.setattr(baselines, "_busy_period_ends",
+                        lambda *args: [end - 1 for end in ends(*args)])
+    out = tmp_path / "base.txt"
+    rc, err = run_cli(capsys, ["baseline", "--trace", trace_file, "--out", out])
+    assert rc == cli.VIOLATION
+    assert "Traceback" in err and "NetworkXUnfeasible" in err
+    assert not err.startswith("error: ")
+    assert not out.exists()
 
 
 # In one fresh interpreter: first what ``import flowsched`` and its lazy
 # names load (``verify_duals`` on a package imported afresh, without
-# ``dispatch``), and which object ``flowsched.dispatch`` is in each import
-# order (each on a package imported afresh); then runs each argv in order
+# ``dispatch``), and that ``flowsched.dispatch`` is the submodule in each
+# import order (each on a package imported afresh); then runs each argv in order
 # and prints, after each, its exit code and whether networkx is loaded.
 # The commands' own output is discarded.
 _NETWORKX_PROBE = """
@@ -342,18 +341,17 @@ flowsched = fresh()
 from flowsched import verify_duals
 print(json.dumps(["verify_duals", loaded()]))
 flowsched = fresh()
-function = flowsched.dispatch
-module = importlib.import_module("flowsched.dispatch")
-print(json.dumps(["first", function is module.dispatch, flowsched.dispatch is function,
+first = flowsched.dispatch
+print(json.dumps(["first", first is importlib.import_module("flowsched.dispatch"),
                   flowsched.baselines is importlib.import_module("flowsched.baselines")]))
 flowsched = fresh()
 import flowsched.cli
 from flowsched import dispatch
-print(json.dumps(["after cli", dispatch is sys.modules["flowsched.dispatch"].dispatch]))
+print(json.dumps(["after cli", dispatch is sys.modules["flowsched.dispatch"]]))
 flowsched = fresh()
 module = importlib.import_module("flowsched.dispatch")
 from flowsched import dispatch
-print(json.dumps(["after submodule", type(module).__name__, dispatch is module.dispatch]))
+print(json.dumps(["after submodule", dispatch is module is flowsched.dispatch]))
 
 from flowsched import baselines
 from flowsched.cli import main
@@ -390,8 +388,7 @@ def test_only_baseline_loads_networkx(tmp_path, trace_file):
         ["names", [], True],
         ["verify_duals", ["flowsched.analysis", "flowsched.core", "flowsched.impact",
                           "flowsched.rejection", "flowsched.scheduler"]],
-        ["first", True, True, True], ["after cli", True],
-        ["after submodule", "module", True],
+        ["first", True, True], ["after cli", True], ["after submodule", True],
         ["import", 0, False], ["gen", 0, False], ["simulate", 0, False],
         ["verify", 0, False], ["audit", 0, False], ["report", 0, False],
         ["baseline", 0, True], ["nx", True, False]]

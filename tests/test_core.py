@@ -253,3 +253,22 @@ def test_only_core_converts_weights_to_integers():
                for path in Path(flowsched.__file__).parent.glob("*.py")}
     assert modules.pop("core.py")    # the scan finds the conversion where it is
     assert {name: lines for name, lines in modules.items() if lines} == {}
+
+
+def unread_imports(tree: ast.AST) -> list[str]:
+    """Names an import binds in the module that no expression reads."""
+    nodes = list(ast.walk(tree))
+    read = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(alias.asname or alias.name).partition(".")[0]
+             for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return sorted(set(bound) - read)
+
+
+def test_every_imported_name_is_read():
+    # a name kept only for another module to import from here is dead code
+    modules = {path.name: unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+               for path in Path(flowsched.__file__).parent.glob("*.py")}
+    assert {name: unread for name, unread in modules.items() if unread} == {}

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsched import (Instance, Job, MachineScheduler, NoEligibleMachine, ResidualJob,
-                       WorkloadModel, arrival_impact, dispatch, generate, run, run_multi,
+                       WorkloadModel, arrival_impact, generate, run, run_multi,
                        serialize_trace, validate_instance)
 from flowsched.cli import main
 from flowsched.core import DensityNotSpanned
+from flowsched.dispatch import dispatch
 
 import oracles
 from conftest import seeded_instance

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsched import Instance, Job, ResidualJob, density_scale
-from flowsched.core import floor_log_ratio
-from flowsched.impact import JobInActiveSet, NonPositiveArgument
+from flowsched.core import NonPositiveArgument, floor_log_ratio
+from flowsched.impact import JobInActiveSet
 
 import oracles
 from conftest import impact_of, job

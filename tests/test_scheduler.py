@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import flowsched
 from flowsched import Instance, MachineScheduler, WorkloadModel, generate, run
-from flowsched.scheduler import (ARRIVAL_ACTIVATED, ArrivalInPast, DriverContractError,
-                                 EVENT_DELAYED_REJECT, EVENT_PROMOTED, EVENT_REAL_COMPLETE,
-                                 TERMINAL_EVENTS)
+from flowsched.scheduler import (ArrivalInPast, DriverContractError, EVENT_DELAYED_REJECT,
+                                 EVENT_PROMOTED, EVENT_REAL_COMPLETE, TERMINAL_EVENTS)
 
 import oracles
 from conftest import job, make_instance
@@ -83,7 +82,8 @@ def test_promotion_threshold_is_strict():
     sched.stop = 1
     sched.select_slot()
     # exactly w/eps = 2 released: no marking
-    assert sched.on_arrival(jobs[1]) == ARRIVAL_ACTIVATED
+    decision = sched.on_arrival(jobs[1])
+    assert not decision.reject and decision is sched._trace.decisions[1]
     assert sched.promote_check() is None
     assert not sched.preemptible
     sched.stop = 2
