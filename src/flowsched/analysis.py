@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Instance, Rational, ZERO
+from .core import Instance, Rational, ZERO, run_flow
 from .scheduler import ScheduleTrace
 
 
@@ -57,23 +57,9 @@ class Metrics:
 
 
 def fractional_flow_plan(trace: ScheduleTrace, instance: Instance) -> Rational:
-    """Continuous fractional weighted flow of the plan on one machine.
-
-    A unit processed in slot [s, s+1) contributes ``rho (s - r + 1/2)``:
-    it waited s - r at full residual and drained linearly within the slot.
-    Over a run [a, b) of k = b - a slots that sums to
-    ``rho k (a + b - 2 r) / 2``, so each job is priced once, from an
-    integer sum over its runs, as an integer numerator over the instance's
-    density scale. Only the total becomes a Fraction.
-    """
-    by_id, table, machine = instance.by_id, instance.table, trace.machine
-    doubled: dict[int, int] = {}    # job -> sum of k (a + b - 2 r) over its runs
-    for run in trace.runs:
-        release = by_id[run.plan].release
-        doubled[run.plan] = doubled.get(run.plan, 0) \
-            + (run.end - run.start) * (run.start + run.end - 2 * release)
-    return Rational(sum(table[jid][2][machine][0] * total    # rho * scale, from a row's cells
-                        for jid, total in doubled.items()), 2 * instance.scale)
+    """Continuous fractional weighted flow of the plan on one machine, priced
+    per run in closed form (:func:`~flowsched.core.run_flow`)."""
+    return Rational(run_flow(instance, trace.runs, trace.machine), 2 * instance.scale)
 
 
 def compute_metrics(traces: list[ScheduleTrace], instance: Instance) -> Metrics:

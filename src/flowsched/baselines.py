@@ -34,7 +34,7 @@ from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import groupby
 
-from .core import Instance, Job, Rational, ZERO
+from .core import Instance, Job, Rational, ZERO, run_flow
 
 
 def preemptive_hdf(instance: Instance) -> list[tuple[int, int, int]]:
@@ -72,16 +72,13 @@ def preemptive_hdf(instance: Instance) -> list[tuple[int, int, int]]:
 
 def lp_cost(instance: Instance, runs) -> Rational:
     """Exact time-indexed objective value of ``(start, end, job id)`` runs
-    on machine 0. Slot t of job j costs ``rho_j (t - r_j) + w_j / 2``, so a
-    run [a, b) of k slots costs ``(rho_j k (a + b - 1 - 2 r_j) + w_j k) / 2``:
-    an integer over ``2 * scale`` from the table. Only the total is a Fraction."""
-    by_id, table = instance.by_id, instance.table
-    total = 0
-    for start, end, jid in runs:
-        weight, _, cells = table[jid]
-        k = end - start
-        total += cells[0][0] * k * (start + end - 1 - 2 * by_id[jid].release) + weight * k
-    return Rational(total, 2 * instance.scale)
+    on machine 0. Slot t of job j costs ``rho_j (t - r_j) + w_j / 2``: its
+    fractional flow (:func:`~flowsched.core.run_flow`) plus ``(w_j - rho_j) / 2``.
+    Only the total is a Fraction."""
+    table = instance.table
+    rest = sum((table[jid][0] - table[jid][2][0][0]) * (end - start)
+               for start, end, jid in runs)
+    return Rational(run_flow(instance, runs, 0) + rest, 2 * instance.scale)
 
 
 def default_horizon(jobs) -> int:

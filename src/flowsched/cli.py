@@ -6,7 +6,8 @@ as ``num`` or ``num/den``; no floating point and no timestamps, so
 identical inputs produce byte-identical outputs. Weighted values arrive
 as integer numerators over a multiple of the density scale and become
 rationals only here, as text (:func:`_ratio`). Only ``audit`` builds the
-bucket report.
+bucket report. Epsilon and m come only from the trace header, which
+``gen`` writes.
 
 Outputs stream: each record is written to ``--out`` (or stdout) as it is
 formatted, and ``simulate`` writes its one ``slot`` line per unit slot in
@@ -35,14 +36,14 @@ import os
 import stat
 import sys
 import traceback
-from dataclasses import fields, replace
+from dataclasses import fields
 from math import gcd
 from pathlib import Path
 from typing import Iterator
 
 from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import default_horizon, lp_cost, preemptive_hdf, transport_opt
-from .core import Instance, InvalidInstance, Rational, validate_instance
+from .core import Instance, InvalidInstance, Rational
 from .dispatch import run_multi
 from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
                       generate, parse_trace, serialize_trace)
@@ -106,14 +107,6 @@ class _Writer:
         self.write(" ".join([record, *(f"{k}={_fmt(v)}" for k, v in fields.items())]) + "\n")
 
 
-def _load_instance(args) -> Instance:
-    """The validated instance in ``args.trace``, re-validated only when
-    ``--epsilon`` replaced its epsilon."""
-    instance = parse_trace(args.trace)
-    epsilon = getattr(args, "epsilon", None)
-    return instance if epsilon is None else validate_instance(replace(instance, epsilon=epsilon))
-
-
 def _run_instance(instance: Instance) -> list[ScheduleTrace]:
     return [run(instance)] if instance.machines == 1 else run_multi(instance)
 
@@ -128,8 +121,7 @@ def cmd_gen(args) -> int:
         kind=args.model, n=args.n, seed=args.seed, L=args.L, scale=args.scale,
         rate=args.rate, shape=args.shape, max_release=args.max_release,
         max_size=args.max_size, max_weight=args.max_weight,
-        machines=args.machines,
-        epsilon=Rational(1, 4) if args.epsilon is None else args.epsilon)
+        machines=args.machines, epsilon=args.epsilon)
     instance = generate(model)
     serialize_trace(instance, args.out, seed=args.seed)
     fields = {"kind": model.kind, "jobs": len(instance.jobs), "out": args.out,
@@ -168,7 +160,7 @@ def _slot_chunks(trace) -> Iterator[str]:
 
 
 def cmd_simulate(args) -> int:
-    instance = _load_instance(args)
+    instance = parse_trace(args.trace)
     traces = _run_instance(instance)
     metrics = compute_metrics(traces, instance)
     double = 2 * instance.scale    # the impacts' denominator
@@ -220,7 +212,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    instance = _load_instance(args)
+    instance = parse_trace(args.trace)
     if instance.machines != 1:
         raise BadParameters("baseline handles single-machine instances")
     opt = transport_opt(instance)
@@ -234,7 +226,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_instance(args)
+    instance = parse_trace(args.trace)
     certificates = [verify_duals(trace, instance) for trace in _run_instance(instance)]
     with _Writer(args.out) as writer:
         for cert in certificates:
@@ -251,7 +243,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    instance = _load_instance(args)
+    instance = parse_trace(args.trace)
     traces = _run_instance(instance)
     audit = audit_rejections(traces, instance)
     with _Writer(args.out) as writer:
@@ -362,11 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-size", type=int, default=8, dest="max_size")
     gen.add_argument("--max-weight", type=int, default=12, dest="max_weight")
     gen.add_argument("--machines", type=int, default=1)
-    gen.add_argument("--epsilon", type=_rat, default=None)
+    gen.add_argument("--epsilon", type=_rat, default=WorkloadModel.epsilon)
 
     sim = sub.add_parser("simulate", help="run the online policy on a trace file")
     sim.add_argument("--trace", required=True)
-    sim.add_argument("--epsilon", type=_rat, default=None)
     sim.add_argument("--out", default=None)
 
     base = sub.add_parser("baseline", help="exact offline benchmark values")
@@ -375,12 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="dual-fitting certificate; exit 0 iff feasible")
     ver.add_argument("--trace", required=True)
-    ver.add_argument("--epsilon", type=_rat, default=None)
     ver.add_argument("--out", default=None)
 
     aud = sub.add_parser("audit", help="rejection budgets; exit 0 iff all hold")
     aud.add_argument("--trace", required=True)
-    aud.add_argument("--epsilon", type=_rat, default=None)
     aud.add_argument("--out", default=None)
 
     rep = sub.add_parser("report", help="join simulate/baseline outputs")

@@ -107,8 +107,8 @@ class Job:
 @dataclass(frozen=True)
 class Instance:
     """A workload plus the run parameters, validated once where it is built
-    (the parser, the generators, the CLI's overrides); every consumer takes
-    it as validated and does not validate it again.
+    (the parser or the generators); every consumer takes it as validated
+    and does not validate it again.
 
     Invariants (enforced by :func:`validate_instance`):
       * ``1/epsilon`` is a positive integer and ``epsilon**2 <= 1/2``;
@@ -172,6 +172,16 @@ def density_scale(jobs) -> int:
     return lcm(*{wd * size // gcd(wn, size) for job in jobs
                  for wn, wd in [job.weight.as_integer_ratio()]
                  for size in job.sizes if size is not None})
+
+
+def run_flow(instance: Instance, runs, machine: int) -> int:
+    """Twice the fractional weighted flow of ``(start, end, job, ...)`` runs
+    on ``machine``, over the instance's scale. A unit processed in slot
+    [s, s+1) costs ``rho (s - r + 1/2)``, so a run [a, b) of k = b - a slots
+    costs ``rho k (a + b - 2 r) / 2``."""
+    by_id, table = instance.by_id, instance.table
+    return sum(table[jid][2][machine][0] * (end - start) * (start + end - 2 * by_id[jid].release)
+               for start, end, jid, *_ in runs)
 
 
 class ResidualJob:

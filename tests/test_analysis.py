@@ -8,6 +8,7 @@ from flowsched import (WorkloadModel, audit_rejections, beta_series,
                        compute_metrics, generate, lp_cost, preemptive_hdf, run, run_multi,
                        transport_opt, verify_duals)
 from flowsched.analysis import fractional_flow_plan
+from flowsched.core import run_flow
 
 from conftest import job, make_instance
 from oracles import TooLargeForOracle, greedy_nonpreemptive, lower_bound_check, plan_slots
@@ -172,13 +173,34 @@ def test_impact_totals_match_decomposition(seed):
         assert impact.total == impact.plus + impact.self_term + impact.minus
 
 
+def doubled_plan_flow_and_kept_weight(trace, inst):
+    """``2 * scale`` times the plan's fractional flow plus half its kept weight.
+    beta_t samples each residual at its slot's start, and the plan drains it
+    linearly within the slot, so sum_t beta_t exceeds the fractional flow by
+    w_j / 2 for each kept job j."""
+    kept = sum(inst.table[jid][0] for jid in trace.kept)
+    return run_flow(inst, trace.runs, trace.machine) + kept
+
+
 @settings(max_examples=20)
 @given(st.integers(0, 10 ** 6))
 def test_beta_sum_dominates_continuous_flow(seed):
     inst = suite_instance(seed)
     trace = run(inst)
-    scale, numerators = beta_series(trace, inst)
-    assert F(sum(numerators), scale) >= fractional_flow_plan(trace, inst)
+    _, numerators = beta_series(trace, inst)
+    assert 2 * sum(numerators) == doubled_plan_flow_and_kept_weight(trace, inst)
+
+
+@pytest.mark.parametrize("machines", [2, 4])
+def test_beta_total_is_plan_flow_plus_half_kept_weight_on_each_machine(machines):
+    for seed in range(12):
+        inst = generate(WorkloadModel(
+            kind=("poisson_pareto", "uniform")[seed % 2], n=12 + 2 * seed, seed=seed,
+            rate=0.6 * machines, machines=machines, max_release=2 + seed,
+            epsilon=[F(1, 2), F(1, 4), F(1, 10)][seed % 3]))
+        for trace in run_multi(inst):
+            assert verify_duals(trace, inst).beta_total \
+                == doubled_plan_flow_and_kept_weight(trace, inst)
 
 
 def test_multi_machine_certificates_and_audit():

@@ -8,6 +8,7 @@ re-record them with ``PYTHONPATH=src python tests/test_cli.py``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -265,13 +266,13 @@ def run_cli(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--epsilon", "1/0"],
+    ["simulate", "--epsilon", "1/0"],    # no such option: epsilon is the header's
     ["simulate", "--epsilon", "abc"],
     ["baseline", "--horizon", "0"],    # no such option: the LP needs no horizon
     ["baseline", "--horizon", "x"],
     ["verify", "--epsilon", "1/0"],
     ["audit", "--epsilon", "abc"],
-    ["simulate", "--epsilon", "1"],   # overrides are validated
+    ["simulate", "--epsilon", "1"],
     ["simulate", "--machines", "2"],
     ["simulate", "--machines", "0"],
     ["verify", "--epsilon", "1"],
@@ -280,6 +281,7 @@ def run_cli(capsys, argv):
 def test_bad_option_values_exit_2(capsys, trace_file, argv):
     rc, err = run_cli(capsys, argv + ["--trace", trace_file])
     assert rc == cli.USAGE_ERROR
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
     assert "Traceback" not in err
 
 
@@ -395,20 +397,6 @@ def test_only_baseline_loads_networkx(tmp_path, trace_file):
     assert Path(outs["baseline"]).read_bytes() == base.read_bytes()
 
 
-@pytest.mark.parametrize("flags, validations", [([], 0), (["--epsilon", "1/4"], 1)])
-def test_trace_is_revalidated_only_after_an_override(monkeypatch, trace_file, flags,
-                                                     validations):
-    # parse_trace already returns a validated instance
-    calls = []
-    validate = cli.validate_instance
-    monkeypatch.setattr(cli, "validate_instance",
-                        lambda instance: calls.append(instance) or validate(instance))
-    args = cli.build_parser().parse_args(["simulate", "--trace", str(trace_file), *flags])
-    instance = cli._load_instance(args)
-    assert len(calls) == validations
-    assert instance.epsilon == (Fraction(1, 4) if "--epsilon" in flags else Fraction(1, 2))
-
-
 @pytest.mark.parametrize("machines", [1, 4])
 @pytest.mark.parametrize("command", ["simulate", "verify", "audit"])
 def test_each_command_prepares_its_instance_once(monkeypatch, tmp_path, command, machines):
@@ -439,14 +427,50 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_no_parse_state_leaks_between_calls(capsys, trace_file):
-    # the trace's header says epsilon=1/2; an override must not stick
-    headers = []
-    for flags in (["--epsilon", "1/4"], []):
-        assert main(["simulate", "--trace", str(trace_file), *flags]) == 0
-        headers.append(capsys.readouterr().out.splitlines()[0])
-    assert headers == ["header m=1 epsilon=1/4 speedup=0",
-                       "header m=1 epsilon=1/2 speedup=0"]
+# every option of every subcommand: a new one needs a deliberate edit here
+CLI_OPTIONS = {
+    "gen": ["--model", "--out", "--n", "--seed", "--L", "--scale", "--rate", "--shape",
+            "--max-release", "--max-size", "--max-weight", "--machines", "--epsilon"],
+    "simulate": ["--trace", "--out"],
+    "baseline": ["--trace", "--out"],
+    "verify": ["--trace", "--out"],
+    "audit": ["--trace", "--out"],
+    "report": ["--sim", "--baseline", "--audit", "--out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert {name: [option for action in sub._actions for option in action.option_strings
+                   if option not in ("-h", "--help")]
+            for name, sub in commands.items()} == CLI_OPTIONS
+
+
+def test_gen_epsilon_changes_only_the_header(tmp_path):
+    # epsilon comes only from the trace header: to run the same jobs at another
+    # epsilon, generate them again with the same seed
+    lines = {}
+    for flags in ([], ["--epsilon", "1/10"]):
+        out = tmp_path / f"gen{len(flags)}.txt"
+        assert main(["gen", "--model", "poisson_pareto", "--n", "12", "--seed", "3",
+                     "--out", str(out), *flags]) == 0
+        lines[len(flags)] = out.read_text(encoding="ascii").splitlines()
+    assert lines[0][0] == "m=1 epsilon=1/4 speedup=0 seed=3"
+    assert lines[2][0] == "m=1 epsilon=1/10 speedup=0 seed=3"
+    assert lines[0][1:] == lines[2][1:] and len(lines[0]) == 13
+
+
+def test_no_parse_state_leaks_between_calls(capsys, tmp_path, trace_file):
+    # an --out given to one call must not stick: the next call writes to stdout
+    out = tmp_path / "sim.txt"
+    assert main(["simulate", "--trace", str(trace_file), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["simulate", "--trace", str(trace_file)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[0] == "header m=1 epsilon=1/2 speedup=0"
+    assert stdout == out.read_text(encoding="ascii")
 
 
 def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
@@ -467,6 +491,8 @@ def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 +2 1 2\n",
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 0_4\n",
     "m=1 epsilon=1/2 speedup=0 seed=-\n-1 0 1 2\n",     # negative id: validation
+    "m=1 epsilon=1 speedup=0 seed=-\n0 0 1 2\n",        # epsilon^2 > 1/2
+    "m=1 epsilon=2/3 speedup=0 seed=-\n0 0 1 2\n",      # 1/epsilon not an integer
 ])
 def test_bad_trace_files_exit_2(capsys, tmp_path, text):
     path, out = tmp_path / "bad.txt", tmp_path / "sim.txt"
