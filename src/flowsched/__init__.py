@@ -22,8 +22,8 @@ _EXPORTS = {
     "core": "Instance InvalidInstance Job JobNotRunnableOnMachine Rational ResidualJob "
             "density_scale validate_instance",
     "dispatch": "NoEligibleMachine run_multi",
-    "harness": "BadParameters MalformedLine MissingHeader WorkloadModel format_trace "
-               "generate parse_trace parse_trace_text serialize_trace",
+    "harness": "BadParameters WorkloadModel format_trace generate parse_trace "
+               "parse_trace_text serialize_trace",
     "impact": "ArrivalImpact arrival_impact",
     "rejection": "BucketReport ImmediateDecision MinusKey PlusKey RejectionTables bucket_keys",
     "scheduler": "Event MachineScheduler Run ScheduleTrace run",

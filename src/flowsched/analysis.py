@@ -6,9 +6,10 @@ Two accounting conventions coexist on purpose:
   accounting, so a job processed without interruption from s accrues
   exactly ``w (s - r) + w p / 2``;
 * the per-time dual variable beta_t is the total residual weight sampled
-  at integer t, immediately after arrival processing. Residuals never
-  increase within a slot, so ``sum_t beta_t >= fractional flow`` and the
-  certified lower bound stays conservative.
+  at integer t, immediately after arrival processing. The plan drains a
+  residual linearly within its slot, so each kept job j adds w_j / 2 more
+  to the betas than to the flow: ``2 sum_t beta_t = 2 (plan fractional
+  flow) + sum_{kept j} w_j``, exactly.
 
 The dual constraint of job j must hold at every time t >= r_j. Written as
 ``beta_t + rho_j t >= alpha_j / p_j - w_j / 2 + rho_j r_j``, it holds at all

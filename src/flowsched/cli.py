@@ -23,9 +23,11 @@ the transport LP; every other command runs without it.
 Exit codes: 0 success (verify: feasible, audit: all budgets hold);
 1 a violated invariant, including any exception the engine or analysis
 raises (an infeasible baseline LP among them), which is a bug and is
-printed with its traceback; 2 bad usage or input (option values, trace or
-record files, instance validation, generator parameters), as one
-``error:`` line.
+printed with its traceback; 2 bad usage or input, as one ``error:`` line.
+Two types are bad input: :class:`~flowsched.core.InvalidInstance` (a trace
+file or an instance refused) and :class:`~flowsched.harness.BadParameters`
+(generator parameters, option values or record files refused); so are an
+unknown option and a file that cannot be read or decoded.
 """
 
 from __future__ import annotations
@@ -45,15 +47,14 @@ from .analysis import audit_rejections, compute_metrics, verify_duals
 from .baselines import default_horizon, lp_cost, preemptive_hdf, transport_opt
 from .core import Instance, InvalidInstance, Rational
 from .dispatch import run_multi
-from .harness import (BadParameters, MalformedLine, MissingHeader, WorkloadModel,
-                      generate, parse_trace, serialize_trace)
+from .harness import (KINDS, BadParameters, WorkloadModel, generate, parse_trace,
+                      serialize_trace)
 from .scheduler import ScheduleTrace, run
 
 USAGE_ERROR = 2
 VIOLATION = 1
 
-_INPUT_ERRORS = (InvalidInstance, MalformedLine, MissingHeader, BadParameters,
-                 OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (InvalidInstance, BadParameters, OSError, UnicodeDecodeError)
 
 
 def _rat(text: str) -> Rational:
@@ -114,22 +115,24 @@ def _run_instance(instance: Instance) -> list[ScheduleTrace]:
 # -- subcommands -----------------------------------------------------------
 
 
+# the gen options past --model, --out and --n: WorkloadModel fields, in option order
+_GEN_FIELDS = {"seed": int, "L": int, "scale": int, "rate": float, "shape": float,
+               "max_release": int, "max_size": int, "max_weight": int, "machines": int,
+               "epsilon": _rat}
+
+
 def cmd_gen(args) -> int:
     if any(map(str.isspace, args.out)):    # it would split the record's out= field
         raise BadParameters(f"--out path {args.out!r} contains whitespace")
-    model = WorkloadModel(
-        kind=args.model, n=args.n, seed=args.seed, L=args.L, scale=args.scale,
-        rate=args.rate, shape=args.shape, max_release=args.max_release,
-        max_size=args.max_size, max_weight=args.max_weight,
-        machines=args.machines, epsilon=args.epsilon)
+    model = WorkloadModel(kind=args.model, n=args.n,
+                          **{name: getattr(args, name) for name in _GEN_FIELDS})
     instance = generate(model)
     serialize_trace(instance, args.out, seed=args.seed)
     fields = {"kind": model.kind, "jobs": len(instance.jobs), "out": args.out,
               "seed": args.seed}
     if model.kind == "adversarial_L":
         # the construction is integer-rescaled; record the factor used
-        fields.update(L=model.L, scale=model.scale,
-                      long_job_size=model.L * model.L * model.scale)
+        fields.update(L=model.L, scale=model.scale, long_job_size=instance.jobs[0].sizes[0])
     with _Writer(None) as writer:
         writer.emit("generated", **fields)
     return 0
@@ -313,6 +316,13 @@ def cmd_report(args) -> int:
             if not {"name", "ok"} <= record.keys():
                 raise BadParameters(f"budget record in {args.audit} lacks name= or ok=")
             budgets.append(record)
+        # budget (a) is exactly eps * W: any other bound is another run's audit
+        header = (_read_records(args.sim, "header") or [{"_record": "header"}])[0]
+        bound = _rational(header, "epsilon", args.sim) * total
+        if not any(record["name"] == "delayed_weight"
+                   and _rational(record, "bound", args.audit) == bound for record in budgets):
+            raise BadParameters(f"{args.audit} has no delayed_weight budget with "
+                                f"bound={bound}, epsilon times total_weight in {args.sim}")
     with _Writer(args.out) as writer:
         writer.emit(
             "report",
@@ -341,20 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a workload trace file")
-    gen.add_argument("--model", required=True,
-                     choices=("poisson_pareto", "uniform", "adversarial_L", "fixed"))
+    gen.add_argument("--model", required=True, choices=KINDS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--n", type=int, default=10)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--L", type=int, default=10)
-    gen.add_argument("--scale", type=int, default=1)
-    gen.add_argument("--rate", type=float, default=0.5)
-    gen.add_argument("--shape", type=float, default=1.8)
-    gen.add_argument("--max-release", type=int, default=20, dest="max_release")
-    gen.add_argument("--max-size", type=int, default=8, dest="max_size")
-    gen.add_argument("--max-weight", type=int, default=12, dest="max_weight")
-    gen.add_argument("--machines", type=int, default=1)
-    gen.add_argument("--epsilon", type=_rat, default=WorkloadModel.epsilon)
+    for name, kind in _GEN_FIELDS.items():    # --max-release sets max_release
+        gen.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                         default=getattr(WorkloadModel, name))
 
     sim = sub.add_parser("simulate", help="run the online policy on a trace file")
     sim.add_argument("--trace", required=True)

@@ -26,31 +26,8 @@ HALF = Rational(1, 2)
 
 
 class InvalidInstance(ValueError):
-    """Raised by :func:`validate_instance` when a type invariant fails."""
-
-
-class NonIntegralEpsilonReciprocal(InvalidInstance):
-    pass
-
-
-class EpsilonTooLarge(InvalidInstance):
-    pass
-
-
-class DuplicateJobId(InvalidInstance):
-    pass
-
-
-class NonPositiveSizeOrWeight(InvalidInstance):
-    pass
-
-
-class MachineCountMismatch(InvalidInstance):
-    pass
-
-
-class MalformedField(InvalidInstance):
-    """A field of the instance or of a job has the wrong type or form."""
+    """Bad input: raised by :func:`validate_instance` when a type invariant
+    fails, and by the trace parser for a file it refuses."""
 
 
 class JobNotRunnableOnMachine(ValueError):
@@ -203,7 +180,7 @@ def _rational(value, field: str) -> Rational:
     try:
         return Rational(value)
     except (TypeError, ValueError, OverflowError):    # OverflowError: infinity
-        raise MalformedField(f"{field} must be a rational number, got {value!r}") from None
+        raise InvalidInstance(f"{field} must be a rational number, got {value!r}") from None
 
 
 def validate_instance(raw: Instance) -> Instance:
@@ -216,14 +193,13 @@ def validate_instance(raw: Instance) -> Instance:
     """
     eps = _rational(raw.epsilon, "epsilon")
     if eps <= 0 or eps.numerator != 1:
-        raise NonIntegralEpsilonReciprocal(
-            f"1/epsilon must be a positive integer, got epsilon={eps}")
+        raise InvalidInstance(f"1/epsilon must be a positive integer, got epsilon={eps}")
     if eps * eps > HALF:
-        raise EpsilonTooLarge(f"epsilon^2 must be at most 1/2, got epsilon={eps}")
+        raise InvalidInstance(f"epsilon^2 must be at most 1/2, got epsilon={eps}")
     if type(raw.machines) is not int:
-        raise MalformedField(f"machines must be an integer, got {raw.machines!r}")
+        raise InvalidInstance(f"machines must be an integer, got {raw.machines!r}")
     if raw.machines < 1:
-        raise MachineCountMismatch(f"need at least one machine, got {raw.machines}")
+        raise InvalidInstance(f"need at least one machine, got {raw.machines}")
 
     seen: set[int] = set()
     jobs: list[Job] = []
@@ -231,35 +207,35 @@ def validate_instance(raw: Instance) -> Instance:
         # exact type checks: they are the fast path, and they refuse bool
         jid = job.id
         if type(jid) is not int or jid < 0:
-            raise MalformedField(f"job id must be a nonnegative integer, got {jid!r}")
+            raise InvalidInstance(f"job id must be a nonnegative integer, got {jid!r}")
         if jid in seen:
-            raise DuplicateJobId(f"job id {jid} appears twice")
+            raise InvalidInstance(f"job id {jid} appears twice")
         seen.add(jid)
         if type(job.release) is not int or job.release < 0:
-            raise MalformedField(
+            raise InvalidInstance(
                 f"job {jid} release must be a nonnegative integer, got {job.release!r}")
         sizes = job.sizes
         if type(sizes) is not tuple:
             try:
                 sizes = tuple(sizes)
             except TypeError:
-                raise MalformedField(
+                raise InvalidInstance(
                     f"job {jid} sizes must be a sequence, got {job.sizes!r}") from None
         if len(sizes) != raw.machines:
-            raise MachineCountMismatch(
+            raise InvalidInstance(
                 f"job {jid} lists {len(sizes)} sizes for {raw.machines} machines")
         present = [s for s in sizes if s is not None]
         if not present:
-            raise NonPositiveSizeOrWeight(f"job {jid} is not runnable on any machine")
+            raise InvalidInstance(f"job {jid} is not runnable on any machine")
         for size in present:
             if type(size) is not int:
-                raise MalformedField(f"job {jid} size must be an integer, got {size!r}")
+                raise InvalidInstance(f"job {jid} size must be an integer, got {size!r}")
             if size < 1:
-                raise NonPositiveSizeOrWeight(f"job {jid} has a size below 1")
+                raise InvalidInstance(f"job {jid} has a size below 1")
         weight = job.weight if type(job.weight) is Rational else \
             _rational(job.weight, f"job {jid} weight")
         if weight.numerator <= 0:
-            raise NonPositiveSizeOrWeight(f"job {jid} has nonpositive weight {weight}")
+            raise InvalidInstance(f"job {jid} has nonpositive weight {weight}")
         if weight is not job.weight or sizes is not job.sizes or type(job) is not Job:
             job = Job(job.id, job.release, weight, sizes)
         jobs.append(job)

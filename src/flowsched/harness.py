@@ -32,21 +32,11 @@ from dataclasses import dataclass
 from math import ceil, isfinite
 from pathlib import Path
 
-from .core import Instance, Job, ONE, Rational, validate_instance
+from .core import Instance, InvalidInstance, Job, ONE, Rational, validate_instance
 
 
 class BadParameters(ValueError):
-    pass
-
-
-class MissingHeader(ValueError):
-    pass
-
-
-class MalformedLine(ValueError):
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+    """Bad input other than an instance: generator parameters, options, record files."""
 
 
 # -- generators ----------------------------------------------------------------
@@ -223,30 +213,30 @@ def parse_trace_text(text: str) -> Instance:
         if header is None:
             match = _HEADER_RE.match(line)
             if not match:
-                raise MissingHeader(f"line {line_no} is not a valid header: {line!r}")
+                raise InvalidInstance(f"line {line_no} is not a valid header: {line!r}")
             try:
                 header = (int(match["m"]), _parse_rational(match["eps"]))
                 speedup = _parse_rational(match["spd"])
             except (ValueError, ZeroDivisionError) as exc:
-                raise MissingHeader(f"bad header on line {line_no}: {exc}") from exc
+                raise InvalidInstance(f"bad header on line {line_no}: {exc}") from exc
             if speedup != 0:
-                raise MissingHeader(
+                raise InvalidInstance(
                     f"bad header on line {line_no}: speedup={match['spd']} is not "
                     f"supported; schedules run at unit speed")
             continue
         fields = line.split()
         if len(fields) != 4:
-            raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
+            raise InvalidInstance(f"line {line_no}: expected 4 fields, got {len(fields)}")
         try:
             jid = _parse_int(fields[0])
             release = _parse_int(fields[1])
             weight = weight_of(fields[2])
             sizes = sizes_of(fields[3])
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
+            raise InvalidInstance(f"line {line_no}: {exc}") from exc
         jobs.append(Job(jid, release, weight, sizes))
     if header is None:
-        raise MissingHeader("no header line found")
+        raise InvalidInstance("no header line found")
     machines, epsilon = header
     return validate_instance(Instance(tuple(jobs), machines, epsilon))
 

@@ -184,7 +184,7 @@ def doubled_plan_flow_and_kept_weight(trace, inst):
 
 @settings(max_examples=20)
 @given(st.integers(0, 10 ** 6))
-def test_beta_sum_dominates_continuous_flow(seed):
+def test_beta_sum_is_plan_flow_plus_half_kept_weight(seed):
     inst = suite_instance(seed)
     trace = run(inst)
     _, numerators = beta_series(trace, inst)

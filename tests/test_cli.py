@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, compute_metrics, generate, parse_trace, run, run_multi,
@@ -503,6 +503,63 @@ def test_bad_trace_files_exit_2(capsys, tmp_path, text):
     assert not out.exists()
 
 
+# tokens that break a header or a job field, most of them near a valid one
+BROKEN = {"m": ["0", "1", "3", "x", "-1"],
+          "epsilon": ["2/5", "1/0", "0.25", "1", "0", "-1/2"],
+          "speedup": ["1", "1/0", "0/1"],
+          "field": ["1/0", "+1", "1,,2", "-", "-1", "0", "x", "1_0", "2/4", "1,"]}
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file of at most 6 jobs on at most 3 machines, releases at
+    most 12 and sizes at most 5. About one header token in eight and one
+    job line in four is broken, and one file in ten has no header. Choices
+    are ``sampled_from``, as ``integers`` draws its lower bound far more
+    often than one time in its range."""
+    def one_in(odds):
+        return draw(st.sampled_from(range(odds))) == odds - 1
+
+    def sometimes(valid, broken):
+        return draw(st.sampled_from(BROKEN[broken])) if one_in(8) else valid
+    machines = draw(st.integers(1, 3))
+    epsilon = draw(st.sampled_from(["1/2", "1/4", "1/10"]))
+    lines = [f"m={sometimes(machines, 'm')} epsilon={sometimes(epsilon, 'epsilon')} "
+             f"speedup={sometimes('0', 'speedup')} seed=-"]
+    for jid in range(draw(st.sampled_from(range(7)))):
+        fields = [str(jid), str(draw(st.integers(0, 12))),
+                  draw(st.sampled_from(["1", "3/2", "1/4", "5", "2/3"])),
+                  ",".join(draw(st.lists(st.sampled_from("12345-"),
+                                         min_size=machines, max_size=machines)))]
+        edit = draw(st.sampled_from(range(24)))
+        if edit < len(fields):
+            fields[edit] = draw(st.sampled_from(BROKEN["field"]))
+        elif edit == 4:
+            fields.append("1")
+        elif edit == 5:
+            fields.pop()
+        lines.append(" ".join(fields))
+    return "\n".join(lines[one_in(10):]) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=trace_texts())
+@example(text="# a comment, and no header\n")
+def test_a_malformed_trace_file_never_produces_a_traceback(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "trace.txt"
+    path.write_text(text, encoding="ascii")
+    for command in ("simulate", "verify", "audit", "baseline"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([command, "--trace", str(path)])
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if rc == cli.USAGE_ERROR:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and rc in ((0, 1) if command in ("verify", "audit") else (0,))
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     rc, err = run_cli(capsys, ["simulate", "--trace", tmp_path / "absent.txt"])
     assert rc == cli.USAGE_ERROR
@@ -644,7 +701,7 @@ REPORT_BASELINE = ("\nnote\x0c  baseline speed=1 horizon=9 transport_opt=3 hdf_c
                    "baselines transport_opt=1\n"
                    "note baseline transport_opt=2\n")
 REPORT_AUDIT = ("fraction name=delayed value=1/4\n"
-                "  budget name=delayed_weight value=1 bound=1 ok=1\n"
+                "  budget name=delayed_weight value=1 bound=2 ok=1\n"
                 "budgets name=x ok=0\n\n"
                 "bucket machine=0 table=plus key=1,0 count=1 note=budget\n"
                 "budget name=grand_total value=2 bound=15/2 ok=0\n")
@@ -677,6 +734,29 @@ def test_report_joins_only_its_records_among_other_lines(capsys, tmp_path):
               "--audit", files["bad_audit"]],
              f"budget record in {files['bad_audit']} lacks name= or ok=")):
         assert run_cli(capsys, ["report", *argv]) == (cli.USAGE_ERROR, f"error: {message}\n")
+
+
+def test_report_refuses_an_audit_of_another_epsilon(capsys, tmp_path):
+    # the same jobs at two epsilons: the audit must be of the simulated run,
+    # whose delayed_weight budget is eps * W = 1/2 * 151/2, not 1/10 * 151/2
+    files = {}
+    for name, epsilon in (("a", "1/2"), ("b", "1/10")):
+        trace = files[name] = tmp_path / f"{name}.txt"
+        assert main(["gen", "--model", "poisson_pareto", "--seed", "3", "--n", "20",
+                     "--epsilon", epsilon, "--out", str(trace)]) == 0
+        for command in ("simulate", "baseline", "audit"):
+            files[name, command] = tmp_path / f"{name}.{command}"
+            assert main([command, "--trace", str(trace),
+                         "--out", str(files[name, command])]) == 0
+    capsys.readouterr()
+    report = ["report", "--sim", str(files["a", "simulate"]),
+              "--baseline", str(files["a", "baseline"]), "--audit"]
+    assert main(report + [str(files["a", "audit"])]) == 0
+    assert capsys.readouterr().out.count(" ok=1\n") == 5
+    assert main(report + [str(files["b", "audit"])]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == ("", (
+        f"error: {files['b', 'audit']} has no delayed_weight budget with bound=151/4, "
+        f"epsilon times total_weight in {files['a', 'simulate']}\n"))
 
 
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))

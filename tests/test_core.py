@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 from dataclasses import fields
 from fractions import Fraction
@@ -12,9 +13,9 @@ import flowsched
 from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
                        MachineScheduler, ResidualJob, density_scale, format_trace,
                        parse_trace_text, validate_instance)
-from flowsched.core import (DensityNotSpanned, DuplicateJobId, EpsilonTooLarge,
-                            MachineCountMismatch, MalformedField,
-                            NonIntegralEpsilonReciprocal, NonPositiveSizeOrWeight)
+from flowsched.cli import _INPUT_ERRORS
+from flowsched.core import DensityNotSpanned
+from flowsched.harness import BadParameters
 
 import oracles
 from conftest import job, make_instance
@@ -28,27 +29,28 @@ def test_accepts_simple_instance():
 
 
 def test_epsilon_reciprocal_must_be_integral():
-    with pytest.raises(NonIntegralEpsilonReciprocal):
+    with pytest.raises(InvalidInstance, match=r"^1/epsilon must be a positive integer, "
+                                              r"got epsilon=2/5$"):
         validate_instance(make_instance([job(0, 0, 1, 2)], epsilon=Fraction(2, 5)))
 
 
 def test_epsilon_one_is_too_large():
-    with pytest.raises(EpsilonTooLarge):
+    with pytest.raises(InvalidInstance, match=r"^epsilon\^2 must be at most 1/2, got epsilon=1$"):
         validate_instance(make_instance([job(0, 0, 1, 2)], epsilon=Fraction(1, 1)))
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(DuplicateJobId):
+    with pytest.raises(InvalidInstance, match="^job id 3 appears twice$"):
         validate_instance(make_instance([job(3, 0, 1, 2), job(3, 1, 1, 2)]))
 
 
 def test_nonpositive_weight_and_size():
     for weight in (Fraction(0), Fraction(-1, 3), 0, -2):
-        with pytest.raises(NonPositiveSizeOrWeight):
+        with pytest.raises(InvalidInstance, match=f"^job 0 has nonpositive weight {weight}$"):
             validate_instance(make_instance([Job(0, 0, weight, (2,))]))
-    with pytest.raises(NonPositiveSizeOrWeight):
+    with pytest.raises(InvalidInstance, match="^job 0 has a size below 1$"):
         validate_instance(make_instance([job(0, 0, 1, 0)]))
-    with pytest.raises(NonPositiveSizeOrWeight):
+    with pytest.raises(InvalidInstance, match="^job 0 is not runnable on any machine$"):
         validate_instance(make_instance([Job(0, 0, Fraction(1), (None,))]))
 
 
@@ -64,7 +66,7 @@ def test_canonical_jobs_are_kept_and_others_coerced():
 
 
 def test_sizes_must_match_machine_count():
-    with pytest.raises(MachineCountMismatch):
+    with pytest.raises(InvalidInstance, match="^job 0 lists 2 sizes for 1 machines$"):
         validate_instance(Instance((Job(0, 0, Fraction(1), (1, 2)),), machines=1))
 
 
@@ -101,7 +103,7 @@ def test_negative_release_rejected():
 def test_malformed_job_field_is_named(fields, named):
     # API input the trace parser never builds; each is bad input, not a crash
     raw = dict(id=0, release=0, weight=Fraction(1), sizes=(2,)) | fields
-    with pytest.raises(MalformedField, match=f"{named} must be"):
+    with pytest.raises(InvalidInstance, match=f"{named} must be"):
         validate_instance(Instance((Job(**raw),)))
 
 
@@ -109,7 +111,7 @@ def test_malformed_job_field_is_named(fields, named):
     (dict(epsilon="x"), "epsilon"), (dict(machines="2"), "machines"),
     (dict(machines=1.0), "machines")])
 def test_malformed_instance_field_is_named(fields, named):
-    with pytest.raises(MalformedField, match=f"{named} must be"):
+    with pytest.raises(InvalidInstance, match=f"{named} must be"):
         validate_instance(Instance((Job(0, 0, Fraction(1), (2,)),), **fields))
 
 
@@ -272,3 +274,60 @@ def test_every_imported_name_is_read():
     modules = {path.name: unread_imports(ast.parse(path.read_text(encoding="utf-8")))
                for path in Path(flowsched.__file__).parent.glob("*.py")}
     assert {name: unread for name, unread in modules.items() if unread} == {}
+
+
+def exception_classes(trees: dict[str, ast.AST]) -> dict[str, str]:
+    """``{"module.Class": base}`` for each class whose base is, by name, a
+    builtin exception or another class found here."""
+    bases = {f"{module}.{node.name}": [ast.unparse(b).rpartition(".")[2] for b in node.bases]
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found: dict[str, str] = {}
+    while more := {key: names[0] for key, names in bases.items()
+                   if key not in found and known.intersection(names)}:
+        found |= more
+        known |= {key.partition(".")[2] for key in more}
+    return found
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads or imports, attributes included."""
+    return {value for node in ast.walk(tree) for attr in ("id", "attr", "name", "asname")
+            if isinstance(value := getattr(node, attr, None), str)}
+
+
+def raised_names(tree: ast.AST) -> set[str]:
+    """The names after each ``raise``, without a call's arguments."""
+    return {ast.unparse(getattr(node.exc, "func", node.exc)).rpartition(".")[2]
+            for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc}
+
+
+# every exception class of the package: two types are bad input (exit 2),
+# and every other one is an engine or analysis fault (exit 1)
+INPUT_TYPES = {"core.InvalidInstance": "ValueError", "harness.BadParameters": "ValueError"}
+FAULT_TYPES = {"core.JobNotRunnableOnMachine": "ValueError",
+               "core.NonPositiveArgument": "ValueError",
+               "core.DensityNotSpanned": "ArithmeticError",
+               "analysis.IncompleteTrace": "ValueError",
+               "dispatch.NoEligibleMachine": "ValueError",
+               "impact.JobInActiveSet": "ValueError",
+               "rejection.DuplicateAdmission": "ValueError",
+               "scheduler.DriverContractError": "ValueError",
+               "scheduler.ArrivalInPast": "DriverContractError"}
+ENGINE = ("scheduler", "dispatch", "impact", "rejection", "analysis", "baselines")
+
+
+def test_two_types_are_bad_input_and_only_the_front_raises_them():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(flowsched.__file__).parent.glob("*.py")}
+    assert exception_classes(trees) == INPUT_TYPES | FAULT_TYPES
+    raisers = {name: {module for module, tree in trees.items() if name in raised_names(tree)}
+               for name in ("InvalidInstance", "BadParameters")}
+    assert raisers == {"InvalidInstance": {"core", "harness"},
+                       "BadParameters": {"harness", "cli"}}
+    # an engine module cannot report its own fault as bad input
+    assert {module: names_used(trees[module]) & set(raisers) for module in ENGINE} == \
+        {module: set() for module in ENGINE}
+    assert _INPUT_ERRORS == (InvalidInstance, BadParameters, OSError, UnicodeDecodeError)
