@@ -6,7 +6,7 @@ Two independent routes to the same reference cost:
   segments, as ``(start, end, job id)`` runs, and :func:`lp_cost` prices
   them per run with the objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
 * :func:`transport_opt` solves that time-indexed relaxation exactly as a
-  min-cost transportation problem (integer network simplex). Its windows
+  balanced transportation problem (integer network simplex). Its windows
   come from :func:`_busy_period_ends`, never from HDF, so it is HDF's oracle.
 
 Every schedule runs at unit speed, as the paper's offline optimum does:
@@ -14,9 +14,7 @@ its only relaxation is rejection. Sizes are integers, so a slot never
 splits between jobs.
 
 Preemptive HDF attains the relaxation's optimum (Becchetti, Leonardi,
-Marchetti-Spaccamela and Pruhs, 2006). :func:`transport_opt` gives each job
-arcs only to the slots of its busy-period window; the windows contain HDF's
-schedule, so the LP is feasible by construction.
+Marchetti-Spaccamela and Pruhs, 2006).
 
 Jobs are read through their size on machine 0, since ``baseline`` refuses
 multi-machine instances. Weights and densities are the integers of the
@@ -127,8 +125,8 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
 def transport_opt(instance: Instance) -> Rational:
     """Exact optimum of the time-indexed relaxation, via min-cost flow.
 
-    Demands are job sizes, every slot has capacity 1, and the unit cost of
-    giving job j a unit in slot t is ``w_j (t - r_j)/p_j + w_j/2``. Times
+    Job j supplies ``p_j`` units, each slot of a window demands 1, and a
+    unit of j in slot t costs ``w_j (t - r_j)/p_j + w_j/2``. Times
     ``2 * scale`` it is ``w_j * scale + 2 rho_j * scale * (t - r_j)``, from
     the instance's table, so every arc cost is an integer by construction
     and the network simplex stays exact.
@@ -141,8 +139,14 @@ def transport_opt(instance: Instance) -> Rational:
     therefore contain its schedule, so the LP is feasible by construction,
     and since dropping arcs can only raise the optimum, it keeps HDF's. When
     no other job has j's density, ``E_j - 1`` is exactly j's last HDF slot;
-    a tie can only lengthen the window. Tests cross-check the windows
-    against HDF and against arcs to every slot.
+    a tie can only lengthen the window. The windows cover exactly the whole
+    set's busy slots, sum p_j of them: each lies in the whole set's busy
+    period B around ``r_j``, and slot t of B is in the window of the least
+    dense job released in B by t, whose denser set is busy on
+    ``[start(B), t]`` as the whole set is. So demand 1 is capacity 1, and
+    windows that reach an idle slot or miss a busy one unbalance the network:
+    networkx raises NetworkXUnfeasible, a fault (exit 1). Tests cross-check
+    the windows against HDF and against arcs to every slot.
     """
     jobs = instance.jobs
     if not jobs:
@@ -153,20 +157,13 @@ def transport_opt(instance: Instance) -> Rational:
     slopes = [2 * cells[0][0] for _, _, cells in rows]    # 2 rho * scale
 
     graph = nx.DiGraph()
-    total_units = 0
-    used_slots: set[int] = set()
     busy_ends = _busy_period_ends(jobs, slopes)
     for job, (cost, _, _), slope, busy_end in zip(jobs, rows, slopes, busy_ends):
-        units = job.size_on(0)
-        total_units += units
-        graph.add_node(("job", job.id), demand=-units)
-        for t in range(job.release, busy_end):    # cost is w * scale at t = r
-            graph.add_edge(("job", job.id), ("slot", t), capacity=units, weight=cost)
-            used_slots.add(t)
-            cost += slope
-    graph.add_node("sink", demand=total_units)
-    for t in used_slots:
-        graph.add_edge(("slot", t), "sink", capacity=1, weight=0)
+        node, release = ("job", job.id), job.release    # cost is w * scale at t = r
+        graph.add_node(node, demand=-job.size_on(0))
+        graph.add_edges_from((node, ("slot", t), {"weight": cost + slope * (t - release)})
+                             for t in range(release, busy_end))
+    graph.add_nodes_from([node for node in graph if node[0] == "slot"], demand=1)
 
     cost, _ = nx.network_simplex(graph)
     return Rational(cost, 2 * instance.scale)

@@ -167,8 +167,10 @@ def _parse_rational(text: str) -> Rational:
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num, den = match.groups()
-    return Rational(int(num), int(den or 1))  # raises ZeroDivisionError on "n/0"
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Rational(num, den)
 
 
 def _parse_int(text: str) -> int:
@@ -217,7 +219,7 @@ def parse_trace_text(text: str) -> Instance:
             try:
                 header = (int(match["m"]), _parse_rational(match["eps"]))
                 speedup = _parse_rational(match["spd"])
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise InvalidInstance(f"bad header on line {line_no}: {exc}") from exc
             if speedup != 0:
                 raise InvalidInstance(
@@ -232,7 +234,7 @@ def parse_trace_text(text: str) -> Instance:
             release = _parse_int(fields[1])
             weight = weight_of(fields[2])
             sizes = sizes_of(fields[3])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InvalidInstance(f"line {line_no}: {exc}") from exc
         jobs.append(Job(jid, release, weight, sizes))
     if header is None:

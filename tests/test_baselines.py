@@ -117,7 +117,8 @@ def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release):
 
 
 def lp_windows(monkeypatch, inst):
-    """Each job's slots in the graph ``transport_opt`` hands to the solver."""
+    """The value, each job's slots and the graph ``transport_opt`` hands to
+    the solver."""
     graphs = []
     solve = baselines.nx.network_simplex
     monkeypatch.setattr(baselines.nx, "network_simplex",
@@ -127,7 +128,7 @@ def lp_windows(monkeypatch, inst):
     windows = {j.id: [] for j in inst.jobs}
     for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in inst.jobs):
         windows[jid].append(t)
-    return value, windows
+    return value, windows, graphs[0]
 
 
 def last_hdf_slots(runs):
@@ -142,9 +143,16 @@ def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
     inst = random_instance(seed, n, max_release)
     jobs = inst.jobs
     with pytest.MonkeyPatch.context() as monkeypatch:
-        value, windows = lp_windows(monkeypatch, inst)
+        value, windows, graph = lp_windows(monkeypatch, inst)
     runs = preemptive_hdf(inst)
     assert value == lp_cost(inst, runs)
+    # balanced: the windows tile the busy slots, each of which demands 1
+    assert "sink" not in graph
+    assert graph.number_of_edges() == sum(map(len, windows.values()))
+    slots = [node for node in graph if node[0] == "slot"]
+    assert len(slots) == sum(j.size_on(0) for j in jobs)
+    assert all(graph.nodes[node]["demand"] == 1 for node in slots)
+    assert all(graph.nodes["job", j.id]["demand"] == -j.size_on(0) for j in jobs)
     last = last_hdf_slots(runs)
     densities = [j.density() for j in jobs]
     for j in jobs:
@@ -159,7 +167,7 @@ def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
     # equal densities: HDF runs the earlier job 1 in slots 0-1 first, so the
     # later job 0 (smaller id) must still reach slot 2
     inst = make_instance((job(1, 0, 2, 2), job(0, 1, 1, 1)))
-    value, windows = lp_windows(monkeypatch, inst)
+    value, windows, _ = lp_windows(monkeypatch, inst)
     assert windows == {1: [0, 1, 2], 0: [1, 2]}
     runs = preemptive_hdf(inst)
     assert fractional_schedule(inst, runs).allocation == \

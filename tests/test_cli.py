@@ -307,6 +307,21 @@ def test_window_that_misses_hdf_exits_1(capsys, monkeypatch, trace_file, tmp_pat
     assert not out.exists()
 
 
+def test_window_past_its_busy_period_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+    # the windows tile the busy slots: one slot longer, the last window
+    # reaches the idle slot after the last busy period, and the demands no
+    # longer balance
+    ends = baselines._busy_period_ends
+    monkeypatch.setattr(baselines, "_busy_period_ends",
+                        lambda *args: [end + 1 for end in ends(*args)])
+    out = tmp_path / "base.txt"
+    rc, err = run_cli(capsys, ["baseline", "--trace", trace_file, "--out", out])
+    assert rc == cli.VIOLATION
+    assert "Traceback" in err and "NetworkXUnfeasible" in err
+    assert not err.startswith("error: ")
+    assert not out.exists()
+
+
 # In one fresh interpreter: first what ``import flowsched`` and its lazy
 # names load (``verify_duals`` on a package imported afresh, without
 # ``dispatch``), and that ``flowsched.dispatch`` is the submodule in each
@@ -482,9 +497,19 @@ def test_commands_are_looked_up_when_called(capsys, monkeypatch, trace_file):
     assert calls == [str(trace_file)] and capsys.readouterr().out == ""
 
 
+# the whole error line, where a test pins it
+BAD_TRACE_ERRORS = {
+    "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n":
+        "error: line 2: zero denominator: '1/0'\n",
+    "m=1 epsilon=1/0 speedup=0 seed=-\n0 0 1 2\n":
+        "error: bad header on line 1: zero denominator: '1/0'\n",
+}
+
+
 @pytest.mark.parametrize("text", [
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1\n",         # missing field
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1/0 2\n",     # zero denominator
+    "m=1 epsilon=1/0 speedup=0 seed=-\n0 0 1 2\n",
     "m=1 epsilon=1/2 speedup=0 seed=-\n0 0 1 2\n0 1 1 1\n",  # duplicate id
     "m=1 epsilon=1/2 speedup=1/4 seed=-\n0 0 1 2\n",    # instances carry no speed
     "m=1 epsilon=1/2 speedup=0 seed=-\n1_0 0 1 2\n",    # integer fields: digits only
@@ -500,6 +525,7 @@ def test_bad_trace_files_exit_2(capsys, tmp_path, text):
     rc, err = run_cli(capsys, ["simulate", "--trace", path, "--out", out])
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err == BAD_TRACE_ERRORS.get(text, err)
     assert not out.exists()
 
 

@@ -44,7 +44,7 @@ def test_rational_parser_accepts_what_the_old_grammar_accepted(token):
     try:
         expected = Fraction(token)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="^zero denominator: "):
             _parse_rational(token)
         return
     parsed = _parse_rational(token)
