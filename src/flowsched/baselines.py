@@ -6,15 +6,15 @@ Two independent routes to the same reference cost:
   segments, as ``(start, end, job id)`` runs, and :func:`lp_cost` prices
   them per run with the objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
 * :func:`transport_opt` solves that time-indexed relaxation exactly as a
-  balanced transportation problem (integer network simplex). Its windows
-  come from :func:`_busy_period_ends`, never from HDF, so it is HDF's oracle.
+  balanced transportation problem (integer network simplex). Job j's window
+  starts where the busy period around ``r_j`` of the strictly denser jobs
+  ends and stops where that of the jobs at least as dense ends
+  (:func:`_lp_windows`): busy periods, never HDF, so it is HDF's oracle.
 
 Every schedule runs at unit speed, as the paper's offline optimum does:
 its only relaxation is rejection. Sizes are integers, so a slot never
-splits between jobs.
-
-Preemptive HDF attains the relaxation's optimum (Becchetti, Leonardi,
-Marchetti-Spaccamela and Pruhs, 2006).
+splits between jobs. Preemptive HDF attains the relaxation's optimum
+(Becchetti, Leonardi, Marchetti-Spaccamela and Pruhs, 2006).
 
 Jobs are read through their size on machine 0, since ``baseline`` refuses
 multi-machine instances. Weights and densities are the integers of the
@@ -80,16 +80,19 @@ def lp_cost(instance: Instance, runs) -> Rational:
 
 
 def default_horizon(jobs) -> int:
-    """Always-feasible slot horizon: max release + total work + 1."""
+    """The ``horizon=`` field that ``baseline`` prints: max release + total
+    work + 1. The transport LP's windows need no horizon."""
     jobs = list(jobs)
     if not jobs:
         return 1
     return max(j.release for j in jobs) + sum(j.size_on(0) for j in jobs) + 1
 
 
-def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
-    """For each job j, the end of the busy period that contains ``r_j`` when
-    the machine serves only the jobs at least as dense as j
+def _lp_windows(jobs: list[Job], densities: list[Rational]) -> list[tuple[int, int]]:
+    """For each job j, its transport-LP window ``(first, end)``: ``end`` is
+    the end of the busy period that contains ``r_j`` when the machine serves
+    only the jobs at least as dense as j, and ``first`` that of the jobs
+    strictly denser than j, or ``r_j`` if none of their periods contains it
     (``densities[i]`` is ``jobs[i].density()``, or that times one positive
     factor shared by every job).
 
@@ -97,14 +100,20 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
     periods ``[starts[k], ends[k])``. A job released inside a period extends
     its end by its size; otherwise it opens a new period. Either way the
     period then absorbs every later period that now starts before its end.
-    All jobs of one density go in before any of them is looked up.
+    Each job's ``first`` is looked up before its density's jobs go in, and
+    its ``end`` after all of them have.
     """
     starts: list[int] = []
     ends: list[int] = []
-    out: list[int] = [0] * len(jobs)
+    out: list[tuple[int, int]] = [(0, 0)] * len(jobs)
     order = sorted(range(len(jobs)), key=densities.__getitem__, reverse=True)
     for _, tied in groupby(order, key=densities.__getitem__):
         tied = list(tied)
+        firsts = []
+        for i in tied:
+            release = jobs[i].release
+            k = bisect_right(starts, release) - 1
+            firsts.append(ends[k] if k >= 0 and release < ends[k] else release)
         for i in tied:
             release, work = jobs[i].release, jobs[i].size_on(0)
             k = bisect_right(starts, release) - 1
@@ -117,8 +126,8 @@ def _busy_period_ends(jobs: list[Job], densities: list[Rational]) -> list[int]:
             while k + 1 < len(starts) and starts[k + 1] < ends[k]:
                 ends[k] += ends[k + 1] - starts[k + 1]
                 del starts[k + 1], ends[k + 1]
-        for i in tied:
-            out[i] = ends[bisect_right(starts, jobs[i].release) - 1]
+        for i, first in zip(tied, firsts):
+            out[i] = (first, ends[bisect_right(starts, jobs[i].release) - 1])
     return out
 
 
@@ -131,22 +140,22 @@ def transport_opt(instance: Instance) -> Rational:
     the instance's table, so every arc cost is an integer by construction
     and the network simplex stays exact.
 
-    Job j only gets arcs to the slots ``r_j .. E_j - 1``, where ``E_j`` is
-    the end of the busy period that contains ``r_j`` among the jobs of
-    density >= rho_j (:func:`_busy_period_ends`). Preemptive HDF is optimal
-    for the relaxation and serves that set ahead of every other job without
-    idling while any of it waits, so it finishes j by ``E_j``. The windows
-    therefore contain its schedule, so the LP is feasible by construction,
-    and since dropping arcs can only raise the optimum, it keeps HDF's. When
-    no other job has j's density, ``E_j - 1`` is exactly j's last HDF slot;
-    a tie can only lengthen the window. The windows cover exactly the whole
-    set's busy slots, sum p_j of them: each lies in the whole set's busy
-    period B around ``r_j``, and slot t of B is in the window of the least
-    dense job released in B by t, whose denser set is busy on
-    ``[start(B), t]`` as the whole set is. So demand 1 is capacity 1, and
-    windows that reach an idle slot or miss a busy one unbalance the network:
-    networkx raises NetworkXUnfeasible, a fault (exit 1). Tests cross-check
-    the windows against HDF and against arcs to every slot.
+    Job j only gets arcs to the slots ``first .. end - 1`` of its window
+    (:func:`_lp_windows`): ``end`` ends the busy period around ``r_j`` of
+    the jobs of density >= rho_j, and ``first`` ends that of the strictly
+    denser set S, or is ``r_j`` outside S's periods. Preemptive HDF is
+    optimal for the relaxation and serves either set ahead of every other
+    job without idling while any of it waits: it finishes j by ``end``, and
+    S's busy periods are busy with S alone, so j gets no slot before
+    ``first``. The windows thus contain its schedule, so the LP is feasible
+    by construction and, as dropping arcs can only raise the optimum, keeps
+    HDF's. For a job of unique density, ``end - 1`` is its last HDF slot and
+    ``first`` its first unless S releases a job at ``first``; a tie only
+    widens a window. The windows cover exactly the busy slots, sum p_j of
+    them: each lies in the whole set's busy period around ``r_j`` and holds
+    its job's HDF slots. Windows that reach an idle slot or miss a busy one
+    unbalance the network: networkx raises NetworkXUnfeasible, a fault
+    (exit 1). Tests check the windows against HDF and arcs to every slot.
     """
     jobs = instance.jobs
     if not jobs:
@@ -157,12 +166,12 @@ def transport_opt(instance: Instance) -> Rational:
     slopes = [2 * cells[0][0] for _, _, cells in rows]    # 2 rho * scale
 
     graph = nx.DiGraph()
-    busy_ends = _busy_period_ends(jobs, slopes)
-    for job, (cost, _, _), slope, busy_end in zip(jobs, rows, slopes, busy_ends):
+    windows = _lp_windows(jobs, slopes)
+    for job, (cost, _, _), slope, (first, end) in zip(jobs, rows, slopes, windows):
         node, release = ("job", job.id), job.release    # cost is w * scale at t = r
         graph.add_node(node, demand=-job.size_on(0))
         graph.add_edges_from((node, ("slot", t), {"weight": cost + slope * (t - release)})
-                             for t in range(release, busy_end))
+                             for t in range(first, end))
     graph.add_nodes_from([node for node in graph if node[0] == "slot"], demand=1)
 
     cost, _ = nx.network_simplex(graph)

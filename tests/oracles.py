@@ -63,10 +63,11 @@ slot into a per-slot :class:`FractionalSchedule`, and ``lp_cost`` prices
 one slot by slot in Fractions, the references for the runs of
 ``flowsched.baselines.preemptive_hdf`` and their per-run ``lp_cost``;
 ``fractional_schedule`` expands such runs into unit slots;
-``busy_period_end`` walks one job's denser set in release order, the
-check on ``transport_opt``'s windows; ``transport_opt_full`` solves the
-time-indexed relaxation with arcs to every slot of the horizon, the check
-that those windows keep the optimum; ``brute_force_nonpreemptive`` enumerates
+``busy_period_end`` and ``window_first_slot`` walk one job's denser set
+in release order, the checks on the two ends of ``transport_opt``'s
+windows; ``transport_opt_full`` solves the time-indexed relaxation with
+arcs to every slot of the horizon, the check that those windows keep the
+optimum; ``brute_force_nonpreemptive`` enumerates
 every processing order of a tiny instance; ``greedy_nonpreemptive`` runs
 non-preemptive HDF without rejection, the control that a long job strands
 the jobs behind it; ``validate_schedule`` checks a
@@ -849,6 +850,24 @@ def busy_period_end(jobs, job: Job) -> int:
             end = other.release
         end += other.size_on(0)
     return end
+
+
+def window_first_slot(jobs, job: Job) -> int:
+    """End of the busy period that contains ``job.release`` when the
+    machine serves only the jobs strictly denser than ``job``, or
+    ``job.release`` if none of their busy periods contains it."""
+    denser = sorted((j for j in jobs if j.density() > job.density()),
+                    key=lambda j: j.release)
+    start = end = None
+    for other in denser:
+        if end is None or other.release >= end:
+            if end is not None and start <= job.release < end:
+                break
+            start = end = other.release
+        end += other.size_on(0)
+    if end is not None and start <= job.release < end:
+        return end
+    return job.release
 
 
 def validate_schedule(sched: FractionalSchedule) -> None:

@@ -109,11 +109,11 @@ def test_pileup_hdf_has_at_most_two_runs_per_job():
 
 @settings(max_examples=50)
 @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(0, 40))
-def test_busy_period_ends_match_the_per_job_scan(seed, n, max_release):
+def test_lp_windows_match_the_per_job_scan(seed, n, max_release):
     jobs = list(random_instance(seed, n, max_release).jobs)
     densities = [j.density() for j in jobs]
-    assert baselines._busy_period_ends(jobs, densities) == [
-        oracles.busy_period_end(jobs, j) for j in jobs]
+    assert baselines._lp_windows(jobs, densities) == [
+        (oracles.window_first_slot(jobs, j), oracles.busy_period_end(jobs, j)) for j in jobs]
 
 
 def lp_windows(monkeypatch, inst):
@@ -131,15 +131,21 @@ def lp_windows(monkeypatch, inst):
     return value, windows, graphs[0]
 
 
-def last_hdf_slots(runs):
-    return {jid: end - 1 for _, end, jid in runs}    # runs come in time order
+def hdf_slot_spans(runs):
+    """Each job's first and last HDF slot; runs come in time order."""
+    spans = {}
+    for start, end, jid in runs:
+        spans[jid] = (spans.get(jid, (start,))[0], end - 1)
+    return spans
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(0, 30))
-def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
+def test_each_window_spans_the_jobs_hdf_slots(seed, n, max_release):
     # a job of unique density is the last of its denser set that HDF serves,
-    # so its busy period ends in its last HDF slot; a tie can only lengthen it
+    # so its busy period ends in its last HDF slot; it runs as soon as its
+    # strictly denser set's busy period ends, unless that set then starts
+    # another; a tie can only widen the window
     inst = random_instance(seed, n, max_release)
     jobs = inst.jobs
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -153,14 +159,18 @@ def test_each_window_ends_at_the_jobs_last_hdf_slot(seed, n, max_release):
     assert len(slots) == sum(j.size_on(0) for j in jobs)
     assert all(graph.nodes[node]["demand"] == 1 for node in slots)
     assert all(graph.nodes["job", j.id]["demand"] == -j.size_on(0) for j in jobs)
-    last = last_hdf_slots(runs)
+    spans = hdf_slot_spans(runs)
     densities = [j.density() for j in jobs]
     for j in jobs:
-        assert windows[j.id] == list(range(j.release, windows[j.id][-1] + 1))
+        first, last = windows[j.id][0], windows[j.id][-1]
+        assert windows[j.id] == list(range(first, last + 1))
+        assert j.release <= first <= spans[j.id][0]
         if densities.count(j.density()) == 1:
-            assert windows[j.id][-1] == last[j.id]
+            assert first == spans[j.id][0] or any(
+                other.release == first for other in jobs if other.density() > j.density())
+            assert last == spans[j.id][1]
         else:
-            assert windows[j.id][-1] >= last[j.id]
+            assert last >= spans[j.id][1]
 
 
 def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
@@ -180,6 +190,16 @@ def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
 def test_windowed_arcs_match_full_horizon(seed, n):
     inst = random_instance(seed, n)
     assert transport_opt(inst) == transport_opt_full(inst.jobs)
+
+
+def test_overloaded_lp_has_at_most_7208_arcs(monkeypatch):
+    # a host-independent cost gate: windows that start at r_j give this
+    # instance 30,897 arcs
+    inst = generate(WorkloadModel(kind="poisson_pareto", n=250, rate=0.7, shape=1.6,
+                                  size_cap=20, epsilon=F(1, 4), seed=7))
+    value, _, graph = lp_windows(monkeypatch, inst)
+    assert graph.number_of_edges() <= 7_208
+    assert value == lp_cost(inst, preemptive_hdf(inst))
 
 
 @settings(max_examples=25)

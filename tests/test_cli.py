@@ -293,33 +293,37 @@ def test_baseline_without_jobs(capsys, tmp_path):
         "baseline speed=1 horizon=1 transport_opt=0 hdf_cost=0\n"
 
 
-def test_window_that_misses_hdf_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+def assert_moved_windows_exit_1(capsys, monkeypatch, trace_file, tmp_path, move):
     # the windows contain HDF's schedule, so an infeasible LP is an engine
     # bug, not bad input
-    ends = baselines._busy_period_ends
-    monkeypatch.setattr(baselines, "_busy_period_ends",
-                        lambda *args: [end - 1 for end in ends(*args)])
+    windows = baselines._lp_windows
+    monkeypatch.setattr(baselines, "_lp_windows",
+                        lambda *args: [move(first, end) for first, end in windows(*args)])
     out = tmp_path / "base.txt"
     rc, err = run_cli(capsys, ["baseline", "--trace", trace_file, "--out", out])
     assert rc == cli.VIOLATION
     assert "Traceback" in err and "NetworkXUnfeasible" in err
     assert not err.startswith("error: ")
     assert not out.exists()
+
+
+def test_window_that_misses_hdf_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+    assert_moved_windows_exit_1(capsys, monkeypatch, trace_file, tmp_path,
+                                lambda first, end: (first, end - 1))
 
 
 def test_window_past_its_busy_period_exits_1(capsys, monkeypatch, trace_file, tmp_path):
     # the windows tile the busy slots: one slot longer, the last window
     # reaches the idle slot after the last busy period, and the demands no
     # longer balance
-    ends = baselines._busy_period_ends
-    monkeypatch.setattr(baselines, "_busy_period_ends",
-                        lambda *args: [end + 1 for end in ends(*args)])
-    out = tmp_path / "base.txt"
-    rc, err = run_cli(capsys, ["baseline", "--trace", trace_file, "--out", out])
-    assert rc == cli.VIOLATION
-    assert "Traceback" in err and "NetworkXUnfeasible" in err
-    assert not err.startswith("error: ")
-    assert not out.exists()
+    assert_moved_windows_exit_1(capsys, monkeypatch, trace_file, tmp_path,
+                                lambda first, end: (first, end + 1))
+
+
+def test_window_that_starts_late_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+    # one slot later, no window reaches the first slot of a busy period
+    assert_moved_windows_exit_1(capsys, monkeypatch, trace_file, tmp_path,
+                                lambda first, end: (first + 1, end))
 
 
 # In one fresh interpreter: first what ``import flowsched`` and its lazy
