@@ -194,14 +194,14 @@ def cmd_simulate(args) -> int:
                            for j in arrivals]))
             lines = []
             for j in arrivals:
-                i = trace.impacts[j]
+                i, d = trace.impacts[j], trace.decisions[j]
                 total = totals.pop(j, None) or _ratio(i.total, double)
                 lines.append(
                     f"impact machine={m} job={j} total={total} "
                     f"plus={_ratio(i.plus, double)} minus={_ratio(i.minus, double)} "
                     f"self_term={_ratio(i.self_term, double)} "
-                    f"density_class={i.density_class} "
-                    f"in_plus={i.in_plus:d} in_minus={i.in_minus:d}\n")
+                    f"density_class={instance.table[j][2][m][1]} "
+                    f"in_plus={d.plus_key is not None:d} in_minus={d.minus_key is not None:d}\n")
             write("".join(lines))
             # decisions are kept in arrival order
             write("".join([f"decision machine={m} job={j} reject={d.reject:d} "

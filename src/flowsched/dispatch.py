@@ -53,7 +53,7 @@ def dispatch(job: Job, machines: Sequence[MachineScheduler]) -> int:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
     _, arrival, sums = best
     sched = machines[arrival.machine]
-    impact = arrival_impact(arrival, sched.active.values(), sched.epsilon, sums)
+    impact = arrival_impact(arrival, sched.active.values(), sums)
     sched.scored = (arrival, impact)
     return arrival.machine
 

@@ -9,25 +9,25 @@ as dense as j (j waits behind it); ``S2``, the residual weight of less
 dense jobs of j's own density class, and ``S3``, that of jobs of strictly
 lower classes (j delays both). The impact splits into three nonnegative
 parts: ``plus = w*S1 + p*S2``, ``self_term = w*p/2`` (j's own processing
-half) and ``minus = p*S3``. The two side terms drive the immediate-rejection
-tables, and the total is reused as a per-job dual variable by the
-analysis module.
+half) and ``minus = p*S3``. The rejection tables judge the side terms
+against a multiple of ``self_term``; the analysis module reuses the total
+as a per-job dual variable.
 
 The pass is one integer kernel, :func:`impact_sums`, over
 :class:`~flowsched.core.ResidualJob` views filled from the instance's
 integer table (``weight`` is ``w * scale``, ``rho`` the density times
 ``scale``), so ``S2`` and ``S3`` are integer numerators over ``scale``.
 :func:`arrival_impact` converts nothing: its outputs are numerators over
-``2 * scale`` and its thresholds cross-multiplied, exactly as ``Fraction``
-sums would give. Dispatch ranks machines on the same sums and hands the
-chosen one's over as ``sums``, so each (arrival, machine) is passed once.
+``2 * scale``, exactly as ``Fraction`` sums would give. Dispatch ranks
+machines on the same sums and hands the chosen one's over as ``sums``, so
+each (arrival, machine) is passed once.
 """
 
 from __future__ import annotations
 
 from typing import Collection, NamedTuple
 
-from .core import Rational, ResidualJob
+from .core import ResidualJob
 
 
 class JobInActiveSet(ValueError):
@@ -35,22 +35,16 @@ class JobInActiveSet(ValueError):
 
 
 class ArrivalImpact(NamedTuple):
-    """Exact decomposition ``total = plus + self_term + minus``, each an
-    integer numerator over ``2 * scale`` for the run's density ``scale``.
+    """The impact's split, each part an integer numerator over
+    ``2 * scale`` for the run's density ``scale``."""
 
-    ``in_plus`` / ``in_minus`` record whether the respective side meets its
-    rejection-table threshold: ``plus >= weight*size/epsilon`` (inclusive)
-    versus ``minus > weight*size/epsilon`` (strict). The asymmetry is
-    deliberate and load-bearing for the rejection cadence.
-    """
-
-    total: int
     plus: int
     minus: int
     self_term: int
-    density_class: int
-    in_plus: bool
-    in_minus: bool
+
+    @property
+    def total(self) -> int:
+        return self.plus + self.minus + self.self_term
 
 
 def impact_sums(arrival: ResidualJob,
@@ -79,7 +73,7 @@ def impact_sums(arrival: ResidualJob,
     return denser, same_class, lower_class
 
 
-def arrival_impact(arrival: ResidualJob, active: Collection[ResidualJob], epsilon: Rational,
+def arrival_impact(arrival: ResidualJob, active: Collection[ResidualJob],
                    sums: tuple[int, int, int] | None = None) -> ArrivalImpact:
     """Compute the impact of ``arrival``, not yet processed, against the
     current active set, whose jobs were built over the same scale.
@@ -91,20 +85,6 @@ def arrival_impact(arrival: ResidualJob, active: Collection[ResidualJob], epsilo
     """
     denser, same_class, lower_class = impact_sums(arrival, active) if sums is None else sums
     size = arrival.remaining
-    weight = arrival.weight
-
-    # plus = w*S1 + p*S2, minus = p*S3 and w*p, each times scale
-    plus = weight * denser + size * same_class
-    minus = size * lower_class
-    work = weight * size
-    # threshold w*p/epsilon: plus >= it and minus > it, cross-multiplied
-    en, ed = epsilon.numerator, epsilon.denominator
-    return ArrivalImpact(
-        total=2 * (plus + minus) + work,
-        plus=2 * plus,
-        minus=2 * minus,
-        self_term=work,
-        density_class=arrival.density_class,
-        in_plus=plus * en >= work * ed,
-        in_minus=lower_class * en > weight * ed,
-    )
+    # plus = w*S1 + p*S2, minus = p*S3 and w*p/2, each times 2 * scale
+    return ArrivalImpact(2 * (arrival.weight * denser + size * same_class),
+                         2 * size * lower_class, arrival.weight * size)

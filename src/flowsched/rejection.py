@@ -1,8 +1,8 @@
 """Immediate-rejection tables.
 
-Arrivals whose impact crosses a threshold are assigned to buckets in one
-or both of two tables, and each bucket rejects on a fixed cadence of
-period ``1/epsilon``:
+An arrival whose impact side crosses ``w*p/epsilon`` is assigned to a
+bucket in that side's table, and each bucket rejects on a fixed cadence
+of period ``k = 1/epsilon``:
 
 * plus table, keyed by (floor_log(plus/weight), floor_log(weight)):
   rejects assignment ordinals 1, 1+k, 1+2k, ... (the first job in a fresh
@@ -15,13 +15,13 @@ rejected the job, so replaying an arrival sequence is deterministic.
 Buckets are never garbage-collected within a run.
 
 The arrival is the :class:`~flowsched.core.ResidualJob` that was scored,
-so this module converts nothing: the weight class is the arrival's, from
-the instance's integer table, and the others are ``floor_log_ratio`` of
-the integer numerators of ``plus/weight`` and ``minus``, and
-``size.bit_length() - 1``. A bucket is the list of its assigned weights,
-numerators over the run's density ``scale``; its rejected ordinals follow
-from its length and the cadence, so :meth:`RejectionTables.audit` derives
-them, in a report built only when first read.
+so this module converts nothing: the weight and density classes are the
+arrival's, from the instance's integer table, and the others are the
+``floor_log_ratio`` of the numerators of ``plus/weight`` and ``minus``,
+and ``size.bit_length() - 1``. A bucket is its assigned weights, numerators
+over the run's density ``scale``; its rejected ordinals follow from its
+length and the cadence, so :meth:`RejectionTables.audit` derives them, in
+a report built only when first read.
 """
 
 from __future__ import annotations
@@ -53,24 +53,30 @@ class MinusKey(NamedTuple):
     size_class: int     # floor_log(size)
 
 
-def bucket_keys(impact: ArrivalImpact, arrival: ResidualJob,
-                scale: int) -> tuple[PlusKey | None, MinusKey | None]:
+def bucket_keys(impact: ArrivalImpact, arrival: ResidualJob, scale: int,
+                cadence: int) -> tuple[PlusKey | None, MinusKey | None]:
     """Keys for whichever tables the arrival qualifies for (possibly both),
-    from an impact whose values are numerators over ``2 * scale``."""
+    from an impact whose values are numerators over ``2 * scale``.
+
+    A side qualifies against ``w*p/epsilon``, which is ``2 * cadence *
+    self_term`` over the same denominator: plus at or above it (inclusive),
+    minus strictly above it. The asymmetry is deliberate and load-bearing
+    for the rejection cadence.
+    """
+    threshold = 2 * cadence * impact.self_term
     plus_key = None
     minus_key = None
-    if impact.in_plus:
+    if impact.plus >= threshold:
         # plus / w = (plus / (2 scale)) / (weight / scale)
         plus_key = PlusKey(floor_log_ratio(impact.plus, 2 * arrival.weight),
                            arrival.weight_class)
-    if impact.in_minus:
+    if impact.minus > threshold:
         minus_key = MinusKey(floor_log_ratio(impact.minus, 2 * scale),
-                             impact.density_class, arrival.remaining.bit_length() - 1)
+                             arrival.density_class, arrival.remaining.bit_length() - 1)
     return plus_key, minus_key
 
 
 class ImmediateDecision(NamedTuple):
-    job: int
     plus_key: PlusKey | None
     minus_key: MinusKey | None
     plus_ordinal: int | None
@@ -116,7 +122,7 @@ class RejectionTables:
             raise DuplicateAdmission(f"job {jid} admitted twice")
         self._seen.add(jid)
 
-        plus_key, minus_key = bucket_keys(impact, arrival, self.scale)
+        plus_key, minus_key = bucket_keys(impact, arrival, self.scale, self.cadence)
         weight = arrival.weight
         reject = False
         reason = REASON_NONE
@@ -137,8 +143,8 @@ class RejectionTables:
                 reject = True
                 reason = REASON_MINUS_CADENCE
 
-        return ImmediateDecision(jid, plus_key, minus_key,
-                                 plus_ordinal, minus_ordinal, reject, reason)
+        return ImmediateDecision(plus_key, minus_key, plus_ordinal, minus_ordinal,
+                                 reject, reason)
 
     def audit(self) -> list[BucketReport]:
         """Exhaustive per-bucket report, deterministically ordered by key;

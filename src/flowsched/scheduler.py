@@ -143,8 +143,6 @@ class MachineScheduler:
     def __init__(self, instance: Instance, machine: int):
         self.instance = instance
         self.machine = machine
-        self.epsilon = epsilon = instance.epsilon
-        self.scale = scale = instance.scale
         self.clock = 0
         # a segment never runs past this time; the driver sets it to the
         # next release, and None runs the chosen job to completion
@@ -158,7 +156,7 @@ class MachineScheduler:
         # completed jobs linger below the top until select_slot pops them
         self.heap: list[tuple[int, int, int]] = []
         self.preemptible: set[int] = set()
-        self.tables = RejectionTables(epsilon, scale)
+        self.tables = RejectionTables(instance.epsilon, instance.scale)
         # current uninterrupted run of an unmarked job, and the weight
         # released since it began, times scale
         self.run_job: int | None = None
@@ -182,7 +180,7 @@ class MachineScheduler:
         else:
             arrival = ResidualJob(job, job.size_on(self.machine), self.machine,
                                   self.instance.table[job.id])
-            impact = arrival_impact(arrival, self.active.values(), self.epsilon)
+            impact = arrival_impact(arrival, self.active.values())
         decision = self.tables.admit(arrival, impact)
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision

@@ -59,7 +59,7 @@ def job(jid, release, weight, size) -> Job:
     return Job(jid, release, Fraction(weight), (size,))
 
 
-def impact_of(arrival: Job, entries, epsilon, machine: int = 0
+def impact_of(arrival: Job, entries, machine: int = 0
               ) -> tuple[ArrivalImpact, list[ResidualJob]]:
     """The impact of ``arrival`` on ``machine`` against the active set of
     ``(job, remaining)`` entries, with its values as Fractions, and that
@@ -68,7 +68,7 @@ def impact_of(arrival: Job, entries, epsilon, machine: int = 0
     scale = density_scale([arrival, *(j for j, _ in entries)])
     active = [residual_job(j, remaining, machine, scale) for j, remaining in entries]
     view = residual_job(arrival, arrival.size_on(machine), machine, scale)
-    return impact_values(arrival_impact(view, active, epsilon), scale), active
+    return impact_values(arrival_impact(view, active), scale), active
 
 
 def seeded_instance(seed: int, machines: int) -> Instance:

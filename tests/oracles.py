@@ -3,7 +3,8 @@
 ``floor_log`` finds a Fraction's power-of-two class by Fraction
 comparisons, ``density_scale`` takes the lcm of the jobs' densities as
 Fractions, ``arrival_impact`` classifies every active job by its density
-class and prices it on its own, ``bucket_keys`` takes each rejection-table
+class and prices it on its own, ``priced`` judges both sides against
+``w*p/epsilon`` on its own, ``bucket_keys`` takes each rejection-table
 class as a ``floor_log`` of a Fraction, ``fractional_flow_plan`` prices
 every plan slot, ``compute_metrics`` sums every metric job by job in Fractions,
 ``beta_series`` walks each kept job's lifetime and ``verify_duals`` tests
@@ -17,8 +18,9 @@ The engine keeps each weighted value as an integer numerator over a fixed
 multiple of the run's density scale: ``2 * scale`` for impacts, dispatch
 scores and certificate alphas, ``scale`` for bucket weights and
 ``scale / epsilon`` for budgets. ``impact_values`` turns an engine impact
-into the Fractions that ``arrival_impact`` gives, and ``whole`` turns a
-Fraction back into such a numerator, asserting that it is one. Records
+into the Fractions of the ``split`` of the :class:`FractionImpact` that
+``arrival_impact`` gives, and ``whole`` turns a Fraction back into such a
+numerator, asserting that it is one. Records
 the oracles build for the engine's own types (the per-slot engine's
 impacts and dispatch scores, ``bucket_report``, ``audit_rejections``) are
 computed in Fractions and stored as those numerators, so they compare
@@ -28,7 +30,8 @@ The per-slot engine ``SlotScheduler``, driven by ``slot_run`` and
 ``slot_run_multi``, steps every machine one unit slot at a time in
 lock-step, picks each new run with a ``min`` over the active jobs' HDF
 keys (``hdf_key``, in Fractions), tests the marking budget in Fractions,
-scores each arrival with the ``arrival_impact`` below and records each
+scores each arrival with the ``arrival_impact`` below, checks that the
+tables' keys agree with its threshold flags, and records each
 slot as a unit :class:`Run`; the event-driven
 engine must produce the same slots, events, impacts and decisions. Its
 traces are :class:`SlotTrace`s, which also record the charging map phi of
@@ -169,24 +172,51 @@ def whole(value: Rational) -> int:
 
 
 def impact_values(impact: ArrivalImpact, scale: int) -> ArrivalImpact:
-    """An engine impact, whose four values are numerators over ``2 * scale``,
-    with those values as Fractions."""
-    den = 2 * scale
-    return impact._replace(total=Rational(impact.total, den), plus=Rational(impact.plus, den),
-                           minus=Rational(impact.minus, den),
-                           self_term=Rational(impact.self_term, den))
+    """An engine impact, whose three values are numerators over
+    ``2 * scale``, with those values as Fractions."""
+    return ArrivalImpact(*(Rational(value, 2 * scale) for value in impact))
 
 
 def impact_numerators(impact: ArrivalImpact, scale: int) -> ArrivalImpact:
     """The inverse of :func:`impact_values`."""
-    den = 2 * scale
-    return impact._replace(total=whole(impact.total * den), plus=whole(impact.plus * den),
-                           minus=whole(impact.minus * den),
-                           self_term=whole(impact.self_term * den))
+    return ArrivalImpact(*(whole(value * 2 * scale) for value in impact))
+
+
+class FractionImpact(NamedTuple):
+    """The oracle's impact in Fractions: the engine's split, its total, the
+    arrival's density class, and whether each side meets its
+    rejection-table threshold ``w*p/epsilon``, plus inclusively
+    (``>=``) and minus strictly (``>``)."""
+
+    total: Rational
+    plus: Rational
+    minus: Rational
+    self_term: Rational
+    density_class: int
+    in_plus: bool
+    in_minus: bool
+
+    @property
+    def split(self) -> ArrivalImpact:
+        """The ``(plus, minus, self_term)`` that the engine keeps, as
+        Fractions: what the oracle compares with :func:`impact_values`."""
+        return ArrivalImpact(self.plus, self.minus, self.self_term)
+
+
+def priced(job: Job, plus: Rational, minus: Rational, epsilon: Rational,
+           machine: int = 0) -> FractionImpact:
+    """The oracle's impact record of ``job`` on ``machine`` with these two
+    side terms."""
+    size = Rational(job.size_on(machine))
+    self_term = job.weight * size * HALF
+    threshold = job.weight * size / epsilon
+    return FractionImpact(plus + self_term + minus, plus, minus, self_term,
+                          floor_log(job.density(machine)),
+                          plus >= threshold, minus > threshold)
 
 
 def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
-                   machine: int = 0) -> ArrivalImpact:
+                   machine: int = 0) -> FractionImpact:
     """Impact of ``job`` against the active set, one active job at a time."""
     size = Rational(job.size_on(machine))
     rho = job.density(machine)
@@ -206,21 +236,10 @@ def arrival_impact(job: Job, active: Iterable[ResidualJob], epsilon: Rational,
         else:
             # a strictly smaller class implies strictly smaller density
             minus += size * residual_weight(res)
-
-    self_term = job.weight * size * HALF
-    threshold = job.weight * size / epsilon
-    return ArrivalImpact(
-        total=plus + self_term + minus,
-        plus=plus,
-        minus=minus,
-        self_term=self_term,
-        density_class=klass,
-        in_plus=plus >= threshold,
-        in_minus=minus > threshold,
-    )
+    return priced(job, plus, minus, epsilon, machine)
 
 
-def bucket_keys(impact: ArrivalImpact, job: Job,
+def bucket_keys(impact: FractionImpact, job: Job,
                 machine: int = 0) -> tuple[PlusKey | None, MinusKey | None]:
     """The rejection-table keys, each class a ``floor_log`` of a Fraction."""
     plus_key = None
@@ -244,7 +263,8 @@ def buckets(trace: ScheduleTrace, instance: Instance):
     assigned: dict[tuple[str, tuple[int, ...]], list[Rational]] = {}
     for jid in trace.arrivals:
         job = by_id[jid]
-        impact = impact_values(trace.impacts[jid], instance.scale)
+        impact = priced(job, *impact_values(trace.impacts[jid], instance.scale)[:2],
+                        instance.epsilon, trace.machine)
         for table, key in zip(("plus", "minus"), bucket_keys(impact, job, trace.machine)):
             if key is not None:
                 assigned.setdefault((table, tuple(key)), []).append(job.weight)
@@ -512,14 +532,15 @@ def simulate_text(instance: Instance, traces: list[ScheduleTrace], metrics: Metr
             writer.emit("departure", machine=trace.machine, job=jid,
                         time=departures[jid])
         for jid in trace.arrivals:
-            impact = trace.impacts[jid]
+            impact, decision = trace.impacts[jid], trace.decisions[jid]
             writer.emit("impact", machine=trace.machine, job=jid,
                         total=totals.pop(jid, None) or _ratio(impact.total, double),
                         plus=_ratio(impact.plus, double),
                         minus=_ratio(impact.minus, double),
                         self_term=_ratio(impact.self_term, double),
-                        density_class=impact.density_class,
-                        in_plus=impact.in_plus, in_minus=impact.in_minus)
+                        density_class=floor_log(instance.by_id[jid].density(trace.machine)),
+                        in_plus=decision.plus_key is not None,
+                        in_minus=decision.minus_key is not None)
         for jid in trace.arrivals:
             decision = trace.decisions[jid]
             writer.emit("decision", machine=trace.machine, job=jid,
@@ -573,10 +594,13 @@ class SlotScheduler:
             raise error(f"job {job.id} released at {job.release}, clock is {self.clock}")
         tr = self._trace
 
-        impact = impact_numerators(
-            arrival_impact(job, self.active.values(), self.epsilon, self.machine), self.scale)
+        scored = arrival_impact(job, self.active.values(), self.epsilon, self.machine)
+        impact = impact_numerators(scored.split, self.scale)
         arrival = residual_job(job, job.size_on(self.machine), self.machine, self.scale)
         decision = self.tables.admit(arrival, impact)
+        # the tables judge the thresholds on their own; the oracle's flags agree
+        assert (decision.plus_key is not None, decision.minus_key is not None) \
+            == (scored.in_plus, scored.in_minus), job.id
         tr.impacts[job.id] = impact
         tr.decisions[job.id] = decision
 
@@ -729,20 +753,21 @@ def trace_record(trace: ScheduleTrace) -> tuple:
     return trace.arrivals, slots(trace), trace.events, trace.impacts, trace.decisions
 
 
-def dispatch(job: Job, machines: Sequence[SlotScheduler]) -> DispatchDecision:
+def dispatch(job: Job, machines: Sequence[SlotScheduler], epsilon: Rational,
+             scale: int) -> DispatchDecision:
     """Pick the machine where the job's arrival impact is smallest, scoring
     every eligible machine in full; ties go to the smaller index. The score
-    is recorded over twice the machines' shared density scale."""
+    is recorded over twice the machines' shared density ``scale``."""
     best: tuple[Rational, int] | None = None
     for index, sched in enumerate(machines):
         if not runnable_on(job, index):
             continue
-        score = arrival_impact(job, sched.active.values(), sched.epsilon, index).total
+        score = arrival_impact(job, sched.active.values(), epsilon, index).total
         if best is None or score < best[0]:
             best = (score, index)
     if best is None:
         raise NoEligibleMachine(f"job {job.id} is not runnable on any machine")
-    return DispatchDecision(job.id, best[1], whole(best[0] * 2 * machines[0].scale))
+    return DispatchDecision(job.id, best[1], whole(best[0] * 2 * scale))
 
 
 def slot_run_multi(instance: Instance) -> SlotRun:
@@ -757,7 +782,7 @@ def slot_run_multi(instance: Instance) -> SlotRun:
     decisions: list[DispatchDecision] = []
 
     def route(job: Job, machines: Sequence[SlotScheduler]) -> int:
-        decision = dispatch(job, machines)
+        decision = dispatch(job, machines, instance.epsilon, scale)
         decisions.append(decision)
         return decision.machine
 

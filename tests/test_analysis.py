@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from flowsched import (WorkloadModel, audit_rejections, beta_series,
                        compute_metrics, generate, lp_cost, preemptive_hdf, run, run_multi,
                        transport_opt, verify_duals)
-from flowsched.analysis import fractional_flow_plan
+from flowsched.analysis import IncompleteTrace, fractional_flow_plan
 from flowsched.core import run_flow
+from flowsched.scheduler import EVENT_DELAYED_REJECT
 
 from conftest import job, make_instance
 from oracles import TooLargeForOracle, greedy_nonpreemptive, lower_bound_check, plan_slots
@@ -47,6 +49,21 @@ def test_worked_run_metrics():
     assert metrics.rejected_weight_delayed == 1
     assert metrics.rejected_weight_immediate == 0
     assert metrics.total_weight == 4
+
+
+def test_metrics_refuse_runs_that_miss_a_job():
+    with pytest.raises(IncompleteTrace, match="does not cover every job"):
+        compute_metrics([], worked_instance())
+
+
+def test_metrics_refuse_an_arrival_without_a_terminal_event():
+    inst = worked_instance()
+    trace = run(inst)
+    # job 0 is marked, so its terminal event is its delayed rejection
+    events = [e for e in trace.events if (e.job, e.kind) != (0, EVENT_DELAYED_REJECT)]
+    assert len(events) == len(trace.events) - 1
+    with pytest.raises(IncompleteTrace, match=r"no departure recorded for jobs \[0\]"):
+        compute_metrics([replace(trace, events=events)], inst)
 
 
 def value(cert, numerator):

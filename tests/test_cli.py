@@ -249,6 +249,32 @@ def test_verify_record_on_the_long_horizon_pileup(tmp_path):
         "alpha_total=65753971/3600 beta_total=131756341/7200 violations=0\n")
 
 
+def test_verify_lists_each_violation_of_an_infeasible_certificate(capsys, monkeypatch,
+                                                                  tmp_path):
+    # every real certificate is feasible, so zero every beta to break the
+    # dual constraints of the jobs the run keeps
+    analysis = importlib.import_module("flowsched.analysis")
+    betas = analysis.beta_series
+
+    def zero_betas(trace, instance):
+        scale, numerators = betas(trace, instance)
+        return scale, [0] * len(numerators)
+    monkeypatch.setattr(analysis, "beta_series", zero_betas)
+    path, out = tmp_path / "trace.txt", tmp_path / "verify.txt"
+    assert main(["gen", "--model", "poisson_pareto", "--n", "20", "--seed", "3",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(path), "--out", str(out)]) == cli.VIOLATION == 1
+    assert "error:" not in capsys.readouterr().err
+    certificate, *lines = out.read_text(encoding="ascii").splitlines()
+    assert "feasible=0" in certificate.split()
+    instance = parse_trace(path)
+    certs = [analysis.verify_duals(trace, instance) for trace in run_multi(instance)]
+    assert lines == [f"violation machine={cert.machine} job={jid} t={t}"
+                     for cert in certs for jid, t in cert.violations]
+    assert len(lines) == 28
+
+
 # -- exit codes ------------------------------------------------------------
 
 
@@ -607,12 +633,23 @@ def test_missing_file_exits_2(capsys, tmp_path):
     ["--model", "uniform", "--machines", "0"],        # zero is a value, not "unset"
     ["--model", "uniform", "--epsilon", "0"],
     ["--model", "uniform", "--max-release", "-5"],    # no release in [0, -5]
+    ["--model", "uniform", "--n", "-1"],
+    ["--model", "adversarial_L", "--L", "0"],
+    ["--model", "adversarial_L", "--scale", "0"],
 ])
 def test_bad_generator_parameters_exit_2(capsys, tmp_path, flags):
     out = tmp_path / "gen.txt"
     rc, err = run_cli(capsys, ["gen", "--out", out] + flags)
     assert rc == cli.USAGE_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_refuses_an_epsilon_that_is_not_a_rational(capsys, tmp_path):
+    out = tmp_path / "gen.txt"
+    rc, err = run_cli(capsys, ["gen", "--model", "uniform", "--epsilon", "abc", "--out", out])
+    assert rc == cli.USAGE_ERROR
+    assert "not a rational: 'abc'" in err
     assert not out.exists()
 
 

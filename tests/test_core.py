@@ -16,6 +16,7 @@ from flowsched import (Instance, InvalidInstance, Job, JobNotRunnableOnMachine,
 from flowsched.cli import _INPUT_ERRORS
 from flowsched.core import DensityNotSpanned
 from flowsched.harness import BadParameters
+from flowsched.impact import ArrivalImpact
 
 import oracles
 from conftest import job, make_instance
@@ -274,6 +275,15 @@ def test_every_imported_name_is_read():
     modules = {path.name: unread_imports(ast.parse(path.read_text(encoding="utf-8")))
                for path in Path(flowsched.__file__).parent.glob("*.py")}
     assert {name: unread for name, unread in modules.items() if unread} == {}
+
+
+def test_only_rejection_judges_an_impact_against_its_threshold():
+    # impact is pure accounting: its split carries no flags and it names no
+    # epsilon, so rejection.bucket_keys alone compares a side to w*p/epsilon
+    tree = ast.parse((Path(flowsched.__file__).parent / "impact.py").read_text(encoding="utf-8"))
+    names = names_used(tree) | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert not names & {"epsilon", "cadence"}
+    assert ArrivalImpact._fields == ("plus", "minus", "self_term")
 
 
 def exception_classes(trees: dict[str, ast.AST]) -> dict[str, str]:

@@ -34,7 +34,7 @@ def test_dispatch_prefers_smaller_impact():
     machines = empty_machines(2, job)
     assert dispatch(job, machines) == 0
     # w p / 2 on the fast machine, a numerator over twice the scale
-    assert F(machines[0].scored[1].total, 2 * machines[0].scale) == 1
+    assert F(machines[0].scored[1].total, 2 * machines[0].instance.scale) == 1
 
 
 def test_dispatch_respects_runnability():
@@ -160,7 +160,8 @@ def machines_with(arrivals, states, eps=F(1, 2)):
 
 def assert_matches_oracle(job, machines):
     try:
-        expected = oracles.dispatch(job, machines)
+        expected = oracles.dispatch(job, machines, machines[0].instance.epsilon,
+                                    machines[0].instance.scale)
     except NoEligibleMachine:
         with pytest.raises(NoEligibleMachine):
             dispatch(job, machines)
@@ -170,8 +171,8 @@ def assert_matches_oracle(job, machines):
     chosen = machines[expected.machine]
     scored, impact = chosen.scored
     assert scored.job is job and impact.total == expected.score
-    assert oracles.impact_values(impact, chosen.scale) == oracles.arrival_impact(
-        job, chosen.active.values(), chosen.epsilon, expected.machine)
+    assert oracles.impact_values(impact, chosen.instance.scale) == oracles.arrival_impact(
+        job, chosen.active.values(), chosen.instance.epsilon, expected.machine).split
 
 
 weights = st.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 4)))
@@ -205,7 +206,7 @@ def test_equal_totals_over_different_denominators_tie_to_smaller_index(
                  for w, p, r in active]
     states = [stretched, active] if stretched_first else [active, stretched]
     machines = machines_with([job], states)
-    totals = {oracles.arrival_impact(job, m.active.values(), m.epsilon, i).total
+    totals = {oracles.arrival_impact(job, m.active.values(), m.instance.epsilon, i).total
               for i, m in enumerate(machines)}
     assert len(totals) == 1
     assert_matches_oracle(job, machines)
@@ -276,14 +277,15 @@ def test_handed_over_impact_is_never_used_for_another_job():
     machines = machines_with([job_a, job_b], [[(1, 4, 3)]] * 2)
     chosen = machines[dispatch(job_a, machines)]
     stale = chosen.scored[1]
-    fresh_b = arrival_impact(oracles.residual_job(job_b, 5, chosen.machine, chosen.scale),
-                             chosen.active.values(), chosen.epsilon)
+    scale = chosen.instance.scale
+    fresh_b = arrival_impact(oracles.residual_job(job_b, 5, chosen.machine, scale),
+                             chosen.active.values())
     assert fresh_b != stale
     chosen.on_arrival(job_b)
     assert chosen.scored is None
     # job A arrives after B: its handed-over score is gone and B is active
-    fresh_a = arrival_impact(oracles.residual_job(job_a, 2, chosen.machine, chosen.scale),
-                             chosen.active.values(), chosen.epsilon)
+    fresh_a = arrival_impact(oracles.residual_job(job_a, 2, chosen.machine, scale),
+                             chosen.active.values())
     chosen.on_arrival(job_a)
     trace = chosen.finish_trace()
     assert trace.impacts[job_b.id] == fresh_b

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from flowsched import (WorkloadModel, beta_series, fractional_flow_plan, generate, run,
                        run_multi, verify_duals)
+from flowsched.impact import ArrivalImpact
 from flowsched.rejection import ImmediateDecision
 from flowsched.scheduler import (EVENT_IMMEDIATE_REJECT, EVENT_PLAN_COMPLETE,
                                  EVENT_REAL_COMPLETE, Event, Run, ScheduleTrace)
@@ -36,11 +37,10 @@ ALPHA_MODES = ("recorded", "scaled", "scaled_offset")
 def with_alphas(trace: ScheduleTrace, alphas: dict[int, Fraction],
                 scale: int) -> ScheduleTrace:
     """A copy of ``trace`` whose arrival impacts total ``alphas``, each
-    stored as the engine stores it, over ``2 * scale``. An alpha that this
-    denominator does not clear stays a Fraction numerator: the verifier's
-    ceiling step is a floor division, exact on it too."""
-    impacts = {jid: impact._replace(total=alphas[jid] * 2 * scale)
-               for jid, impact in trace.impacts.items()}
+    stored as the engine stores it, over ``2 * scale``, all in ``plus``. An
+    alpha that this denominator does not clear stays a Fraction numerator:
+    the verifier's ceiling step is a floor division, exact on it too."""
+    impacts = {jid: ArrivalImpact(alphas[jid] * 2 * scale, 0, 0) for jid in trace.impacts}
     return replace(trace, impacts=impacts)
 
 
@@ -137,7 +137,7 @@ def hand_built(alphas, s_size=2):
     """
     inst = make_instance([job(0, 0, 1, s_size), job(1, 0, 4, 2), job(2, 1, 8, 1)])
     trace = run_multi(inst)[0]
-    decisions = {jid: ImmediateDecision(jid, None, None, None, None, jid != 1, "-")
+    decisions = {jid: ImmediateDecision(None, None, None, None, jid != 1, "-")
                  for jid in (0, 1, 2)}
     events = [Event(0, 0, EVENT_IMMEDIATE_REJECT), Event(1, 2, EVENT_IMMEDIATE_REJECT),
               Event(2, 1, EVENT_PLAN_COMPLETE), Event(2, 1, EVENT_REAL_COMPLETE)]

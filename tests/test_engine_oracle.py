@@ -193,7 +193,7 @@ def test_scale_is_fixed_under_live_and_stale_heap_keys():
     assert sched.run_job == b.id and a.id not in sched.active
     for job in late:
         sched.on_arrival(job)
-    assert sched.scale == scale
+    assert sched.instance.scale == scale
     assert sched.run_released == (1 + 2 + 3) * scale
     keys = {jid: (key, release) for key, release, jid in sched.heap}
     assert len(keys) == len(sched.heap) == len(jobs)

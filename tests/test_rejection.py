@@ -19,51 +19,49 @@ F = Fraction
 SCALE = 4  # the density scale of the stubs below; it spans every weight they use
 
 
-def fraction_stub(plus=F(0), minus=F(0), self_term=F(1), density_class=0,
-                  in_plus=False, in_minus=False):
-    """An impact with these values as Fractions, as ``oracles`` gives one."""
-    return ArrivalImpact(plus + self_term + minus, plus, minus, self_term,
-                         density_class, in_plus, in_minus)
-
-
 def arrival(jid, release, weight, size):
     """The job's view over ``SCALE``, as the engine offers it to the tables."""
     j = job(jid, release, weight, size)
     return ResidualJob(j, size, 0, oracles.job_row(j, SCALE))
 
 
-def impact_stub(*values, scale=SCALE, **fields):
-    """The same impact as the engine stores it: numerators over ``2 * scale``."""
-    return oracles.impact_numerators(fraction_stub(*values, **fields), scale)
+def impact_stub(view, plus=F(0), minus=F(0), scale=SCALE):
+    """The impact of the arrival ``view`` with these side terms, as the
+    engine stores it: numerators over ``2 * scale``, its self term
+    ``w*p/2``."""
+    self_term = view.job.weight * view.remaining / 2
+    return oracles.impact_numerators(ArrivalImpact(F(plus), F(minus), self_term), scale)
 
 
 def test_bucket_key_examples():
     j = arrival(0, 0, 3, 1)
-    impact = impact_stub(plus=F(30), in_plus=True)  # plus / w = 10
-    plus_key, minus_key = bucket_keys(impact, j, SCALE)
+    impact = impact_stub(j, plus=F(30))  # plus / w = 10, above w p / eps = 6
+    plus_key, minus_key = bucket_keys(impact, j, SCALE, 2)
     assert plus_key == PlusKey(impact_class=3, weight_class=1)
     assert minus_key is None
 
-    j = arrival(1, 0, 2, 8)
-    impact = impact_stub(minus=F(12), density_class=-2, in_minus=True)
-    plus_key, minus_key = bucket_keys(impact, j, SCALE)
+    j = arrival(1, 0, 2, 8)  # density 1/4: class -2
+    impact = impact_stub(j, minus=F(36))  # above w p / eps = 32
+    plus_key, minus_key = bucket_keys(impact, j, SCALE, 2)
     assert plus_key is None
-    assert minus_key == MinusKey(impact_class=3, density_class=-2, size_class=3)
+    assert minus_key == MinusKey(impact_class=5, density_class=-2, size_class=3)
 
 
 def test_no_threshold_no_keys():
-    plus_key, minus_key = bucket_keys(impact_stub(), arrival(0, 0, 1, 1), SCALE)
+    j = arrival(0, 0, 1, 1)
+    plus_key, minus_key = bucket_keys(impact_stub(j), j, SCALE, 2)
     assert plus_key is None and minus_key is None
 
 
 def plus_qualifier(jid, weight=F(4)):
     # identical keys for every call: plus/w in [8,16), weight class fixed
-    return arrival(jid, 0, weight, 1), impact_stub(plus=weight * 9, in_plus=True)
+    j = arrival(jid, 0, weight, 1)
+    return j, impact_stub(j, plus=weight * 9)
 
 
 def minus_qualifier(jid, weight=F(4)):
-    return arrival(jid, 0, weight, 1), impact_stub(minus=F(40), density_class=2,
-                                               in_minus=True)
+    j = arrival(jid, 0, weight, 1)  # density 4: class 2
+    return j, impact_stub(j, minus=F(40))
 
 
 def test_plus_cadence_rejects_first_then_every_kth():
@@ -91,7 +89,8 @@ def test_minus_cadence_waits_for_the_kth():
 def test_nonqualifying_job_never_rejected():
     tables = RejectionTables(F(1, 2), SCALE)
     for jid in range(10):
-        d = tables.admit(arrival(jid, 0, 1, 1), impact_stub())
+        j = arrival(jid, 0, 1, 1)
+        d = tables.admit(j, impact_stub(j))
         assert not d.reject and d.reason == REASON_NONE
 
 
@@ -112,21 +111,19 @@ def test_both_tables_minus_fires_while_plus_keeps():
     tables.admit(j1, imp1)
     j2, imp2 = minus_qualifier(2)
     tables.admit(j2, imp2)
-    both = impact_stub(plus=F(36), minus=F(40), density_class=2,
-                       in_plus=True, in_minus=True)
-    d = tables.admit(arrival(3, 0, 4, 1), both)
+    j3 = arrival(3, 0, 4, 1)
+    d = tables.admit(j3, impact_stub(j3, plus=F(36), minus=F(40)))
     assert d.plus_ordinal == 2 and d.minus_ordinal == 2
     assert d.reject and d.reason == REASON_MINUS_CADENCE
 
 
 def test_counters_advance_despite_other_table_verdict():
     tables = RejectionTables(F(1, 2), SCALE)
-    both = impact_stub(plus=F(36), minus=F(40), density_class=2,
-                       in_plus=True, in_minus=True)
-    d1 = tables.admit(arrival(1, 0, 4, 1), both)
+    j1, j2 = arrival(1, 0, 4, 1), arrival(2, 0, 4, 1)
+    d1 = tables.admit(j1, impact_stub(j1, plus=F(36), minus=F(40)))
     assert d1.reject and d1.reason == REASON_PLUS_FIRST
     assert d1.minus_ordinal == 1  # assigned even though plus already rejected
-    d2 = tables.admit(arrival(2, 0, 4, 1), both)
+    d2 = tables.admit(j2, impact_stub(j2, plus=F(36), minus=F(40)))
     assert d2.minus_ordinal == 2 and d2.reject  # minus cadence saw both
 
 
@@ -163,9 +160,8 @@ def test_cadence_ordinal_rule(k, n):
     tables = RejectionTables(eps, SCALE)
     for jid in range(1, n + 1):
         j = arrival(jid, 0, 4, 1)
-        imp = impact_stub(plus=F(36), minus=F(40), density_class=2,
-                          in_plus=True, in_minus=True)
-        d = tables.admit(j, imp)
+        # both sides above w p / eps = 4k for every k here
+        d = tables.admit(j, impact_stub(j, plus=F(60), minus=F(60)))
         assert d.reject == (d.plus_ordinal % k == 1 or d.minus_ordinal % k == 0)
     # every arrival lands in the same plus and the same minus bucket
     rejected = {report.table: report.rejected_ordinals for report in tables.audit()}
@@ -225,10 +221,10 @@ def test_replay_determinism(specs, eps):
         tables = RejectionTables(eps, SCALE)
         out = []
         for jid, (w, in_plus, in_minus) in enumerate(specs):
-            imp = impact_stub(plus=F(w * 9) if in_plus else F(0),
-                              minus=F(w * 9) if in_minus else F(0),
-                              density_class=1, in_plus=in_plus, in_minus=in_minus)
-            out.append(tables.admit(arrival(jid, 0, w, 1), imp))
+            # w * 9 is above w p / eps, and 0 below it
+            j = arrival(jid, 0, w, 1)
+            out.append(tables.admit(j, impact_stub(j, plus=F(w * 9) if in_plus else F(0),
+                                                   minus=F(w * 9) if in_minus else F(0))))
         return out
     assert play() == play()
 
@@ -246,17 +242,19 @@ near_powers = st.tuples(powers_of_two, st.sampled_from([F(1, 10 ** 9), F(-1, 10 
        st.one_of(powers_of_two, near_powers, positive),
        st.one_of(powers_of_two, near_powers, positive),
        st.one_of(st.integers(0, 20).map(lambda k: 2 ** k), st.integers(1, 10 ** 6)),
-       st.integers(-20, 20), st.booleans(), st.booleans())
-def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, klass,
-                                                   in_plus, in_minus):
-    # ratio is plus / weight, so plus / w = 2^k lands exactly on a boundary
+       st.sampled_from([2, 4, 10]), st.booleans(), st.booleans())
+def test_integer_bucket_keys_match_fraction_oracle(weight, ratio, minus, size, cadence,
+                                                   plus_tie, minus_tie):
+    # ratio is plus / weight, so plus / w = 2^k lands exactly on a boundary;
+    # a tie puts that side exactly on its threshold w p / epsilon
     j = Job(0, 0, weight, (size,))
-    values = dict(plus=weight * ratio, minus=minus, density_class=klass,
-                  in_plus=in_plus, in_minus=in_minus)
+    threshold = weight * size * cadence
+    plus = threshold if plus_tie else weight * ratio
+    minus = threshold if minus_tie else minus
     # the least scale that spans the weight, its density and both sides
     scale = lcm(weight.denominator, (weight / size).denominator,
-                (weight * ratio).denominator, minus.denominator)
-    keys = bucket_keys(impact_stub(scale=scale, **values),
-                       ResidualJob(j, size, 0, oracles.job_row(j, scale)), scale)
-    assert keys == oracles.bucket_keys(fraction_stub(**values), j)
+                plus.denominator, minus.denominator)
+    view = ResidualJob(j, size, 0, oracles.job_row(j, scale))
+    keys = bucket_keys(impact_stub(view, plus, minus, scale), view, scale, cadence)
+    assert keys == oracles.bucket_keys(oracles.priced(j, plus, minus, F(1, cadence)), j)
     assert all(type(field) is int for key in keys if key is not None for field in key)
