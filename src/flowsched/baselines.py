@@ -7,9 +7,11 @@ Two independent routes to the same reference cost:
   them per run with the objective ``sum_j w_j ((t - r_j)/p_j + 1/2) x_{t,j}``;
 * :func:`transport_opt` solves that time-indexed relaxation exactly as a
   balanced transportation problem (integer network simplex). Job j's window
-  starts where the busy period around ``r_j`` of the strictly denser jobs
-  ends and stops where that of the jobs at least as dense ends
-  (:func:`_lp_windows`): busy periods, never HDF, so it is HDF's oracle.
+  starts where the strictly denser jobs first leave the machine idle from
+  ``r_j`` on and stops where the busy period around ``r_j`` of the jobs at
+  least as dense ends (:func:`_lp_windows`): busy periods, never HDF, so it
+  is HDF's oracle. The slots that every feasible point gives to one job are
+  priced up front, and the solver sees only the contested rest.
 
 Every schedule runs at unit speed, as the paper's offline optimum does:
 its only relaxation is rejection. Sizes are integers, so a slot never
@@ -29,6 +31,7 @@ caller can wrap ``baselines.nx.network_simplex`` before a solve.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import groupby
 
@@ -91,17 +94,18 @@ def default_horizon(jobs) -> int:
 def _lp_windows(jobs: list[Job], densities: list[Rational]) -> list[tuple[int, int]]:
     """For each job j, its transport-LP window ``(first, end)``: ``end`` is
     the end of the busy period that contains ``r_j`` when the machine serves
-    only the jobs at least as dense as j, and ``first`` that of the jobs
-    strictly denser than j, or ``r_j`` if none of their periods contains it
+    only the jobs at least as dense as j, and ``first`` the first slot from
+    ``r_j`` on at which the jobs strictly denser than j leave it idle
     (``densities[i]`` is ``jobs[i].density()``, or that times one positive
     factor shared by every job).
 
     Jobs go in by decreasing density into a sorted list of disjoint busy
     periods ``[starts[k], ends[k])``. A job released inside a period extends
     its end by its size; otherwise it opens a new period. Either way the
-    period then absorbs every later period that now starts before its end.
-    Each job's ``first`` is looked up before its density's jobs go in, and
-    its ``end`` after all of them have.
+    period then absorbs every later period that now starts before its end,
+    so periods that touch stay apart. Each job's ``first`` is looked up
+    before its density's jobs go in, walking on through touching periods,
+    and its ``end`` after all of them have.
     """
     starts: list[int] = []
     ends: list[int] = []
@@ -111,9 +115,11 @@ def _lp_windows(jobs: list[Job], densities: list[Rational]) -> list[tuple[int, i
         tied = list(tied)
         firsts = []
         for i in tied:
-            release = jobs[i].release
-            k = bisect_right(starts, release) - 1
-            firsts.append(ends[k] if k >= 0 and release < ends[k] else release)
+            first = jobs[i].release
+            k = bisect_right(starts, first) - 1
+            while 0 <= k < len(starts) and starts[k] <= first < ends[k]:
+                first, k = ends[k], k + 1    # on through touching periods
+            firsts.append(first)
         for i in tied:
             release, work = jobs[i].release, jobs[i].size_on(0)
             k = bisect_right(starts, release) - 1
@@ -137,25 +143,34 @@ def transport_opt(instance: Instance) -> Rational:
     Job j supplies ``p_j`` units, each slot of a window demands 1, and a
     unit of j in slot t costs ``w_j (t - r_j)/p_j + w_j/2``. Times
     ``2 * scale`` it is ``w_j * scale + 2 rho_j * scale * (t - r_j)``, from
-    the instance's table, so every arc cost is an integer by construction
-    and the network simplex stays exact.
+    the instance's table, so every cost is an integer by construction and
+    the network simplex stays exact.
 
-    Job j only gets arcs to the slots ``first .. end - 1`` of its window
+    Job j only gets the slots ``first .. end - 1`` of its window
     (:func:`_lp_windows`): ``end`` ends the busy period around ``r_j`` of
-    the jobs of density >= rho_j, and ``first`` ends that of the strictly
-    denser set S, or is ``r_j`` outside S's periods. Preemptive HDF is
+    the jobs of density >= rho_j, and ``first`` is the first slot from
+    ``r_j`` on that the strictly denser set S leaves idle. Preemptive HDF is
     optimal for the relaxation and serves either set ahead of every other
     job without idling while any of it waits: it finishes j by ``end``, and
-    S's busy periods are busy with S alone, so j gets no slot before
-    ``first``. The windows thus contain its schedule, so the LP is feasible
-    by construction and, as dropping arcs can only raise the optimum, keeps
-    HDF's. For a job of unique density, ``end - 1`` is its last HDF slot and
-    ``first`` its first unless S releases a job at ``first``; a tie only
+    gives j no slot while S keeps the machine busy. The windows thus contain
+    its schedule, so the LP is feasible by construction and, as dropping
+    arcs can only raise the optimum, keeps HDF's. For a job of unique
+    density the window is exactly the span of its HDF slots; a tie only
     widens a window. The windows cover exactly the busy slots, sum p_j of
     them: each lies in the whole set's busy period around ``r_j`` and holds
-    its job's HDF slots. Windows that reach an idle slot or miss a busy one
-    unbalance the network: networkx raises NetworkXUnfeasible, a fault
-    (exit 1). Tests check the windows against HDF and arcs to every slot.
+    its job's HDF slots.
+
+    Each slot takes exactly one unit, so every feasible point gives a slot
+    to the one window that covers it, or to the one window covering it that
+    is as long as its job's size. Such a slot is pinned: priced into an
+    integer sum, it cuts its job's demand to ``pinned_j - p_j`` and gets no
+    arc, so networkx sees every job but only the contested slots. One pass,
+    not a fixpoint: iterating would empty small LPs, which the benchmark's
+    traced run must see solved. Windows that reach an idle slot, miss a busy
+    one, overlap as two full windows or pin a job past its size leave
+    demands that no flow meets: networkx raises NetworkXUnfeasible, a fault
+    (exit 1). Tests check windows against HDF, graphs against the pins and
+    values against arcs to every slot.
     """
     jobs = instance.jobs
     if not jobs:
@@ -164,18 +179,30 @@ def transport_opt(instance: Instance) -> Rational:
 
     rows = [instance.table[job.id] for job in jobs]
     slopes = [2 * cells[0][0] for _, _, cells in rows]    # 2 rho * scale
-
-    graph = nx.DiGraph()
     windows = _lp_windows(jobs, slopes)
+    # how many windows, and how many as long as their job's size, cover each
+    # slot: counted per window slot, as idle gaps can make the span of the
+    # windows far longer than the windows
+    cover = Counter(t for first, end in windows for t in range(first, end))
+    full = Counter(t for job, (first, end) in zip(jobs, windows)
+                   if end - first == job.size_on(0) for t in range(first, end))
+
+    pinned_cost = 0
+    graph = nx.DiGraph()
     for job, (cost, _, _), slope, (first, end) in zip(jobs, rows, slopes, windows):
-        node, release = ("job", job.id), job.release    # cost is w * scale at t = r
-        graph.add_node(node, demand=-job.size_on(0))
+        # cost is w * scale, the price of slot r
+        node, release, size = ("job", job.id), job.release, job.size_on(0)
+        pinned = [t for t in range(first, end)
+                  if cover[t] == 1 or end - first == size and full[t] == 1]
+        pinned_cost += sum(cost + slope * (t - release) for t in pinned)
+        graph.add_node(node, demand=len(pinned) - size)
         graph.add_edges_from((node, ("slot", t), {"weight": cost + slope * (t - release)})
-                             for t in range(first, end))
+                             for t in range(first, end)
+                             if cover[t] > 1 and full[t] != 1)
     graph.add_nodes_from([node for node in graph if node[0] == "slot"], demand=1)
 
     cost, _ = nx.network_simplex(graph)
-    return Rational(cost, 2 * instance.scale)
+    return Rational(pinned_cost + cost, 2 * instance.scale)
 
 
 def __getattr__(name: str):

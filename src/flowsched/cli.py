@@ -21,9 +21,10 @@ runs that command. Only ``baseline`` loads networkx, in its first solve of
 the transport LP; every other command runs without it.
 
 Exit codes: 0 success (verify: feasible, audit: all budgets hold);
-1 a violated invariant, including any exception the engine or analysis
-raises (an infeasible baseline LP among them), which is a bug and is
-printed with its traceback; 2 bad usage or input, as one ``error:`` line.
+1 a violated invariant: a baseline whose transport optimum is not the HDF
+cost (after its record), or any exception the engine or analysis raises
+(an infeasible baseline LP among them), which is a bug and is printed
+with its traceback; 2 bad usage or input, as one ``error:`` line.
 Two types are bad input: :class:`~flowsched.core.InvalidInstance` (a trace
 file or an instance refused) and :class:`~flowsched.harness.BadParameters`
 (generator parameters, option values or record files refused); so are an
@@ -225,7 +226,7 @@ def cmd_baseline(args) -> int:
         # fields keep the record's bytes
         writer.emit("baseline", speed=1, horizon=default_horizon(instance.jobs),
                     transport_opt=opt, hdf_cost=hdf)
-    return 0
+    return 0 if opt == hdf else VIOLATION
 
 
 def cmd_verify(args) -> int:

@@ -878,14 +878,15 @@ def busy_period_end(jobs, job: Job) -> int:
 
 
 def window_first_slot(jobs, job: Job) -> int:
-    """End of the busy period that contains ``job.release`` when the
-    machine serves only the jobs strictly denser than ``job``, or
-    ``job.release`` if none of their busy periods contains it."""
+    """First slot from ``job.release`` on at which the machine is idle when
+    it serves only the jobs strictly denser than ``job``: the end of their
+    busy period (touching ones merged) that contains ``job.release``, or
+    ``job.release`` if none does."""
     denser = sorted((j for j in jobs if j.density() > job.density()),
                     key=lambda j: j.release)
     start = end = None
     for other in denser:
-        if end is None or other.release >= end:
+        if end is None or other.release > end:
             if end is not None and start <= job.release < end:
                 break
             start = end = other.release

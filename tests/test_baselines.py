@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -117,18 +119,42 @@ def test_lp_windows_match_the_per_job_scan(seed, n, max_release):
 
 
 def lp_windows(monkeypatch, inst):
-    """The value, each job's slots and the graph ``transport_opt`` hands to
-    the solver."""
-    graphs = []
-    solve = baselines.nx.network_simplex
+    """The value, each job's window slots from ``_lp_windows`` and the graph
+    ``transport_opt`` hands to the solver."""
+    graphs, windows = [], []
+    solve, cut = baselines.nx.network_simplex, baselines._lp_windows
     monkeypatch.setattr(baselines.nx, "network_simplex",
                         lambda graph: graphs.append(graph) or solve(graph))
+    monkeypatch.setattr(baselines, "_lp_windows",
+                        lambda *args: windows.extend(cut(*args)) or windows)
     value = transport_opt(inst)
     assert len(graphs) == 1
-    windows = {j.id: [] for j in inst.jobs}
-    for (_, jid), (_, t) in graphs[0].out_edges(("job", j.id) for j in inst.jobs):
-        windows[jid].append(t)
-    return value, windows, graphs[0]
+    return value, {j.id: list(range(*w)) for j, w in zip(inst.jobs, windows)}, graphs[0]
+
+
+def assert_graph_holds_the_contested_slots(inst, windows, graph):
+    """A slot that one window covers, or one window as long as its job's
+    size, is pinned to that job: the graph holds only the other window
+    slots, each job's demand is its pinned slots minus its size, and pinned
+    and graph slots together are the busy slots."""
+    cover = Counter(t for slots in windows.values() for t in slots)
+    sizes = {j.id: j.size_on(0) for j in inst.jobs}
+    full = Counter(t for jid, slots in windows.items() if len(slots) == sizes[jid]
+                   for t in slots)
+    pinned = {jid: [t for t in slots if cover[t] == 1
+                    or len(slots) == sizes[jid] and full[t] == 1]
+              for jid, slots in windows.items()}
+    for jid, slots in windows.items():
+        assert graph.nodes["job", jid]["demand"] == len(pinned[jid]) - sizes[jid]
+        assert [t for _, (_, t) in graph.out_edges(("job", jid))] == \
+            [t for t in slots if cover[t] > 1 and full[t] != 1]
+    graph_slots = sorted(t for kind, t in graph if kind == "slot")
+    assert len(graph) == len(windows) + len(graph_slots)
+    assert all(graph.nodes["slot", t]["demand"] == 1 for t in graph_slots)
+    assert graph_slots == sorted(t for t in cover if cover[t] > 1 and full[t] != 1)
+    busy = sorted(t for start, end, _ in preemptive_hdf(inst) for t in range(start, end))
+    assert sorted(graph_slots + [t for slots in pinned.values() for t in slots]) == busy
+    assert len(busy) == sum(sizes.values())
 
 
 def hdf_slot_spans(runs):
@@ -144,41 +170,35 @@ def hdf_slot_spans(runs):
 def test_each_window_spans_the_jobs_hdf_slots(seed, n, max_release):
     # a job of unique density is the last of its denser set that HDF serves,
     # so its busy period ends in its last HDF slot; it runs as soon as its
-    # strictly denser set's busy period ends, unless that set then starts
-    # another; a tie can only widen the window
+    # strictly denser set stops being busy; a tie can only widen the window
     inst = random_instance(seed, n, max_release)
     jobs = inst.jobs
     with pytest.MonkeyPatch.context() as monkeypatch:
         value, windows, graph = lp_windows(monkeypatch, inst)
     runs = preemptive_hdf(inst)
     assert value == lp_cost(inst, runs)
-    # balanced: the windows tile the busy slots, each of which demands 1
-    assert "sink" not in graph
-    assert graph.number_of_edges() == sum(map(len, windows.values()))
-    slots = [node for node in graph if node[0] == "slot"]
-    assert len(slots) == sum(j.size_on(0) for j in jobs)
-    assert all(graph.nodes[node]["demand"] == 1 for node in slots)
-    assert all(graph.nodes["job", j.id]["demand"] == -j.size_on(0) for j in jobs)
+    assert_graph_holds_the_contested_slots(inst, windows, graph)
     spans = hdf_slot_spans(runs)
     densities = [j.density() for j in jobs]
     for j in jobs:
         first, last = windows[j.id][0], windows[j.id][-1]
-        assert windows[j.id] == list(range(first, last + 1))
         assert j.release <= first <= spans[j.id][0]
         if densities.count(j.density()) == 1:
-            assert first == spans[j.id][0] or any(
-                other.release == first for other in jobs if other.density() > j.density())
-            assert last == spans[j.id][1]
+            assert (first, last) == spans[j.id]
         else:
             assert last >= spans[j.id][1]
 
 
 def test_tied_window_covers_the_earlier_tied_job(monkeypatch):
     # equal densities: HDF runs the earlier job 1 in slots 0-1 first, so the
-    # later job 0 (smaller id) must still reach slot 2
+    # later job 0 (smaller id) must still reach slot 2; slot 0 is job 1's
+    # alone, and the solver sees the two jobs' remaining unit each
     inst = make_instance((job(1, 0, 2, 2), job(0, 1, 1, 1)))
-    value, windows, _ = lp_windows(monkeypatch, inst)
+    value, windows, graph = lp_windows(monkeypatch, inst)
     assert windows == {1: [0, 1, 2], 0: [1, 2]}
+    assert_graph_holds_the_contested_slots(inst, windows, graph)
+    assert sorted(graph.edges) == [(("job", 0), ("slot", 1)), (("job", 0), ("slot", 2)),
+                                   (("job", 1), ("slot", 1)), (("job", 1), ("slot", 2))]
     runs = preemptive_hdf(inst)
     assert fractional_schedule(inst, runs).allocation == \
         {(0, 1): F(1), (1, 1): F(1), (2, 0): F(1)}
@@ -192,14 +212,29 @@ def test_windowed_arcs_match_full_horizon(seed, n):
     assert transport_opt(inst) == transport_opt_full(inst.jobs)
 
 
-def test_overloaded_lp_has_at_most_7208_arcs(monkeypatch):
+def test_overloaded_lp_has_at_most_4059_arcs(monkeypatch):
     # a host-independent cost gate: windows that start at r_j give this
-    # instance 30,897 arcs
+    # instance 30,897 arcs, and the windows of this module 6,934 before
+    # their single-owner slots are pinned
     inst = generate(WorkloadModel(kind="poisson_pareto", n=250, rate=0.7, shape=1.6,
                                   size_cap=20, epsilon=F(1, 4), seed=7))
-    value, _, graph = lp_windows(monkeypatch, inst)
-    assert graph.number_of_edges() <= 7_208
+    value, windows, graph = lp_windows(monkeypatch, inst)
+    assert graph.number_of_edges() <= 4_059
     assert value == lp_cost(inst, preemptive_hdf(inst))
+    assert_graph_holds_the_contested_slots(inst, windows, graph)
+
+
+def test_pinning_memory_does_not_grow_with_an_idle_gap():
+    # coverage is counted per window slot: a count per slot of the windows'
+    # whole span would hold about 31 MB for this 10**6-slot gap
+    inst = make_instance((job(0, 0, 1, 2), job(1, 10 ** 6, 1, 2)))
+    transport_opt(make_instance((job(0, 0, 1, 2),)))    # networkx loaded
+    tracemalloc.start()
+    try:
+        assert transport_opt(inst) == lp_cost(inst, preemptive_hdf(inst)) == 3
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=25)

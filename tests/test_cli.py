@@ -338,6 +338,30 @@ def test_window_that_misses_hdf_exits_1(capsys, monkeypatch, trace_file, tmp_pat
                                 lambda first, end: (first, end - 1))
 
 
+@pytest.mark.parametrize("moved", [
+    {(0, 3): (0, 2)},    # two full windows: slot 1 would be pinned to both jobs
+    {(1, 2): (1, 1)},    # slots 0-2 are job 0's alone: three pinned slots for a size of 2
+])
+def test_window_that_pins_a_slot_twice_or_a_job_past_its_size_exits_1(
+        capsys, monkeypatch, trace_file, tmp_path, moved):
+    # the trace's windows are (0, 3) for job 0 and (1, 2) for job 1, so the
+    # LP pins every slot and the solver sees only the job demands
+    assert_moved_windows_exit_1(capsys, monkeypatch, trace_file, tmp_path,
+                                lambda first, end: moved.get((first, end), (first, end)))
+
+
+def test_baseline_that_misses_the_hdf_cost_exits_1(capsys, monkeypatch, trace_file, tmp_path):
+    # HDF attains the LP optimum, so a gap is a violated invariant; the
+    # record is still written
+    hdf_cost = cli.lp_cost
+    monkeypatch.setattr(cli, "lp_cost", lambda *args: hdf_cost(*args) + 1)
+    out = tmp_path / "base.txt"
+    assert run_cli(capsys, ["baseline", "--trace", trace_file, "--out", out]) == \
+        (cli.VIOLATION, "")
+    assert out.read_text(encoding="ascii") == \
+        "baseline speed=1 horizon=5 transport_opt=11/4 hdf_cost=15/4\n"
+
+
 def test_window_past_its_busy_period_exits_1(capsys, monkeypatch, trace_file, tmp_path):
     # the windows tile the busy slots: one slot longer, the last window
     # reaches the idle slot after the last busy period, and the demands no
